@@ -424,6 +424,15 @@ impl<W> Engine<W> {
         Self::with_queue(Queue::Calendar(CalendarQueue::new()))
     }
 
+    // Never inlined: a call is opaque to MIR value numbering. rustc
+    // 1.95.0's GVN pass otherwise treats two `Engine::new()` values as
+    // one, and a closure taking an engine by value, called twice with
+    // `Engine::new()`, gets the first call's moved-from, mutated engine
+    // the second time: it runs on stale state and frees the queue twice
+    // (`free(): double free` in release builds). The shape is reproduced
+    // by `engines_built_in_sequence_start_fresh` in
+    // `tests/proptest_engine.rs`.
+    #[inline(never)]
     fn with_queue(queue: Queue<W>) -> Self {
         Engine {
             queue,

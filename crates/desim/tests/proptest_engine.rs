@@ -206,6 +206,44 @@ fn mixed_typed_dyn_workload_is_deterministic() {
     });
 }
 
+/// Engines passed by value into a closure, one fresh `Engine::new()` per
+/// call, each start at time zero. This is the reduced form of a
+/// release-only miscompile (rustc 1.95.0, MIR GVN): the second call
+/// received the first call's moved-from engine, panicked with "cannot
+/// schedule into the past", and aborted on a double free while
+/// unwinding. The engine constructor is kept out of line so the two
+/// values cannot be merged; run this test with `--release` to check.
+#[test]
+fn engines_built_in_sequence_start_fresh() {
+    use desim::{EventWorld, Scheduler, TypedEvent};
+
+    #[derive(Default)]
+    struct Log(Vec<u64>);
+    impl EventWorld for Log {
+        fn dispatch(&mut self, s: &mut Scheduler<Self>, _ev: TypedEvent) {
+            self.0.push(s.now().as_nanos());
+        }
+    }
+
+    let plan = [5u64, 3];
+    let run = |mut engine: Engine<Log>| {
+        assert_eq!(engine.now(), SimTime::ZERO, "engine starts fresh");
+        assert_eq!(engine.events_fired(), 0, "engine starts fresh");
+        for &t in &plan {
+            engine.post_at(SimTime::from_nanos(t), TypedEvent::Timer { id: 0 });
+        }
+        let mut log = Log::default();
+        engine.run(&mut log);
+        log.0
+    };
+    let first = run(Engine::new());
+    let second = run(Engine::new());
+    let third = run(Engine::new());
+    assert_eq!(first, vec![3, 5]);
+    assert_eq!(second, first);
+    assert_eq!(third, first);
+}
+
 /// The RNG's bounded generator is uniform enough and in range.
 #[test]
 fn rng_bounded_in_range() {

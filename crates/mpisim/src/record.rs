@@ -26,6 +26,8 @@
 //! # Ok::<(), mpisim::SimMpiError>(())
 //! ```
 
+use std::borrow::Cow;
+
 use crate::critpath::CritPath;
 use crate::exec::{ExecOutcome, Observed};
 use obs::critpath::Blame;
@@ -35,7 +37,8 @@ use obs::{MetricsRegistry, RunRecord};
 /// Builds a run record from an observed execution. `machine` seeds the
 /// meta map (extend it via [`RunRecord::meta`] before serializing);
 /// `cp` adds blame totals and the contention census; `reg` adds a flat
-/// metrics snapshot.
+/// metrics snapshot. Event, transfer and span kinds borrow the
+/// executor's static keys, so no row allocates a string.
 pub fn run_record(
     machine: &str,
     out: &ExecOutcome,
@@ -57,7 +60,7 @@ pub fn run_record(
             rec.events.push(RecEvent {
                 seq: ev.seq,
                 at_ns: ev.at.as_nanos(),
-                kind: ev.kind.key().into(),
+                kind: Cow::Borrowed(ev.kind.key()),
                 a: ev.a,
                 b: ev.b,
                 parent: observed
@@ -73,7 +76,7 @@ pub fn run_record(
             src: t.src as u32,
             dst: t.dst as u32,
             bytes: t.bytes as u64,
-            class: t.class.key().into(),
+            class: Cow::Borrowed(t.class.key()),
             posted_ns: t.posted.as_nanos(),
             wire_start_ns: t.wire_start.as_nanos(),
             delivered_ns: t.delivered.as_nanos(),
@@ -85,7 +88,7 @@ pub fn run_record(
     for sp in &observed.spans {
         rec.spans.push(RecSpan {
             rank: sp.rank as u32,
-            kind: sp.kind.label().into(),
+            kind: Cow::Borrowed(sp.kind.label()),
             start_ns: sp.start.as_nanos(),
             end_ns: sp.end.as_nanos(),
             woke_by: sp.woke_by,

@@ -92,30 +92,20 @@ impl Json {
         out
     }
 
+    /// Appends the compact serialization to `out` — what
+    /// [`Json::to_string_compact`] returns, without a fresh buffer.
+    pub(crate) fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
+
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Json::Float(f) => {
-                if f.is_finite() {
-                    // Shortest round-trip representation; force a decimal
-                    // point so readers see a float.
-                    if f.fract() == 0.0 && f.abs() < 1e15 {
-                        let _ = write!(out, "{f:.1}");
-                    } else {
-                        let _ = write!(out, "{f}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Int(i) => write_i64(out, *i),
+            Json::UInt(u) => write_u64(out, *u),
+            Json::Float(f) => write_f64(out, *f),
+            Json::Str(s) => write_str(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -137,7 +127,7 @@ impl Json {
                         out.push(',');
                     }
                     newline_indent(out, indent, depth + 1);
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -162,19 +152,86 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// `"00" "01" … "99"`: two decimal digits per table entry, so
+/// [`write_u64`] divides by 100 instead of 10. Core's integer `Display`
+/// does the same, but reaching it through `write!` costs a formatter
+/// call per integer: about 8% of `observed_suite` wall time
+/// (EXPERIMENTS.md, "Streaming run records").
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Appends the decimal digits of `v`. The scalar helpers below are the
+/// one formatting rule shared by [`Json`] and the streaming run-record
+/// writer, so the two outputs cannot drift.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while v >= 100 {
+        let d = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    }
+    if v >= 10 {
+        let d = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    // Only ASCII digits were written, so the conversion cannot fail.
+    out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or_default());
+}
+
+/// Appends the decimal digits of `v`, with a leading `-` when negative.
+fn write_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u64(out, v.unsigned_abs());
+}
+
+/// Appends `f` in shortest round-trip form. Whole values below 1e15
+/// keep a `.0` so readers see a float; non-finite values become
+/// `null`, matching what browsers' `JSON.stringify` does.
+pub(crate) fn write_f64(out: &mut String, f: f64) {
+    if !f.is_finite() {
+        out.push_str("null");
+    } else if f.fract() == 0.0 && f.abs() < 1e15 {
+        let _ = write!(out, "{f:.1}");
+    } else {
+        let _ = write!(out, "{f}");
+    }
+}
+
+/// Appends `s` as a quoted JSON string. Strings with nothing to escape
+/// (every label and key the simulator emits) are copied in one piece.
+pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
@@ -189,11 +246,12 @@ fn write_escaped(out: &mut String, s: &str) {
 /// # Errors
 ///
 /// Returns a human-readable message naming the byte offset of the
-/// first syntax error.
+/// first syntax error, of a container nested deeper than
+/// [`MAX_DEPTH`], or of a duplicate object key.
 pub fn validate(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -207,8 +265,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest container nesting [`validate`] accepts. The parser recurses
+/// once per level, so the cap keeps a hostile file from overflowing the
+/// stack; every artifact the workspace writes nests fewer than ten deep.
+pub const MAX_DEPTH: usize = 256;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -224,7 +290,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -246,13 +312,17 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
+                let key_at = *pos;
                 let key = parse_string(b, pos)?;
+                if members.contains_key(&key) {
+                    return Err(format!("duplicate key {key:?} at byte {key_at}"));
+                }
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                members.insert(key, parse_value(b, pos)?);
+                members.insert(key, parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -350,9 +420,13 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             .map_err(|_| format!("invalid number at byte {start}"))
     } else if let Ok(i) = text.parse::<i64>() {
         Ok(Json::Int(i))
+    } else if let Ok(u) = text.parse::<u64>() {
+        Ok(Json::UInt(u))
     } else {
-        text.parse::<u64>()
-            .map(Json::UInt)
+        // Beyond the integer types: a whole float the writer printed
+        // without an exponent (1e300 is 301 digits).
+        text.parse::<f64>()
+            .map(Json::Float)
             .map_err(|_| format!("invalid number at byte {start}"))
     }
 }
@@ -407,6 +481,54 @@ mod tests {
         assert!(validate("\"unterminated").is_err());
         assert!(validate("{\"a\" 1}").is_err());
         assert!(validate("nul").is_err());
+    }
+
+    #[test]
+    fn caps_nesting_depth_with_the_offset() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(validate(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = validate(&deep).expect_err("too deep");
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        // Far past the cap (objects too) is an error, not a stack overflow.
+        let hostile = "{\"a\":".repeat(100_000);
+        let err = validate(&hostile).expect_err("hostile nesting");
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn rejects_duplicate_keys_with_the_offset() {
+        let err = validate(r#"{"a":1,"b":{"a":2},"a":3}"#).expect_err("duplicate");
+        assert_eq!(err, "duplicate key \"a\" at byte 19");
+        // The same key in sibling objects is fine.
+        assert!(validate(r#"[{"a":1},{"a":2}]"#).is_ok());
+    }
+
+    #[test]
+    fn scalar_helpers_match_std_formatting() {
+        for v in [0, 7, 10, 99, 100, 12345, u64::from(u32::MAX) + 1, u64::MAX] {
+            let mut out = String::new();
+            write_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        for v in [i64::MIN, -100, -1, 0, 42, i64::MAX] {
+            assert_eq!(Json::Int(v).to_string_compact(), v.to_string());
+        }
+        assert_eq!(Json::Float(-0.0).to_string_compact(), "-0.0");
+        assert_eq!(Json::Float(1e15).to_string_compact(), "1000000000000000");
+        assert_eq!(Json::Float(0.25).to_string_compact(), "0.25");
+        assert_eq!(Json::str("é\"\\").to_string_compact(), "\"é\\\"\\\\\"");
+    }
+
+    #[test]
+    fn huge_whole_floats_round_trip() {
+        for f in [1e20, -1e300, f64::MAX] {
+            let text = Json::Float(f).to_string_compact();
+            assert_eq!(validate(&text).unwrap().as_f64(), Some(f), "{text}");
+        }
     }
 
     #[test]

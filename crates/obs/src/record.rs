@@ -15,9 +15,11 @@
 //! compact form has no whitespace — so byte equality of two serialized
 //! records is a meaningful verdict, not an accident of formatting.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use crate::json::{validate, Json};
+use crate::json::{validate, write_f64, write_str, write_u64, Json};
 
 /// Bump when the record layout changes incompatibly. Readers refuse
 /// records from a different schema rather than mis-parse them.
@@ -33,8 +35,10 @@ pub struct RecEvent {
     /// Firing instant, nanoseconds.
     pub at_ns: u64,
     /// Stable kind key (`rank_resume`, `message_ready`, `link_grant`,
-    /// `schedule_step`, `timer`, `continuation`, `dyn`).
-    pub kind: String,
+    /// `schedule_step`, `timer`, `continuation`, `dyn`). Borrowed from
+    /// the executor's static vocabulary when built from a run; owned
+    /// when parsed.
+    pub kind: Cow<'static, str>,
     /// First payload field (see [`event_field_names`]); 0 if unused.
     pub a: u64,
     /// Second payload field; 0 if unused.
@@ -61,7 +65,7 @@ pub fn event_field_names(kind: &str) -> (&'static str, &'static str) {
 /// The ranks an event touches, for context-window summaries. `dyn` and
 /// `timer` events touch none; `link_grant` touches the grantee.
 pub fn event_ranks(ev: &RecEvent) -> Vec<u32> {
-    match ev.kind.as_str() {
+    match &*ev.kind {
         "rank_resume" | "schedule_step" => vec![ev.a as u32],
         "message_ready" => vec![ev.a as u32, ev.b as u32],
         "link_grant" => vec![ev.b as u32],
@@ -91,7 +95,7 @@ pub struct RecTransfer {
     /// Payload bytes.
     pub bytes: u64,
     /// Operation-class key.
-    pub class: String,
+    pub class: Cow<'static, str>,
     /// Instant the send was posted, nanoseconds.
     pub posted_ns: u64,
     /// Instant the wire journey began.
@@ -110,7 +114,7 @@ pub struct RecSpan {
     /// The rank.
     pub rank: u32,
     /// Phase-kind label (the executor's span vocabulary).
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// Span start, nanoseconds.
     pub start_ns: u64,
     /// Span end, nanoseconds.
@@ -175,136 +179,147 @@ impl RunRecord {
     /// maps (which carry run labels and wall-clock noise) are dropped.
     /// Two runs whose canonicalized records serialize to identical
     /// bytes are semantically the same execution up to tie order.
+    ///
+    /// Each sort is a stable sort by the documented key, done as an
+    /// integer sort on the primary field (events and transfers already
+    /// arrive in time order; spans group by rank) followed by small
+    /// sorts within groups of equal primary field.
     pub fn canonicalized(&self) -> RunRecord {
-        let mut c = self.clone();
-        c.meta.clear();
-        c.metrics.clear();
-        for e in &mut c.events {
+        let mut events = sort_by_primary(
+            &self.events,
+            |e| e.at_ns,
+            |x, y| (&x.kind, x.a, x.b).cmp(&(&y.kind, y.a, y.b)),
+        );
+        for e in &mut events {
             e.seq = 0;
             e.parent = None;
         }
-        c.events
-            .sort_by(|x, y| (x.at_ns, &x.kind, x.a, x.b).cmp(&(y.at_ns, &y.kind, y.a, y.b)));
-        c.transfers.sort_by(|x, y| {
-            (
-                x.posted_ns,
-                x.src,
-                x.dst,
-                x.wire_start_ns,
-                x.delivered_ns,
-                x.bytes,
-            )
-                .cmp(&(
-                    y.posted_ns,
+        let transfers = sort_by_primary(
+            &self.transfers,
+            |t| t.posted_ns,
+            |x, y| {
+                (x.src, x.dst, x.wire_start_ns, x.delivered_ns, x.bytes).cmp(&(
                     y.src,
                     y.dst,
                     y.wire_start_ns,
                     y.delivered_ns,
                     y.bytes,
                 ))
-        });
-        c.spans.sort_by(|x, y| {
-            (x.rank, x.start_ns, x.end_ns, &x.kind).cmp(&(y.rank, y.start_ns, y.end_ns, &y.kind))
-        });
-        c
-    }
-
-    /// Serializes to the canonical [`Json`] tree.
-    pub fn to_json(&self) -> Json {
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                Json::Array(vec![
-                    Json::UInt(e.seq),
-                    Json::UInt(e.at_ns),
-                    Json::str(&e.kind),
-                    Json::UInt(e.a),
-                    Json::UInt(e.b),
-                    e.parent.map_or(Json::Null, Json::UInt),
-                ])
-            })
-            .collect();
-        let transfers = self
-            .transfers
-            .iter()
-            .map(|t| {
-                Json::Array(vec![
-                    Json::UInt(t.src as u64),
-                    Json::UInt(t.dst as u64),
-                    Json::UInt(t.bytes),
-                    Json::str(&t.class),
-                    Json::UInt(t.posted_ns),
-                    Json::UInt(t.wire_start_ns),
-                    Json::UInt(t.delivered_ns),
-                    Json::UInt(t.inject_wait_ns),
-                    Json::UInt(t.link_wait_ns),
-                ])
-            })
-            .collect();
-        let spans = self
-            .spans
-            .iter()
-            .map(|s| {
-                Json::Array(vec![
-                    Json::UInt(s.rank as u64),
-                    Json::str(&s.kind),
-                    Json::UInt(s.start_ns),
-                    Json::UInt(s.end_ns),
-                    s.woke_by.map_or(Json::Null, |w| Json::UInt(w as u64)),
-                ])
-            })
-            .collect();
-        let finish = self
-            .finish_ns
-            .iter()
-            .map(|seg| Json::Array(seg.iter().map(|&t| Json::UInt(t)).collect()))
-            .collect();
-        let mut doc = vec![
-            ("schema_version", Json::UInt(SCHEMA_VERSION)),
-            (
-                "meta",
-                Json::object(self.meta.iter().map(|(k, v)| (k.clone(), Json::str(v)))),
-            ),
-            ("elapsed_ns", Json::UInt(self.elapsed_ns)),
-            ("dropped_messages", Json::UInt(self.dropped_messages)),
-            ("events", Json::Array(events)),
-            ("transfers", Json::Array(transfers)),
-            ("spans", Json::Array(spans)),
-            ("finish_ns", Json::Array(finish)),
-            (
-                "blame_ns",
-                Json::object(
-                    self.blame_ns
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::UInt(v))),
-                ),
-            ),
-            (
-                "metrics",
-                Json::object(
-                    self.metrics
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::Float(v))),
-                ),
-            ),
-        ];
-        if let Some((transfers, uncontended)) = self.census {
-            doc.push((
-                "census",
-                Json::object([
-                    ("transfers", Json::UInt(transfers)),
-                    ("uncontended", Json::UInt(uncontended)),
-                ]),
-            ));
+            },
+        );
+        let spans = sort_by_primary(
+            &self.spans,
+            |s| u64::from(s.rank),
+            |x, y| (x.start_ns, x.end_ns, &x.kind).cmp(&(y.start_ns, y.end_ns, &y.kind)),
+        );
+        RunRecord {
+            meta: BTreeMap::new(),
+            elapsed_ns: self.elapsed_ns,
+            dropped_messages: self.dropped_messages,
+            events,
+            transfers,
+            spans,
+            finish_ns: self.finish_ns.clone(),
+            blame_ns: self.blame_ns.clone(),
+            census: self.census,
+            metrics: BTreeMap::new(),
         }
-        Json::object(doc)
     }
 
     /// Canonical compact serialization: byte equality of two outputs is
     /// the `ByteIdentical` verdict.
+    ///
+    /// Streams the record into one pre-sized buffer: members in sorted
+    /// key order (the order a [`Json`] object uses), rows as compact
+    /// arrays, and every scalar through the shared `obs::json` helpers,
+    /// so the bytes are exactly what the equivalent [`Json`] tree
+    /// serializes to.
     pub fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
+        let mut out = String::with_capacity(self.json_size_hint());
+        out.push_str("{\"blame_ns\":");
+        write_object(&mut out, &self.blame_ns, |out, &v| write_u64(out, v));
+        if let Some((transfers, uncontended)) = self.census {
+            out.push_str(",\"census\":{\"transfers\":");
+            write_u64(&mut out, transfers);
+            out.push_str(",\"uncontended\":");
+            write_u64(&mut out, uncontended);
+            out.push('}');
+        }
+        out.push_str(",\"dropped_messages\":");
+        write_u64(&mut out, self.dropped_messages);
+        out.push_str(",\"elapsed_ns\":");
+        write_u64(&mut out, self.elapsed_ns);
+        out.push_str(",\"events\":");
+        write_rows(&mut out, &self.events, |out, e| {
+            write_u64(out, e.seq);
+            out.push(',');
+            write_u64(out, e.at_ns);
+            out.push(',');
+            write_str(out, &e.kind);
+            out.push(',');
+            write_u64(out, e.a);
+            out.push(',');
+            write_u64(out, e.b);
+            out.push(',');
+            write_opt(out, e.parent);
+        });
+        out.push_str(",\"finish_ns\":");
+        write_rows(&mut out, &self.finish_ns, |out, seg| {
+            for (i, &t) in seg.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_u64(out, t);
+            }
+        });
+        out.push_str(",\"meta\":");
+        write_object(&mut out, &self.meta, |out, v| write_str(out, v));
+        out.push_str(",\"metrics\":");
+        write_object(&mut out, &self.metrics, |out, &v| write_f64(out, v));
+        out.push_str(",\"schema_version\":");
+        write_u64(&mut out, SCHEMA_VERSION);
+        out.push_str(",\"spans\":");
+        write_rows(&mut out, &self.spans, |out, s| {
+            write_u64(out, u64::from(s.rank));
+            out.push(',');
+            write_str(out, &s.kind);
+            out.push(',');
+            write_u64(out, s.start_ns);
+            out.push(',');
+            write_u64(out, s.end_ns);
+            out.push(',');
+            write_opt(out, s.woke_by.map(u64::from));
+        });
+        out.push_str(",\"transfers\":");
+        write_rows(&mut out, &self.transfers, |out, t| {
+            for v in [u64::from(t.src), u64::from(t.dst), t.bytes] {
+                write_u64(out, v);
+                out.push(',');
+            }
+            write_str(out, &t.class);
+            for v in [
+                t.posted_ns,
+                t.wire_start_ns,
+                t.delivered_ns,
+                t.inject_wait_ns,
+                t.link_wait_ns,
+            ] {
+                out.push(',');
+                write_u64(out, v);
+            }
+        });
+        out.push('}');
+        out
+    }
+
+    /// A generous estimate of the serialized length, so
+    /// [`RunRecord::to_json_string`] allocates once for typical records.
+    fn json_size_hint(&self) -> usize {
+        let cells: usize = self.finish_ns.iter().map(Vec::len).sum();
+        let members = self.meta.len() + self.metrics.len() + self.blame_ns.len();
+        256 + 48 * (self.events.len() + self.spans.len() + members)
+            + 96 * self.transfers.len()
+            + 12 * cells
     }
 
     /// Parses a serialized record.
@@ -346,10 +361,12 @@ impl RunRecord {
             rec.events.push(RecEvent {
                 seq: as_u64(&row[0]).ok_or_else(|| format!("events[{i}].seq"))?,
                 at_ns: as_u64(&row[1]).ok_or_else(|| format!("events[{i}].at_ns"))?,
-                kind: row[2]
-                    .as_str()
-                    .ok_or_else(|| format!("events[{i}].kind"))?
-                    .to_string(),
+                kind: Cow::Owned(
+                    row[2]
+                        .as_str()
+                        .ok_or_else(|| format!("events[{i}].kind"))?
+                        .to_string(),
+                ),
                 a: as_u64(&row[3]).ok_or_else(|| format!("events[{i}].a"))?,
                 b: as_u64(&row[4]).ok_or_else(|| format!("events[{i}].b"))?,
                 parent: match &row[5] {
@@ -365,17 +382,13 @@ impl RunRecord {
             if row.len() != 9 {
                 return Err(format!("transfers[{i}]: expected 9 fields"));
             }
-            let u = |j: usize, name: &str| {
-                as_u64(&row[j]).ok_or_else(|| format!("transfers[{i}].{name}"))
-            };
+            let field = |name: &str| format!("transfers[{i}].{name}");
+            let u = |j: usize, name: &str| as_u64(&row[j]).ok_or_else(|| field(name));
             rec.transfers.push(RecTransfer {
-                src: u(0, "src")? as u32,
-                dst: u(1, "dst")? as u32,
+                src: as_u32(&row[0], || field("src"))?,
+                dst: as_u32(&row[1], || field("dst"))?,
                 bytes: u(2, "bytes")?,
-                class: row[3]
-                    .as_str()
-                    .ok_or_else(|| format!("transfers[{i}].class"))?
-                    .to_string(),
+                class: Cow::Owned(row[3].as_str().ok_or_else(|| field("class"))?.to_string()),
                 posted_ns: u(4, "posted_ns")?,
                 wire_start_ns: u(5, "wire_start_ns")?,
                 delivered_ns: u(6, "delivered_ns")?,
@@ -391,18 +404,18 @@ impl RunRecord {
                 return Err(format!("spans[{i}]: expected 5 fields"));
             }
             rec.spans.push(RecSpan {
-                rank: as_u64(&row[0]).ok_or_else(|| format!("spans[{i}].rank"))? as u32,
-                kind: row[1]
-                    .as_str()
-                    .ok_or_else(|| format!("spans[{i}].kind"))?
-                    .to_string(),
+                rank: as_u32(&row[0], || format!("spans[{i}].rank"))?,
+                kind: Cow::Owned(
+                    row[1]
+                        .as_str()
+                        .ok_or_else(|| format!("spans[{i}].kind"))?
+                        .to_string(),
+                ),
                 start_ns: as_u64(&row[2]).ok_or_else(|| format!("spans[{i}].start_ns"))?,
                 end_ns: as_u64(&row[3]).ok_or_else(|| format!("spans[{i}].end_ns"))?,
                 woke_by: match &row[4] {
                     Json::Null => None,
-                    other => {
-                        Some(as_u64(other).ok_or_else(|| format!("spans[{i}].woke_by"))? as u32)
-                    }
+                    other => Some(as_u32(other, || format!("spans[{i}].woke_by"))?),
                 },
             });
         }
@@ -427,8 +440,12 @@ impl RunRecord {
         }
         if let Some(Json::Object(m)) = doc.get("metrics") {
             for (k, v) in m {
-                rec.metrics
-                    .insert(k.clone(), v.as_f64().ok_or_else(|| format!("metrics.{k}"))?);
+                // `null` is how the writer spells every non-finite value.
+                let value = match v {
+                    Json::Null => f64::NAN,
+                    v => v.as_f64().ok_or_else(|| format!("metrics.{k}"))?,
+                };
+                rec.metrics.insert(k.clone(), value);
             }
         }
         Ok(rec)
@@ -442,6 +459,69 @@ fn as_u64(j: &Json) -> Option<u64> {
         Json::UInt(u) => Some(*u),
         Json::Int(i) if *i >= 0 => Some(*i as u64),
         _ => None,
+    }
+}
+
+/// Clones of `rows`, stable-sorted by `primary` and then `rest`.
+///
+/// Stable-sorting by `primary` and then stable-sorting each group of
+/// equal `primary` by `rest` is the same permutation as one stable sort
+/// by the pair. The first sort compares integers only, and it finds
+/// input that already runs in `primary` order (events and transfers
+/// arrive in time order) as one run in a single pass.
+fn sort_by_primary<T: Clone>(
+    rows: &[T],
+    primary: impl Fn(&T) -> u64,
+    rest: impl Fn(&T, &T) -> Ordering,
+) -> Vec<T> {
+    let mut out = rows.to_vec();
+    out.sort_by_key(&primary);
+    for group in out.chunk_by_mut(|x, y| primary(x) == primary(y)) {
+        group.sort_by(&rest);
+    }
+    out
+}
+
+/// A rank field: an integer that fits `u32`. A wider value is an error
+/// naming the field, never a silent truncation.
+fn as_u32(j: &Json, field: impl Fn() -> String) -> Result<u32, String> {
+    let v = as_u64(j).ok_or_else(&field)?;
+    u32::try_from(v).map_err(|_| format!("{}: {v} does not fit u32", field()))
+}
+
+/// Writes `[row,row,…]`, each row a compact array whose inner elements
+/// `row` writes.
+fn write_rows<T>(out: &mut String, rows: &[T], row: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        row(out, r);
+        out.push(']');
+    }
+    out.push(']');
+}
+
+/// Writes a sorted-key object whose values `value` writes.
+fn write_object<V>(out: &mut String, map: &BTreeMap<String, V>, value: impl Fn(&mut String, &V)) {
+    out.push('{');
+    for (i, (k, v)) in map.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(out, k);
+        out.push(':');
+        value(out, v);
+    }
+    out.push('}');
+}
+
+fn write_opt(out: &mut String, v: Option<u64>) {
+    match v {
+        Some(v) => write_u64(out, v),
+        None => out.push_str("null"),
     }
 }
 
@@ -536,6 +616,34 @@ mod tests {
                    \"events\":[[1,2]],\"transfers\":[],\"spans\":[],\"finish_ns\":[]}";
         let err = RunRecord::from_json(bad).expect_err("short event row");
         assert!(err.contains("events[0]"), "{err}");
+    }
+
+    #[test]
+    fn rejects_rank_fields_beyond_u32() {
+        let text = sample().to_json_string();
+        for (from, to, field) in [
+            (
+                "\"transfers\":[[0,",
+                "\"transfers\":[[4294967296,",
+                "transfers[0].src",
+            ),
+            (
+                "\"transfers\":[[0,1,",
+                "\"transfers\":[[0,4294967297,",
+                "transfers[0].dst",
+            ),
+            ("\"spans\":[[1,", "\"spans\":[[4294967296,", "spans[0].rank"),
+            ("1200,0]]", "1200,4294967296]]", "spans[0].woke_by"),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let err = RunRecord::from_json(&text.replace(from, to)).expect_err(field);
+            assert!(err.starts_with(field), "{err}");
+            assert!(err.contains("does not fit u32"), "{err}");
+        }
+        // The widest rank that fits still loads.
+        let max = text.replace("\"spans\":[[1,", "\"spans\":[[4294967295,");
+        let rec = RunRecord::from_json(&max).expect("u32::MAX fits");
+        assert_eq!(rec.spans[0].rank, u32::MAX);
     }
 
     #[test]

@@ -174,14 +174,19 @@ impl ChromeTrace {
         );
     }
 
-    /// The trace as a JSON value (array of event objects).
-    pub fn to_json(&self) -> Json {
-        Json::Array(self.events.clone())
-    }
-
     /// The trace serialized as a JSON array — the file Perfetto opens.
+    /// Writes the recorded events in place; the bytes are those of
+    /// `Json::Array(events).to_string_compact()`.
     pub fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
+        let mut out = String::from("[");
+        for (i, ev) in self.events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            ev.write_compact(&mut out);
+        }
+        out.push(']');
+        out
     }
 }
 
@@ -208,6 +213,17 @@ mod tests {
             assert!(ev.get("pid").is_some(), "every event has pid");
             assert!(ev.get("tid").is_some(), "every event has tid");
         }
+    }
+
+    #[test]
+    fn in_place_write_matches_the_array_serialization() {
+        let mut t = ChromeTrace::new();
+        assert_eq!(t.to_json_string(), "[]");
+        t.process_name(0, "sp2 \"64\"");
+        t.complete(0, 1, "send", 1.0, 2.5, &[("bytes", "4096")]);
+        t.counter(0, "queue", 3.0, &[("depth", 7.0)]);
+        let whole = Json::Array(t.events.clone()).to_string_compact();
+        assert_eq!(t.to_json_string(), whole);
     }
 
     #[test]

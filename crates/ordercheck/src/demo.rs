@@ -71,7 +71,7 @@ pub struct DemoReport {
 }
 
 fn payload_key(e: &RecEvent) -> (u64, &str, u64, u64) {
-    (e.at_ns, e.kind.as_str(), e.a, e.b)
+    (e.at_ns, &e.kind, e.a, e.b)
 }
 
 /// Scans the two event streams for same-instant blocks whose payload
