@@ -14,7 +14,7 @@
 //! `--suite [--threads N]` sweeps the fixed 21-point perfgate suite
 //! instead, printing one decomposition row per point and writing a
 //! single `critpath.json` artifact plus a `census.prom` exposition
-//! file with the per-machine × op contention census (admission-set
+//! file with the per-machine × op contention census (wait-free
 //! fraction) as Prometheus gauges. The output is a pure function of
 //! the simulation inputs, so the whole directory is byte-identical for
 //! any `--threads N` — the CI determinism job compares a serial run
@@ -36,7 +36,7 @@ use bench::cli::{Accept, PointCli};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: critpath {} [--out DIR] [--trace-cap N] [--elide]\n       critpath --suite [--threads N] [--out DIR] [--trace-cap N] [--elide]",
+        "usage: critpath {} [--out DIR] [--trace-cap N]\n       critpath --suite [--threads N] [--out DIR] [--trace-cap N]",
         bench::cli::POINT_USAGE
     );
     std::process::exit(2);
@@ -62,6 +62,10 @@ fn parse_args() -> PointCli {
     if !cli.selection_ok() {
         usage();
     }
+    if let Err(e) = cli.check_point() {
+        eprintln!("{e}");
+        usage();
+    }
     cli
 }
 
@@ -83,7 +87,6 @@ fn analyze_point(
     p: usize,
     m: u32,
     trace_cap: Option<usize>,
-    elide: bool,
 ) -> Analyzed {
     let bytes = if op == OpClass::Barrier { 0 } else { m };
     let comm = machine.communicator(p).expect("communicator size");
@@ -94,7 +97,6 @@ fn analyze_point(
             RunOptions {
                 provenance: true,
                 trace_limit: trace_cap,
-                elide,
                 ..RunOptions::default()
             },
         )
@@ -232,7 +234,7 @@ fn scan_vs_bcast(rows: &[(String, String, CritPath)]) {
 
 /// The fixed 21-point suite, analyzed with `threads` workers and written
 /// in canonical order from the merged results.
-fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>, elide: bool) {
+fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>) {
     let suite = bench::perfgate::default_suite();
     std::fs::create_dir_all(out_dir).expect("create output directory");
 
@@ -241,7 +243,7 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>, elide: boo
         threads,
         |i| {
             let pt = &suite[i];
-            let a = analyze_point(&pt.machine, pt.op, pt.nodes, pt.bytes, trace_cap, elide);
+            let a = analyze_point(&pt.machine, pt.op, pt.nodes, pt.bytes, trace_cap);
             let doc = decomposition_json(&pt.machine, pt.op, pt.nodes, pt.bytes, &a.cp);
             (
                 pt.machine.name().to_string(),
@@ -266,8 +268,8 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>, elide: boo
     scan_vs_bcast(&rows);
 
     // The contention census as Prometheus gauges, one set per
-    // machine × op — the admission-set fraction a quiet-network fast
-    // path could elide.
+    // machine × op: the fraction of transfers that never waited for a
+    // busy injection engine or link.
     let mut census_reg = MetricsRegistry::new();
     for (machine, op, a, _) in &analyzed {
         let id = bench::machine_id(machine)
@@ -299,14 +301,14 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>, elide: boo
 fn main() {
     let cli = parse_args();
     if cli.suite {
-        run_suite(cli.out_dir(), cli.threads, cli.trace_cap, cli.elide);
+        run_suite(cli.out_dir(), cli.threads, cli.trace_cap);
         return;
     }
 
     let machine = cli.machine.as_ref().expect("checked in parse_args");
     let op = cli.op.expect("checked in parse_args");
     let bytes = if op == OpClass::Barrier { 0 } else { cli.m };
-    let a = analyze_point(machine, op, cli.p, cli.m, cli.trace_cap, cli.elide);
+    let a = analyze_point(machine, op, cli.p, cli.m, cli.trace_cap);
 
     println!("{}", report::metrics::render(&a.manifest, &a.reg));
     println!();
@@ -328,7 +330,7 @@ fn main() {
     ]);
     println!("{}", t.render());
     println!(
-        "census: {}/{} remote transfers uncontended ({:.1}%) — elidable under a quiet-network fast path",
+        "census: {}/{} remote transfers uncontended ({:.1}%) — never waited for a busy injection engine or link",
         a.cp.census.uncontended,
         a.cp.census.transfers,
         100.0 * a.cp.census.fraction()

@@ -39,7 +39,7 @@ use bench::cli::{Accept, PointCli};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: observe {} [--out DIR] [--profile] [--trace-cap N] [--elide]\n       observe --suite [--threads N] [--out DIR] [--trace-cap N] [--elide]",
+        "usage: observe {} [--out DIR] [--profile] [--trace-cap N]\n       observe --suite [--threads N] [--out DIR] [--trace-cap N]",
         bench::cli::POINT_USAGE
     );
     std::process::exit(2);
@@ -65,6 +65,10 @@ fn parse_args() -> (PointCli, bool) {
         }
     }
     if !cli.selection_ok() {
+        usage();
+    }
+    if let Err(e) = cli.check_point() {
+        eprintln!("{e}");
         usage();
     }
     (cli, profile)
@@ -171,7 +175,7 @@ fn observe_point(
 /// The fixed 21-point suite in canonical order, run under full
 /// instrumentation with `threads` workers; every output file is written
 /// in canonical order from the merged results.
-fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>, elide: bool) {
+fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>) {
     let suite = bench::perfgate::default_suite();
     std::fs::create_dir_all(out_dir).expect("create output directory");
 
@@ -187,7 +191,6 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>, elide: boo
                 pt.bytes,
                 RunOptions {
                     trace_limit: trace_cap,
-                    elide,
                     ..RunOptions::default()
                 },
             );
@@ -200,7 +203,6 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>, elide: boo
                 pt.bytes,
                 mpisim::TieBreakPolicy::InsertionOrder,
                 trace_cap,
-                elide,
             );
             let file_stem = stem(&pt.machine, pt.op, pt.nodes, pt.bytes);
             (
@@ -266,7 +268,7 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>, elide: boo
 fn main() {
     let (cli, profile) = parse_args();
     if cli.suite {
-        run_suite(cli.out_dir(), cli.threads, cli.trace_cap, cli.elide);
+        run_suite(cli.out_dir(), cli.threads, cli.trace_cap);
         return;
     }
 
@@ -276,7 +278,6 @@ fn main() {
     let options = RunOptions {
         profile,
         trace_limit: cli.trace_cap,
-        elide: cli.elide,
         ..RunOptions::default()
     };
     let point = observe_point(machine, op, cli.p, cli.m, options);

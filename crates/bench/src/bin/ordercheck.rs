@@ -18,7 +18,7 @@
 //! series). Output is byte-identical for any `--threads N`. With
 //! `--deny`, exits nonzero if any explored order-sensitive pair was
 //! *not* predicted by the static relation (an unexplained pair) — the
-//! CI gate guarding the elision/parallel-DES admission set.
+//! CI gate keeping the commutability census exact.
 //!
 //! `--demo-broken` seeds the known failure mode instead (invert *all*
 //! ties) and reports the minimal divergent pair with provenance
@@ -73,6 +73,10 @@ fn parse_args() -> Args {
         }
     }
     if !cli.selection_ok() {
+        usage();
+    }
+    if let Err(e) = cli.check_point() {
+        eprintln!("{e}");
         usage();
     }
     opts.trace_limit = cli.trace_cap;

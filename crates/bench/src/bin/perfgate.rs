@@ -30,8 +30,8 @@
 //! 2 schema or I/O error.
 
 use bench::perfgate::{
-    compare, default_suite, drift, elide_ab, iso_date, perf_rows, run_suite, BenchReport, ElideAb,
-    GateStatus, SuiteConfig,
+    compare, default_suite, drift, iso_date, perf_rows, run_suite, BenchReport, GateStatus,
+    SuiteConfig,
 };
 use harness::{Protocol, SweepBuilder};
 use mpisim::OpClass;
@@ -170,47 +170,6 @@ fn run() -> i32 {
 
     let suite = default_suite();
 
-    // Event-elision A/B: every suite point with the analytic fast path
-    // off and on. Deterministic counters land in the report's metrics
-    // as net.elide.*; the table prints alongside the gate verdicts.
-    eprintln!(
-        "[perfgate] event-elision A/B ({} points x 2 runs)…",
-        suite.len()
-    );
-    let elide_rows = match elide_ab(&suite) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("[perfgate] elision A/B failed: {e}");
-            return 2;
-        }
-    };
-    let (mut admitted, mut fallbacks) = (0u64, 0u64);
-    for r in &elide_rows {
-        let stem = r.label.replace('/', ".");
-        reg.gauge(format!("net.elide.{stem}.events_off"), r.base_events as f64);
-        reg.gauge(
-            format!("net.elide.{stem}.events_on"),
-            r.elided_events as f64,
-        );
-        reg.gauge(format!("net.elide.{stem}.event_ratio"), r.event_ratio());
-        reg.gauge(
-            format!("net.elide.{stem}.admission_rate"),
-            r.admission_rate(),
-        );
-        admitted += r.admitted;
-        fallbacks += r.fallbacks;
-    }
-    reg.counter("net.elide.admitted", admitted);
-    reg.counter("net.elide.fallback", fallbacks);
-    reg.gauge(
-        "net.elide.admission_rate",
-        if admitted + fallbacks == 0 {
-            0.0
-        } else {
-            admitted as f64 / (admitted + fallbacks) as f64
-        },
-    );
-
     let protocol = if opts.quick {
         Protocol::quick()
     } else {
@@ -269,8 +228,6 @@ fn run() -> i32 {
         return 2;
     }
     eprintln!("[perfgate] wrote {par_path}");
-
-    println!("{}", render_elide_table(&elide_rows));
 
     if opts.update_baseline {
         if let Err(e) = std::fs::write(&opts.baseline, &doc) {
@@ -334,57 +291,6 @@ fn run() -> i32 {
 
 fn suite_progress_stride(total: usize) -> usize {
     (total / 10).max(1)
-}
-
-/// The elision A/B as a table: events per message off vs on, the
-/// reduction factor, the admission rate, and the (host-side, unguarded)
-/// wall clocks of the paired runs.
-fn render_elide_table(rows: &[ElideAb]) -> String {
-    let mut t = report::Table::new([
-        "point",
-        "msgs",
-        "ev/msg off",
-        "ev/msg on",
-        "ratio",
-        "admit%",
-        "wall off us",
-        "wall on us",
-    ]);
-    for r in rows {
-        let per_msg = |events: u64| {
-            if r.messages == 0 {
-                format!("{events}")
-            } else {
-                format!("{:.1}", events as f64 / r.messages as f64)
-            }
-        };
-        t.push_row([
-            r.label.clone(),
-            r.messages.to_string(),
-            per_msg(r.base_events),
-            per_msg(r.elided_events),
-            format!("{:.1}x", r.event_ratio()),
-            format!("{:.1}", 100.0 * r.admission_rate()),
-            format!("{:.0}", r.wall_off_us),
-            format!("{:.0}", r.wall_on_us),
-        ]);
-    }
-    let mut out = String::from("event elision A/B (net.elide.*, analytic fast path off vs on):\n");
-    out.push_str(&t.render());
-    if let Some(best) = rows
-        .iter()
-        .filter(|r| r.elided_events > 0)
-        .max_by(|a, b| a.event_ratio().total_cmp(&b.event_ratio()))
-    {
-        out.push_str(&format!(
-            "best event cut: {} {:.1}x fewer events ({} of {} sends elided)\n",
-            best.label,
-            best.event_ratio(),
-            best.admitted,
-            best.admitted + best.fallbacks,
-        ));
-    }
-    out
 }
 
 /// A baseline with no points, so every current point reads as `new`.

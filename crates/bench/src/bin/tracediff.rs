@@ -16,23 +16,16 @@
 //! drop-in replacement for the CI determinism gate's `diff -r`.
 //!
 //! ```text
-//! tracediff --suite [--threads N] [--perturb | --elide] [--trace-cap N] [--out DIR]
+//! tracediff --suite [--threads N] [--perturb] [--trace-cap N] [--out DIR]
 //! ```
 //! runs every point of the fixed 21-point perfgate suite twice
 //! in-process and diffs the two records. Without `--perturb` both runs
 //! are identical seeds and the suite certifies 21/21 byte-identical;
 //! with `--perturb` the second run deliberately inverts the
 //! send-completion FIFO tie-break (the eager-delivery failure mode) and
-//! every divergence is explained. With `--elide` the second run takes
-//! the event-elision fast path and the pair is judged through the
-//! *canonical* oracle (`RunRecord::canonicalized`): elision posts one
-//! bulk-completion per admitted message instead of the per-hop chain,
-//! so scheduling seqs and provenance parents differ by construction,
-//! but the canonical projection — event multiset with instants,
-//! transfers, spans, finish matrix, blame totals, census — must be
-//! byte-identical, and the suite certifies 21/21. On failure the
-//! first-divergence explanation is printed and, with `--out`, written
-//! to `<point>.divergence.txt` so CI can upload it as an artifact.
+//! every divergence is explained. On failure the first-divergence
+//! explanation is printed and, with `--out`, written to
+//! `<point>.divergence.txt` so CI can upload it as an artifact.
 //! Sharded via `harness::par`; output is byte-identical at any
 //! `--threads` value.
 //!
@@ -53,7 +46,6 @@ struct Args {
     paths: Vec<String>,
     suite: bool,
     perturb: bool,
-    elide: bool,
     history: bool,
     bench_dir: String,
     threads: usize,
@@ -63,7 +55,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tracediff <A> <B>            compare two run artifacts (files or directories)\n       tracediff --suite [--threads N] [--perturb | --elide] [--trace-cap N] [--out DIR]\n       tracediff --history [--bench-dir DIR] [--out FILE]"
+        "usage: tracediff <A> <B>            compare two run artifacts (files or directories)\n       tracediff --suite [--threads N] [--perturb] [--trace-cap N] [--out DIR]\n       tracediff --history [--bench-dir DIR] [--out FILE]"
     );
     std::process::exit(2);
 }
@@ -73,7 +65,6 @@ fn parse_args() -> Args {
         paths: Vec::new(),
         suite: false,
         perturb: false,
-        elide: false,
         history: false,
         bench_dir: "crates/bench".to_string(),
         threads: 1,
@@ -86,7 +77,6 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--suite" => parsed.suite = true,
             "--perturb" => parsed.perturb = true,
-            "--elide" => parsed.elide = true,
             "--history" => parsed.history = true,
             "--bench-dir" => parsed.bench_dir = value(),
             "--threads" => parsed.threads = value().parse().unwrap_or_else(|_| usage()),
@@ -105,11 +95,6 @@ fn parse_args() -> Args {
         usage();
     }
     if modes == 0 && parsed.paths.len() != 2 {
-        usage();
-    }
-    // --elide is a B-side variant of the suite mode, exclusive with
-    // --perturb (each replaces the second run).
-    if parsed.elide && (!parsed.suite || parsed.perturb) {
         usage();
     }
     parsed
@@ -244,11 +229,9 @@ fn run_pair(a: &str, b: &str) -> bool {
 }
 
 /// Runs every suite point twice and diffs the records. The second run
-/// is an identical seed (determinism certification), the
-/// tie-break-inverted variant (`--perturb`) whose divergence the report
-/// explains, or the event-elision fast path (`--elide`), judged through
-/// the canonical oracle since elision changes scheduling bookkeeping
-/// but must not change the execution.
+/// is an identical seed (determinism certification) or, with
+/// `--perturb`, the tie-break-inverted variant whose divergence the
+/// report explains.
 fn run_suite(args: &Args) -> bool {
     let suite = perfgate::default_suite();
     if let Some(dir) = &args.out {
@@ -263,7 +246,6 @@ fn run_suite(args: &Args) -> bool {
                 pt,
                 mpisim::TieBreakPolicy::InsertionOrder,
                 args.trace_cap,
-                false,
             );
             let b = bench::diffsuite::record_suite_point(
                 pt,
@@ -273,15 +255,8 @@ fn run_suite(args: &Args) -> bool {
                     mpisim::TieBreakPolicy::InsertionOrder
                 },
                 args.trace_cap,
-                args.elide,
             );
-            // Elided runs legitimately differ in seqs/parents; the
-            // canonical projection is exactly what they must preserve.
-            let diff = if args.elide {
-                obs::diff::diff(&a.canonicalized(), &b.canonicalized())
-            } else {
-                obs::diff::diff(&a, &b)
-            };
+            let diff = obs::diff::diff(&a, &b);
             let ok = diff.verdict == obs::Verdict::ByteIdentical && diff.certified;
             let rendered = report::diff::render_report(&pt.label(), &diff);
             (
@@ -305,10 +280,6 @@ fn run_suite(args: &Args) -> bool {
                 std::fs::write(format!("{dir}/{file_stem}.perturbed.record.json"), rec_b)
                     .expect("write perturbed record");
             }
-            if args.elide {
-                std::fs::write(format!("{dir}/{file_stem}.elided.record.json"), rec_b)
-                    .expect("write elided record");
-            }
             if !ok {
                 // The first-divergence explanation as a standalone
                 // artifact, so a tripped CI gate uploads it instead of
@@ -320,15 +291,7 @@ fn run_suite(args: &Args) -> bool {
     }
     // Worker accounting goes to stderr so stdout stays byte-identical
     // at any --threads value.
-    println!(
-        "{identical}/{} certified {}",
-        results.len(),
-        if args.elide {
-            "canonically-identical (elision oracle)"
-        } else {
-            "byte-identical"
-        }
-    );
+    println!("{identical}/{} certified byte-identical", results.len());
     eprintln!(
         "({} workers, {:.0}% utilization)",
         stats.threads,

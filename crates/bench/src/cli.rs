@@ -7,7 +7,7 @@
 //! own usage text) and feed every flag through [`PointCli::accept`]
 //! first; only unrecognized flags fall through to the binary's match.
 
-use mpisim::{Machine, OpClass};
+use mpisim::{Machine, OpClass, SimMpiError};
 
 /// Resolves a machine key (`sp2`, `t3d`, `paragon`; case-insensitive).
 pub fn parse_machine(name: &str) -> Option<Machine> {
@@ -66,9 +66,6 @@ pub struct PointCli {
     pub threads: usize,
     /// `--trace-cap`.
     pub trace_cap: Option<usize>,
-    /// `--elide`: run with the event-elision fast path on
-    /// (timeline-identical; disables provenance).
-    pub elide: bool,
 }
 
 impl Default for PointCli {
@@ -82,7 +79,6 @@ impl Default for PointCli {
             suite: false,
             threads: 1,
             trace_cap: None,
-            elide: false,
         }
     }
 }
@@ -116,10 +112,6 @@ impl PointCli {
                 self.suite = true;
                 Accept::Consumed
             }
-            "--elide" => {
-                self.elide = true;
-                Accept::Consumed
-            }
             _ => Accept::Unknown,
         }
     }
@@ -128,6 +120,21 @@ impl PointCli {
     /// `--machine` and `--op`.
     pub fn selection_ok(&self) -> bool {
         self.suite || (self.machine.is_some() && self.op.is_some())
+    }
+
+    /// Checks the selected point against its machine: `-p` must be a
+    /// partition size the machine has. `--suite` runs fixed points, so
+    /// there is nothing to check.
+    ///
+    /// # Errors
+    ///
+    /// [`SimMpiError::InvalidSize`] when `-p` is zero or exceeds the
+    /// machine's largest partition.
+    pub fn check_point(&self) -> Result<(), SimMpiError> {
+        match &self.machine {
+            Some(machine) if !self.suite => machine.communicator(self.p).map(drop),
+            _ => Ok(()),
+        }
     }
 
     /// The output directory, defaulting to the current directory.
@@ -179,10 +186,6 @@ mod tests {
     fn selection_requires_point_or_suite() {
         let mut cli = PointCli::default();
         assert!(!cli.selection_ok());
-        assert!(!cli.elide);
-        assert_eq!(cli.accept("--elide", || None), Accept::Consumed);
-        assert!(cli.elide, "--elide is a valueless toggle");
-        assert!(!cli.selection_ok(), "--elide alone selects nothing");
         assert_eq!(cli.accept("--suite", || None), Accept::Consumed);
         assert!(cli.selection_ok());
         assert_eq!(cli.out_dir(), ".");
@@ -191,5 +194,22 @@ mod tests {
             Accept::Consumed
         );
         assert_eq!(cli.out_dir(), "bench");
+    }
+    #[test]
+    fn point_size_must_fit_the_machine() {
+        let mut cli = PointCli::default();
+        cli.accept("--machine", || Some("t3d".into()));
+        cli.accept("--op", || Some("bcast".into()));
+        assert_eq!(cli.check_point(), Ok(()), "default -p 64 fits the T3D");
+        cli.accept("-p", || Some("128".into()));
+        assert_eq!(
+            cli.check_point(),
+            Err(SimMpiError::InvalidSize {
+                requested: 128,
+                max: 64
+            })
+        );
+        cli.accept("--suite", || None);
+        assert_eq!(cli.check_point(), Ok(()), "the suite ignores -p");
     }
 }

@@ -14,12 +14,7 @@ use obs::{MetricsRegistry, RunRecord};
 /// `tie_break` applies the chosen same-instant perturbation
 /// ([`TieBreakPolicy::InvertAll`] is the seeded eager-delivery failure
 /// mode used for differential demonstrations) and marks it in the
-/// record's `perturb` meta key. With `elide` the event-elision fast
-/// path runs instead of the per-hop event chain — the timeline is
-/// identical but provenance is unavailable, so the record's events
-/// carry no parent edges; compare elided records through
-/// [`obs::record::RunRecord::canonicalized`], which erases exactly the
-/// scheduling bookkeeping elision changes.
+/// record's `perturb` meta key.
 pub fn record_point(
     machine: &Machine,
     op: OpClass,
@@ -27,7 +22,6 @@ pub fn record_point(
     m: u32,
     tie_break: TieBreakPolicy,
     trace_limit: Option<usize>,
-    elide: bool,
 ) -> RunRecord {
     let bytes = if op == OpClass::Barrier { 0 } else { m };
     let comm = machine.communicator(p).expect("communicator size");
@@ -40,7 +34,6 @@ pub fn record_point(
         provenance: true,
         event_log: true,
         tie_break,
-        elide,
         ..ExecConfig::default()
     };
     let (out, observed) =
@@ -54,9 +47,6 @@ pub fn record_point(
     rec.meta.insert("op".into(), op.key().into());
     rec.meta.insert("p".into(), p.to_string());
     rec.meta.insert("m".into(), bytes.to_string());
-    if elide {
-        rec.meta.insert("elide".into(), "on".into());
-    }
     match tie_break {
         TieBreakPolicy::InsertionOrder => {}
         TieBreakPolicy::InvertAll => {
@@ -81,7 +71,6 @@ pub fn record_suite_point(
     pt: &SuitePoint,
     tie_break: TieBreakPolicy,
     trace_limit: Option<usize>,
-    elide: bool,
 ) -> RunRecord {
     record_point(
         &pt.machine,
@@ -90,7 +79,6 @@ pub fn record_suite_point(
         pt.bytes,
         tie_break,
         trace_limit,
-        elide,
     )
 }
 

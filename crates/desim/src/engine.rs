@@ -67,31 +67,12 @@ pub struct Scheduler<W> {
     /// Sequence number of the event currently being dispatched, or
     /// [`ROOT`] outside dispatch. Only maintained when `prov` is on.
     current: u64,
-    /// The firing time of the earliest event still in the engine queue,
-    /// refreshed right after each pop (so during dispatch it reflects
-    /// the queue *without* the event being fired). Feeds
-    /// [`Scheduler::horizon`].
-    queue_next: Option<SimTime>,
 }
 
 impl<W> Scheduler<W> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The earliest instant any *other* pending event can fire: the
-    /// minimum over the engine queue (as of the current pop) and events
-    /// posted during the present dispatch. `None` when nothing is
-    /// pending — the simulation's future is entirely in the caller's
-    /// hands. The event-elision fast path uses this to decide how far it
-    /// can safely run ahead of the event loop.
-    pub fn horizon(&self) -> Option<SimTime> {
-        let pending_min = self.pending.iter().map(|p| p.at).min();
-        match (self.queue_next, pending_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     /// Posts a typed event to fire after `delay` — the allocation-free
@@ -445,7 +426,6 @@ impl<W> Engine<W> {
                 stats: EventStats::default(),
                 prov: None,
                 current: ROOT,
-                queue_next: None,
             },
             fired: 0,
             event_limit: Self::DEFAULT_EVENT_LIMIT,
@@ -678,13 +658,6 @@ impl<W: EventWorld> Engine<W> {
                 };
                 self.maybe_swap(popped)
             }
-        };
-        // Refresh the dispatch-visible horizon: the earliest event still
-        // queued behind the one about to fire (a held tie-swap partner
-        // counts — it fires next).
-        self.scheduler.queue_next = match &self.held {
-            Some(h) => Some(h.at),
-            None => self.queue.peek_at(),
         };
         assert!(
             self.fired < self.event_limit,
@@ -1231,46 +1204,6 @@ mod tests {
             reg.get("engine.alloc.continuations")
                 .and_then(|m| m.as_f64()),
             Some(1.0)
-        );
-    }
-
-    /// Records what `horizon()` reported during each dispatch.
-    #[derive(Default)]
-    struct HorizonWorld {
-        seen: Vec<(u64, Option<u64>)>,
-    }
-
-    impl EventWorld for HorizonWorld {
-        fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: TypedEvent) {
-            self.seen
-                .push((s.now().as_nanos(), s.horizon().map(SimTime::as_nanos)));
-            if let TypedEvent::Timer { id: 0 } = ev {
-                // A post during dispatch must pull the horizon in.
-                s.post_in(SimDuration::from_nanos(1), TypedEvent::Timer { id: 9 });
-                self.seen
-                    .push((s.now().as_nanos(), s.horizon().map(SimTime::as_nanos)));
-            }
-        }
-    }
-
-    #[test]
-    fn horizon_tracks_next_pending_event() {
-        let mut e = Engine::new();
-        let mut w = HorizonWorld::default();
-        e.post_at(SimTime::from_nanos(10), TypedEvent::Timer { id: 0 });
-        e.post_at(SimTime::from_nanos(50), TypedEvent::Timer { id: 1 });
-        e.run(&mut w);
-        assert_eq!(
-            w.seen,
-            vec![
-                // Firing t=10: queue holds t=50; then the in-dispatch
-                // post at t=11 tightens the horizon.
-                (10, Some(50)),
-                (10, Some(11)),
-                (11, Some(50)),
-                // Final event: nothing left anywhere.
-                (50, None),
-            ]
         );
     }
 

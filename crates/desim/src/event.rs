@@ -90,17 +90,6 @@ pub enum TypedEvent {
         /// User-assigned cookie.
         id: u64,
     },
-    /// Resume an analytically-advanced actor whose pending elided work
-    /// (a batch of closed-form message completions) becomes executable
-    /// at this instant. Posted by the event-elision fast path instead of
-    /// the per-segment/per-hop chain; one of these stands in for a whole
-    /// uncontended transfer's event cascade.
-    BulkComplete {
-        /// The actor whose pending batch drains.
-        rank: u32,
-        /// Tape index of the first send in the batch (diagnostic).
-        step: u32,
-    },
     /// Run the dynamic continuation parked in the engine slab at `slot`
     /// (posted by `Scheduler::defer_in` / `Scheduler::defer_at`; never
     /// reaches [`EventWorld::dispatch`] — the engine resolves it).

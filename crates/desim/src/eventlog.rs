@@ -55,22 +55,19 @@ pub enum EventKind {
     Timer,
     /// [`TypedEvent::Continuation`] — `a` = slab slot.
     Continuation,
-    /// [`TypedEvent::BulkComplete`] — `a` = rank, `b` = step.
-    BulkComplete,
     /// A boxed dynamic closure ([`Event::Dyn`]); payload unrecordable.
     Dyn,
 }
 
 impl EventKind {
     /// Every kind, in serialization-code order.
-    pub const ALL: [EventKind; 8] = [
+    pub const ALL: [EventKind; 7] = [
         EventKind::RankResume,
         EventKind::MessageReady,
         EventKind::LinkGrant,
         EventKind::ScheduleStep,
         EventKind::Timer,
         EventKind::Continuation,
-        EventKind::BulkComplete,
         EventKind::Dyn,
     ];
 
@@ -83,7 +80,6 @@ impl EventKind {
             EventKind::ScheduleStep => "schedule_step",
             EventKind::Timer => "timer",
             EventKind::Continuation => "continuation",
-            EventKind::BulkComplete => "bulk_complete",
             EventKind::Dyn => "dyn",
         }
     }
@@ -103,7 +99,6 @@ impl EventKind {
             EventKind::ScheduleStep => ("rank", "step"),
             EventKind::Timer => ("id", ""),
             EventKind::Continuation => ("slot", ""),
-            EventKind::BulkComplete => ("rank", "step"),
             EventKind::Dyn => ("", ""),
         }
     }
@@ -150,10 +145,6 @@ impl LoggedEvent {
             EventKind::Continuation => TypedEvent::Continuation {
                 slot: self.a as u32,
             },
-            EventKind::BulkComplete => TypedEvent::BulkComplete {
-                rank: self.a as u32,
-                step: self.b as u32,
-            },
             EventKind::Dyn => return None,
         };
         Some(ev)
@@ -176,9 +167,6 @@ pub fn encode<W>(ev: &Event<W>) -> (EventKind, u64, u64) {
         Event::Typed(TypedEvent::Timer { id }) => (EventKind::Timer, *id, 0),
         Event::Typed(TypedEvent::Continuation { slot }) => {
             (EventKind::Continuation, *slot as u64, 0)
-        }
-        Event::Typed(TypedEvent::BulkComplete { rank, step }) => {
-            (EventKind::BulkComplete, *rank as u64, *step as u64)
         }
         Event::Dyn(_) => (EventKind::Dyn, 0, 0),
     }
@@ -227,14 +215,6 @@ impl EventLog {
         });
     }
 
-    /// Appends a synthesized entry. The event-elision fast path advances
-    /// ranks analytically without firing engine events, then reconstructs
-    /// the canonical stream through this append so differential tooling
-    /// sees the same logical history either way.
-    pub fn append(&mut self, ev: LoggedEvent) {
-        self.events.push(ev);
-    }
-
     /// Exports log counters into `reg` under `engine.elog.*`.
     pub fn export_metrics(&self, reg: &mut obs::MetricsRegistry) {
         reg.counter("engine.elog.events", self.events.len() as u64);
@@ -263,7 +243,7 @@ mod tests {
 
     #[test]
     fn encode_covers_every_typed_variant() {
-        let cases: [(Event<()>, EventKind, u64, u64); 7] = [
+        let cases: [(Event<()>, EventKind, u64, u64); 6] = [
             (
                 Event::Typed(TypedEvent::RankResume { rank: 3 }),
                 EventKind::RankResume,
@@ -302,12 +282,6 @@ mod tests {
                 EventKind::Continuation,
                 5,
                 0,
-            ),
-            (
-                Event::Typed(TypedEvent::BulkComplete { rank: 6, step: 13 }),
-                EventKind::BulkComplete,
-                6,
-                13,
             ),
         ];
         for (ev, kind, a, b) in cases {

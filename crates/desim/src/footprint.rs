@@ -146,9 +146,6 @@ impl TypedEvent {
     ///   injects into the network, acquiring shared link/FIFO state.
     /// * `LinkGrant { link, grantee }` — releases shared link state to
     ///   `grantee`.
-    /// * `BulkComplete { rank, .. }` — drains the rank's pending elided
-    ///   sends into the network, acquiring shared link/FIFO state like
-    ///   the step chain it replaces.
     /// * `Timer` / `Continuation` — opaque payloads: global.
     pub fn footprint(&self) -> Footprint {
         match *self {
@@ -161,9 +158,6 @@ impl TypedEvent {
             }
             TypedEvent::LinkGrant { grantee, .. } => {
                 Footprint::of(&[Resource::Rank(grantee), Resource::Network])
-            }
-            TypedEvent::BulkComplete { rank, .. } => {
-                Footprint::of(&[Resource::Rank(rank), Resource::Network])
             }
             TypedEvent::Timer { .. } | TypedEvent::Continuation { .. } => {
                 Footprint::of(&[Resource::Global])

@@ -34,11 +34,6 @@ pub struct RunOptions {
     /// `--trace-cap` CLI flag); `None` uses
     /// [`crate::exec::DEFAULT_TRACE_LIMIT`].
     pub trace_limit: Option<usize>,
-    /// Event-elision fast path ([`crate::exec::ExecConfig::elide`]):
-    /// complete provably-uncontended messages in closed form instead of
-    /// event by event. Timeline-identical to the reference; disables
-    /// provenance.
-    pub elide: bool,
 }
 
 /// How a communicator's ranks map onto the machine.
@@ -353,7 +348,6 @@ impl Communicator {
             provenance: options.provenance,
             event_log: options.event_log,
             tie_break: crate::exec::TieBreakPolicy::InsertionOrder,
-            elide: options.elide,
             group: match &self.scope {
                 CommScope::Whole => None,
                 CommScope::Group {

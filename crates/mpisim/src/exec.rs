@@ -21,13 +21,9 @@
 use crate::error::SimMpiError;
 use crate::placement::{ExplicitPlacement, Placement};
 use collectives::{Schedule, Step};
-use desim::{
-    Engine, EventKind, EventLog, EventWorld, LoggedEvent, Scheduler, SimDuration, SimTime,
-    SplitMix64, TypedEvent,
-};
-use netmodel::{ElideStats, MachineSpec, NetInstr, NetState, OpClass, WireConfig};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use desim::{Engine, EventWorld, Scheduler, SimDuration, SimTime, SplitMix64, TypedEvent};
+use netmodel::{MachineSpec, NetInstr, NetState, OpClass, WireConfig};
+use std::collections::VecDeque;
 use topo::NodeId;
 
 /// Default cap on recorded [`MessageTrace`] entries (~1M): a 128-node
@@ -84,18 +80,6 @@ pub struct ExecConfig {
     /// differential tests, `tracediff --perturb`, and the `ordercheck`
     /// commutativity explorer can produce controlled perturbations.
     pub tie_break: TieBreakPolicy,
-    /// Event-elision fast path: advance each rank's tape analytically and
-    /// complete provably-uncontended messages in closed form, posting one
-    /// [`TypedEvent::BulkComplete`] per drained batch instead of the
-    /// per-message event chain. The produced timeline (finish times,
-    /// phase split, spans, trace, FIFO watermarks) is identical to the
-    /// event-by-event reference; only event counts, the event-log seq
-    /// numbering/emission order, and provenance differ. Requires
-    /// [`TieBreakPolicy::InsertionOrder`] (silently ignored under the
-    /// perturbation policies, whose whole point is to reorder the events
-    /// this path elides) and disables engine provenance (the elided
-    /// chain has no per-message parents to record).
-    pub elide: bool,
 }
 
 /// Same-instant tie-break policy for an execution.
@@ -277,10 +261,6 @@ pub struct Observed {
     /// `None` when no pair inversion was requested, `Some(false)` when
     /// the targeted pair never appeared adjacently (run unperturbed).
     pub tie_swap_applied: Option<bool>,
-    /// Event-elision admission counters ([`ExecConfig::elide`]): how many
-    /// sends completed in closed form vs fell back to the event-by-event
-    /// wire walk, and why. All-zero when elision was off.
-    pub elide: ElideStats,
 }
 
 /// The outcome of executing a schedule sequence.
@@ -380,122 +360,11 @@ struct RankState {
     /// barrier trigger). Set by `deliver` / the barrier release and
     /// consumed together with `wait_since`.
     wake_cause: Option<u32>,
-    /// Dispatch lineage of the rank's current head event under elision
-    /// (unused and empty on the event path).
-    chain: Chain,
 }
 
 #[derive(Default)]
 struct HwBarrierState {
     waiting: Vec<usize>,
-}
-
-/// The causal dispatch lineage of one would-be engine event under
-/// elision: the firing instants of its ancestor chain (root start event
-/// → … → the event itself) plus, per derived link, the insertion index
-/// within the parent's dispatch. This is exactly the information the
-/// event path encodes in scheduling seq numbers, reconstructed so that
-/// same-instant pending sends can be drained in the reference engine's
-/// tie order (see [`Chain::cmp_same_instant`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Chain {
-    /// Firing instants, root first, own instant last.
-    instants: Vec<SimTime>,
-    /// Rank of the root start event (initial events are scheduled in
-    /// rank order before the run).
-    root: u32,
-    /// For each derived element, how many events its parent's dispatch
-    /// inserted before it (e.g. `post_send` inserts the delivery at 0
-    /// and the CPU release at 1; a barrier release inserts one resume
-    /// per waiter in arrival order).
-    js: Vec<u32>,
-}
-
-impl Chain {
-    /// A fresh chain rooted at rank `root`'s start event.
-    fn start(root: u32, at: SimTime) -> Chain {
-        Chain {
-            instants: vec![at],
-            root,
-            js: Vec::new(),
-        }
-    }
-
-    /// Extends the chain by one derived event.
-    fn push(&mut self, at: SimTime, j: u32) {
-        self.instants.push(at);
-        self.js.push(j);
-    }
-
-    /// Reference-engine firing order between two events at the *same*
-    /// instant. The engine fires ties in insertion order, and an event is
-    /// inserted during its parent's dispatch, so the youngest differing
-    /// ancestor instant decides (earlier dispatch → earlier insertion);
-    /// a chain that bottoms out first reached a start event, which is
-    /// scheduled before any derived event; equal-depth identical-instant
-    /// chains compare their start ranks, then the intra-dispatch
-    /// insertion indices root-first — the flattened form of the engine's
-    /// recursive `(parent order, insertion index)` seq assignment.
-    fn cmp_same_instant(&self, other: &Chain) -> std::cmp::Ordering {
-        let a = &self.instants[..self.instants.len() - 1];
-        let b = &other.instants[..other.instants.len() - 1];
-        // Symmetric schedules tie with bitwise-identical histories almost
-        // every comparison; a vectorized slice equality dodges the
-        // element-wise walk (equal slices fall through to root/js anyway).
-        if a == b {
-            return self
-                .root
-                .cmp(&other.root)
-                .then_with(|| self.js.cmp(&other.js));
-        }
-        for (x, y) in a.iter().rev().zip(b.iter().rev()) {
-            match x.cmp(y) {
-                std::cmp::Ordering::Equal => {}
-                ord => return ord,
-            }
-        }
-        a.len()
-            .cmp(&b.len())
-            .then(self.root.cmp(&other.root))
-            .then_with(|| self.js.cmp(&other.js))
-    }
-}
-
-/// One analytically-advanced send awaiting network execution, ordered by
-/// `(posted, lineage)` — exactly the order the event path would have
-/// fired the corresponding [`TypedEvent::ScheduleStep`]s, so draining
-/// the heap acquires link/FIFO watermarks in the reference order even
-/// when elided walks produced the sends out of virtual-time order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PendingSend {
-    /// The instant the sender's CPU hands the payload to the network
-    /// (`o_send` after the rank reached the Send step).
-    posted: SimTime,
-    /// Dispatch lineage of the would-be `ScheduleStep`, breaking
-    /// same-instant ties in the event path's insertion order.
-    chain: Chain,
-    /// Creation sequence: a cheap final disambiguator keeping the order
-    /// total.
-    pseq: u64,
-    /// Sending rank.
-    rank: u32,
-    /// Tape index of the Send entry (re-read at drain time).
-    step: u32,
-}
-
-impl Ord for PendingSend {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.posted
-            .cmp(&other.posted)
-            .then_with(|| self.chain.cmp_same_instant(&other.chain))
-            .then_with(|| self.pseq.cmp(&other.pseq))
-    }
-}
-
-impl PartialOrd for PendingSend {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 struct World {
@@ -511,52 +380,12 @@ struct World {
     spans: Option<Vec<PhaseSpan>>,
     /// See [`TieBreakPolicy::InvertAll`].
     invert_ties: bool,
-    /// Event-elision fast path engaged ([`ExecConfig::elide`]).
-    elide: bool,
-    /// Sends produced by analytic walks, not yet executed on the network.
-    pending: BinaryHeap<Reverse<PendingSend>>,
-    /// Next [`PendingSend::pseq`].
-    pseq: u64,
-    /// Firing instant of the earliest outstanding
-    /// [`TypedEvent::BulkComplete`], so [`drain`] posts at most one per
-    /// distinct instant instead of one per deferred send.
-    next_bulk: Option<SimTime>,
-    /// Synthetic canonical event stream: elided runs fire almost no
-    /// engine events, so when the caller asked for an event log the
-    /// walks reconstruct the reference stream here (same multiset of
-    /// `(at, kind, payload)`; seq numbering and emission order are the
-    /// walk's, not the engine's).
-    synth_log: Option<EventLog>,
-    /// Next synthetic log seq.
-    synth_seq: u64,
-    /// Hardware-barrier arrivals under elision: `(rank, virtual arrival)`
-    /// in walk order; resolved when all ranks have arrived.
-    barrier_arrivals: Vec<(usize, SimTime)>,
 }
 
 impl EventWorld for World {
     /// The executor's entire event vocabulary, dispatched by `match` —
     /// this is the per-event hot path of every simulation.
     fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: TypedEvent) {
-        if self.elide {
-            match ev {
-                TypedEvent::RankResume { rank } => {
-                    // Only the per-rank start events reach here; every
-                    // later resume is applied inline by `walk`.
-                    synth(self, s.now(), EventKind::RankResume, rank as u64, 0);
-                    self.ranks[rank as usize].chain = Chain::start(rank, s.now());
-                    walk(self, rank as usize, s.now());
-                }
-                TypedEvent::BulkComplete { .. } => {
-                    if self.next_bulk == Some(s.now()) {
-                        self.next_bulk = None;
-                    }
-                }
-                other => unreachable!("elided executor never posts {other:?}"),
-            }
-            drain(s, self);
-            return;
-        }
         match ev {
             TypedEvent::RankResume { rank } => advance(s, self, rank as usize),
             TypedEvent::MessageReady { src, dst } => deliver(s, self, src as usize, dst as usize),
@@ -690,7 +519,6 @@ fn execute_inner(
             blocked: SimDuration::ZERO,
             wait_since: None,
             wake_cause: None,
-            chain: Chain::default(),
         })
         .collect();
     for (si, seg) in segments.iter().enumerate() {
@@ -702,10 +530,6 @@ fn execute_inner(
         }
     }
 
-    // The elision walks apply continuations inline in the committed
-    // insertion order; the perturbation tie-break policies exist to
-    // reorder exactly those events, so they force the event path.
-    let elide = cfg.elide && cfg.tie_break == TieBreakPolicy::InsertionOrder;
     let mut world = World {
         spec: spec.clone(),
         net: NetState::with_config(spec, machine_nodes, cfg.wire),
@@ -717,13 +541,6 @@ fn execute_inner(
         dropped: 0,
         spans: observe.then(Vec::new),
         invert_ties: cfg.tie_break == TieBreakPolicy::InvertAll,
-        elide,
-        pending: BinaryHeap::new(),
-        pseq: 0,
-        next_bulk: None,
-        synth_log: (elide && cfg.event_log).then(EventLog::default),
-        synth_seq: 0,
-        barrier_arrivals: Vec::new(),
     };
     if observe {
         world.net.enable_instrumentation();
@@ -732,10 +549,10 @@ fn execute_inner(
     if cfg.profile {
         engine = engine.with_profiling();
     }
-    if cfg.provenance && !elide {
+    if cfg.provenance {
         engine = engine.with_provenance();
     }
-    if cfg.event_log && !elide {
+    if cfg.event_log {
         engine = engine.with_event_log();
     }
     if let TieBreakPolicy::InvertPair {
@@ -785,12 +602,8 @@ fn execute_inner(
         fifo_commits,
         engine_profile: engine.profile().cloned(),
         provenance: engine.provenance().cloned(),
-        event_log: engine
-            .event_log()
-            .cloned()
-            .or_else(|| world.synth_log.take()),
+        event_log: engine.event_log().cloned(),
         tie_swap_applied: engine.tie_swap_applied(),
-        elide: world.net.elide_stats(),
     });
     let phases = world
         .ranks
@@ -1034,280 +847,6 @@ fn deliver(s: &mut Scheduler<World>, w: &mut World, src: usize, dst: usize) {
         w.ranks[dst].blocked_on = None;
         w.ranks[dst].wake_cause = Some(src as u32);
         advance(s, w, dst);
-    }
-}
-
-/// Appends to the synthetic event log when one was requested; free
-/// otherwise. Only the reference vocabulary is synthesized —
-/// `BulkComplete` itself never appears, so differential tooling sees the
-/// same logical stream an event-by-event run would record.
-fn synth(w: &mut World, at: SimTime, kind: EventKind, a: u64, b: u64) {
-    if let Some(log) = &mut w.synth_log {
-        let seq = w.synth_seq;
-        w.synth_seq += 1;
-        log.append(LoggedEvent {
-            seq,
-            at,
-            kind,
-            a,
-            b,
-        });
-    }
-}
-
-/// Advances rank `r`'s tape analytically from virtual time `vt` — the
-/// event-elision counterpart of [`advance`]. Continuations the event
-/// path would post as engine events are applied inline (and mirrored
-/// into the synthetic log); network sends are *never* executed here but
-/// deferred onto the pending heap, because a send's watermark commits
-/// must happen in global posted order, which a single rank's walk cannot
-/// know. Returns when the rank parks on an unfulfilled receive, joins a
-/// still-filling barrier, or completes its tape.
-fn walk(w: &mut World, r: usize, vt: SimTime) {
-    let mut vt = vt;
-    loop {
-        let Some(&item) = w.ranks[r].tape.get(w.ranks[r].pc) else {
-            return; // tape complete
-        };
-        match item {
-            Tape::SegEnd(idx) => {
-                w.finish[idx][r] = vt;
-                w.ranks[r].pc += 1;
-            }
-            Tape::Entry(class) => {
-                w.ranks[r].pc += 1;
-                let d = cpu_charge(w, r, w.spec.entry_overhead(class));
-                if !d.is_zero() {
-                    w.ranks[r].sw += d;
-                    push_span(w, r, PhaseKind::Entry, vt, vt + d);
-                    vt += d;
-                    synth(w, vt, EventKind::RankResume, r as u64, 0);
-                    w.ranks[r].chain.push(vt, 0);
-                }
-            }
-            Tape::Op(step, class) => match step {
-                Step::Send { bytes, .. } => {
-                    let pc = w.ranks[r].pc;
-                    w.ranks[r].pc += 1;
-                    let o = cpu_charge(w, r, w.spec.send_overhead(class));
-                    w.ranks[r].sw += o;
-                    push_span(w, r, PhaseKind::SendOverhead, vt, vt + o);
-                    let posted = vt + o;
-                    synth(w, posted, EventKind::ScheduleStep, r as u64, pc as u64);
-                    w.ranks[r].chain.push(posted, 0);
-                    let ss_chain = w.ranks[r].chain.clone();
-                    // The CPU-release instant depends only on the engine
-                    // model, never on link/FIFO occupancy, so the walk
-                    // continues past the send without executing it.
-                    let timing = w.spec.engine_timing(class, bytes, posted);
-                    w.ranks[r].sw += timing.cpu_release.since(posted);
-                    push_span(w, r, PhaseKind::Copy, posted, timing.cpu_release);
-                    synth(w, timing.cpu_release, EventKind::RankResume, r as u64, 0);
-                    // `post_send` inserts the delivery at index 0, the
-                    // CPU release at index 1.
-                    w.ranks[r].chain.push(timing.cpu_release, 1);
-                    let pseq = w.pseq;
-                    w.pseq += 1;
-                    w.pending.push(Reverse(PendingSend {
-                        posted,
-                        chain: ss_chain,
-                        pseq,
-                        rank: r as u32,
-                        step: u32::try_from(pc).expect("tape index fits u32"),
-                    }));
-                    vt = timing.cpu_release;
-                }
-                Step::Recv { from, bytes } => {
-                    match w.ranks[r].mailbox[from.0].pop_front() {
-                        Some(arrived) => {
-                            // The mailbox may hold a *future* timestamp:
-                            // drains deliver eagerly in real time, so the
-                            // wait the event path would have parked
-                            // through is reconstructed from `arrived`.
-                            w.ranks[r].pc += 1;
-                            let o = cpu_charge(w, r, w.spec.recv_overhead(class, bytes));
-                            let begin = vt.max(arrived);
-                            w.ranks[r].blocked += begin.since(vt);
-                            w.ranks[r].sw += o;
-                            push_span_woke(
-                                w,
-                                r,
-                                PhaseKind::RecvWait,
-                                vt,
-                                begin,
-                                Some(from.0 as u32),
-                            );
-                            push_span(w, r, PhaseKind::RecvOverhead, begin, begin + o);
-                            vt = begin + o;
-                            synth(w, vt, EventKind::RankResume, r as u64, 0);
-                            w.ranks[r].chain.push(vt, 0);
-                        }
-                        None => {
-                            w.ranks[r].blocked_on = Some(from.0);
-                            w.ranks[r].wait_since = Some((vt, PhaseKind::RecvWait));
-                            return;
-                        }
-                    }
-                }
-                Step::Compute { bytes } => {
-                    w.ranks[r].pc += 1;
-                    let d = cpu_charge(w, r, w.spec.compute_cost(bytes));
-                    if !d.is_zero() {
-                        w.ranks[r].sw += d;
-                        push_span(w, r, PhaseKind::Compute, vt, vt + d);
-                        vt += d;
-                        synth(w, vt, EventKind::RankResume, r as u64, 0);
-                        w.ranks[r].chain.push(vt, 0);
-                    }
-                }
-                Step::HwBarrier => {
-                    w.ranks[r].pc += 1;
-                    w.barrier_arrivals.push((r, vt));
-                    if w.barrier_arrivals.len() == w.ranks.len() {
-                        let mut arrivals = std::mem::take(&mut w.barrier_arrivals);
-                        // Reference arrival order: virtual instant, then
-                        // the engine's same-instant dispatch order.
-                        let ranks = &w.ranks;
-                        arrivals.sort_by(|&(ra, ta), &(rb, tb)| {
-                            ta.cmp(&tb)
-                                .then_with(|| ranks[ra].chain.cmp_same_instant(&ranks[rb].chain))
-                        });
-                        let &(trigger, last_at) = arrivals.last().expect("all ranks arrived");
-                        let trigger_chain = w.ranks[trigger].chain.clone();
-                        let latency = w
-                            .spec
-                            .hw_barrier
-                            .map(|hb| SimDuration::from_micros_f64(hb.latency_us(w.ranks.len())))
-                            .unwrap_or(SimDuration::ZERO);
-                        let release = last_at + latency;
-                        for (j, &(waiter, at)) in arrivals.iter().enumerate() {
-                            w.ranks[waiter].blocked += release.since(at);
-                            push_span_woke(
-                                w,
-                                waiter,
-                                PhaseKind::BarrierWait,
-                                at,
-                                release,
-                                Some(trigger as u32),
-                            );
-                            synth(w, release, EventKind::RankResume, waiter as u64, 0);
-                            // All release resumes are inserted during the
-                            // trigger's dispatch, in arrival order.
-                            let mut chain = trigger_chain.clone();
-                            chain.push(release, u32::try_from(j).expect("rank count fits u32"));
-                            w.ranks[waiter].chain = chain;
-                        }
-                        for &(waiter, _) in &arrivals {
-                            walk(w, waiter, release);
-                        }
-                    }
-                    return;
-                }
-            },
-        }
-    }
-}
-
-/// Executes one deferred send on the network — the elision counterpart
-/// of [`post_send`] plus [`deliver`]: the arrival needs no engine event
-/// because the payload timestamp lands straight in the mailbox, and a
-/// receiver parked on it resumes its analytic walk immediately.
-fn run_pending_send(w: &mut World, ps: PendingSend) {
-    let r = ps.rank as usize;
-    let Some(&Tape::Op(Step::Send { to, bytes }, class)) = w.ranks[r].tape.get(ps.step as usize)
-    else {
-        unreachable!("pending send must point at a Send tape entry");
-    };
-    let posted = ps.posted;
-    let src_node = w.ranks[r].node;
-    let dst_node = w.ranks[to.0].node;
-    let World { spec, net, .. } = w;
-    let t = net.send_elided(spec, class, src_node, dst_node, bytes, posted);
-    if let Some(trace) = &mut w.trace {
-        if trace.len() < w.trace_cap {
-            trace.push(MessageTrace {
-                src: r,
-                dst: to.0,
-                bytes,
-                class,
-                posted,
-                wire_start: t.cpu_release,
-                delivered: t.delivered,
-                inject_wait: t.inject_wait,
-                link_wait: t.link_wait,
-            });
-        } else {
-            w.dropped += 1;
-        }
-    }
-    synth(
-        w,
-        t.delivered,
-        EventKind::MessageReady,
-        r as u64,
-        to.0 as u64,
-    );
-    let dst = to.0;
-    w.ranks[dst].mailbox[r].push_back(t.delivered);
-    if w.ranks[dst].blocked_on == Some(r) {
-        w.ranks[dst].blocked_on = None;
-        let (park_vt, kind) = w.ranks[dst]
-            .wait_since
-            .take()
-            .expect("parked rank records its wait start");
-        // Would the event path have parked this rank? Only if the rank's
-        // resume reaching the Recv fired before the delivery: then the
-        // receive continuation is inserted during the delivery's
-        // dispatch, so the rank's lineage reroutes through the message;
-        // otherwise the mailbox was already full when the rank got there
-        // and its own chain continues.
-        let parked_first = match park_vt.cmp(&t.delivered) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => {
-                let mut mr_chain = ps.chain.clone();
-                mr_chain.push(t.delivered, 0);
-                w.ranks[dst].chain.cmp_same_instant(&mr_chain) == std::cmp::Ordering::Less
-            }
-        };
-        if parked_first {
-            let mut chain = ps.chain;
-            chain.push(t.delivered, 0);
-            w.ranks[dst].chain = chain;
-        }
-        let begin = park_vt.max(t.delivered);
-        w.ranks[dst].blocked += begin.since(park_vt);
-        push_span_woke(w, dst, kind, park_vt, begin, Some(r as u32));
-        walk(w, dst, begin);
-    }
-}
-
-/// Drains every pending send whose posted instant is provably final —
-/// strictly earlier than any event still in the engine queue, so no
-/// future dispatch can create an earlier-posted send — then parks the
-/// remainder behind a single [`TypedEvent::BulkComplete`] at the head's
-/// posted instant. Draining can wake parked receivers whose walks push
-/// further sends, so the loop re-examines the heap until it is empty or
-/// blocked on the horizon.
-fn drain(s: &mut Scheduler<World>, w: &mut World) {
-    loop {
-        let Some(Reverse(head)) = w.pending.peek() else {
-            return;
-        };
-        let (posted, rank, step) = (head.posted, head.rank, head.step);
-        match s.horizon() {
-            Some(h) if posted >= h => {
-                if w.next_bulk.is_none_or(|at| at > posted) {
-                    s.post_at(posted, TypedEvent::BulkComplete { rank, step });
-                    w.next_bulk = Some(posted);
-                }
-                return;
-            }
-            _ => {
-                let Reverse(ps) = w.pending.pop().expect("peeked head exists");
-                run_pending_send(w, ps);
-            }
-        }
     }
 }
 
@@ -1730,149 +1269,6 @@ mod tests {
             elog / off < 1.25,
             "event-log overhead {:.1}% >= 25%",
             (elog / off - 1.0) * 100.0
-        );
-    }
-
-    /// Spans in a canonical order (the elision path emits the same
-    /// multiset but interleaves ranks differently).
-    fn canon_spans(mut spans: Vec<PhaseSpan>) -> Vec<PhaseSpan> {
-        spans.sort_by_key(|sp| (sp.rank, sp.start, sp.end, sp.kind.label(), sp.woke_by));
-        spans
-    }
-
-    fn canon_log(log: &desim::EventLog) -> Vec<(SimTime, desim::EventKind, u64, u64)> {
-        let mut v: Vec<_> = log.iter().map(|e| (e.at, e.kind, e.a, e.b)).collect();
-        v.sort();
-        v
-    }
-
-    /// The tentpole invariant: an elided run is *semantically identical*
-    /// to the event-by-event reference — same finish times, phase split,
-    /// message trace (same order!), link loads, FIFO watermark stats,
-    /// span multiset, and canonical event-stream multiset — while firing
-    /// far fewer engine events.
-    #[test]
-    fn elision_is_timeline_identical_to_event_path() {
-        use collectives::{alltoall, reduce};
-        let skew: Vec<SimTime> = (0..8).map(|i| SimTime::from_nanos(i * 731)).collect();
-        for spec in [sp2(), t3d(), netmodel::paragon()] {
-            for (s, skewed) in [
-                (bcast::binomial(16, Rank(0), 4096), false),
-                (alltoall::pairwise(8, 1024), false),
-                (alltoall::pairwise(8, 2048), true),
-                (barrier::dissemination(8), false),
-                (barrier::hardware(8), true),
-                (scatter::linear(8, Rank(0), 2048), false),
-                (reduce::binomial(8, Rank(0), 512), true),
-            ] {
-                let cfg = ExecConfig {
-                    start_times: skewed.then(|| skew[..s.ranks()].to_vec()),
-                    event_log: true,
-                    ..ExecConfig::default()
-                };
-                let (base, base_obs) = execute_observed(&spec, &[&s], &cfg).unwrap();
-                let ecfg = ExecConfig {
-                    elide: true,
-                    ..cfg.clone()
-                };
-                let (fast, fast_obs) = execute_observed(&spec, &[&s], &ecfg).unwrap();
-                let tag = format!("{} {:?}", spec.name, s.class());
-                assert_eq!(base.start, fast.start, "{tag}");
-                assert_eq!(base.finish, fast.finish, "{tag}");
-                assert_eq!(base.phases, fast.phases, "{tag}");
-                assert_eq!(base.trace, fast.trace, "{tag}: trace order must match");
-                assert_eq!(base.link_loads, fast.link_loads, "{tag}");
-                assert_eq!(base.messages, fast.messages, "{tag}");
-                assert_eq!(base.bytes, fast.bytes, "{tag}");
-                assert_eq!(
-                    canon_spans(base_obs.spans),
-                    canon_spans(fast_obs.spans),
-                    "{tag}"
-                );
-                assert_eq!(base_obs.fifo_commits, fast_obs.fifo_commits, "{tag}");
-                assert_eq!(base_obs.fifo_updates, fast_obs.fifo_updates, "{tag}");
-                assert_eq!(
-                    canon_log(base_obs.event_log.as_ref().unwrap()),
-                    canon_log(fast_obs.event_log.as_ref().unwrap()),
-                    "{tag}: synthetic log must reconstruct the fired stream"
-                );
-                assert!(
-                    fast.events < base.events,
-                    "{tag}: {} !< {}",
-                    fast.events,
-                    base.events
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn elision_cuts_events_per_message_on_alltoall() {
-        let spec = sp2();
-        let s = collectives::alltoall::pairwise(64, 4096);
-        let base = run(&spec, &s);
-        let cfg = ExecConfig {
-            elide: true,
-            ..ExecConfig::default()
-        };
-        let fast = execute(&spec, &[&s], &cfg).unwrap();
-        assert_eq!(base.finish, fast.finish);
-        let ratio = base.events as f64 / fast.events as f64;
-        assert!(
-            ratio >= 5.0,
-            "events/message reduction {ratio:.1}x below the 5x gate \
-             ({} -> {} events)",
-            base.events,
-            fast.events
-        );
-    }
-
-    #[test]
-    fn elision_yields_to_perturbation_policies() {
-        // The perturbation tie-breaks exist to reorder the very events
-        // elision removes, so `elide` must be a no-op under them.
-        let spec = sp2();
-        let s = collectives::alltoall::pairwise(8, 1024);
-        let perturbed = ExecConfig {
-            tie_break: TieBreakPolicy::InvertAll,
-            ..ExecConfig::default()
-        };
-        let a = execute(&spec, &[&s], &perturbed).unwrap();
-        let b = execute(
-            &spec,
-            &[&s],
-            &ExecConfig {
-                elide: true,
-                ..perturbed.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(a.finish, b.finish);
-        assert_eq!(a.events, b.events, "event path must be taken verbatim");
-    }
-
-    #[test]
-    fn elision_disables_provenance_and_synthesizes_log() {
-        let spec = t3d();
-        let s = bcast::binomial(8, Rank(0), 1024);
-        let cfg = ExecConfig {
-            elide: true,
-            provenance: true,
-            event_log: true,
-            ..ExecConfig::default()
-        };
-        let (out, obs) = execute_observed(&spec, &[&s], &cfg).unwrap();
-        assert!(obs.provenance.is_none(), "no per-message parents to record");
-        let log = obs.event_log.expect("synthetic log stands in");
-        assert!(
-            log.len() as u64 > out.events,
-            "log covers elided events too"
-        );
-        assert!(obs.elide.admitted > 0);
-        assert_eq!(
-            obs.elide.attempts(),
-            out.messages,
-            "every send goes through the admission check"
         );
     }
 

@@ -147,17 +147,6 @@ pub fn export_metrics(out: &ExecOutcome, observed: &Observed, reg: &mut MetricsR
     reg.counter("net.fifo.updates", observed.fifo_updates);
     reg.counter("net.fifo.commits", observed.fifo_commits);
     observed.net.export_metrics(reg);
-    if observed.elide.attempts() > 0 {
-        observed.elide.export_metrics(reg);
-        reg.gauge(
-            "net.elide.events_per_message",
-            if out.messages > 0 {
-                out.events as f64 / out.messages as f64
-            } else {
-                0.0
-            },
-        );
-    }
     if let Some(prof) = &observed.engine_profile {
         prof.export_metrics(reg);
     }

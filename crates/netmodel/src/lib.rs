@@ -42,5 +42,5 @@ pub mod spec;
 pub use builder::MachineBuilder;
 pub use class::{ClassCosts, CostTable, OpClass};
 pub use machines::{paragon, sp2, t3d, MachineId};
-pub use net::{ElideStats, EngineTiming, NetInstr, NetState, SendTiming, WireConfig};
+pub use net::{NetInstr, NetState, SendTiming, WireConfig};
 pub use spec::{HwBarrierSpec, MachineSpec, SendEngine, TopologyKind};

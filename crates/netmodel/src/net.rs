@@ -65,10 +65,9 @@ impl SendTiming {
     }
 
     /// True when the message never waited for a busy injection engine or
-    /// link: its wire journey was provably free of contention, so an
-    /// event-elision fast path could have predicted its delivery time
-    /// from the route alone. Occupancy commits in event-time order, so
-    /// the predicate is exact, not heuristic.
+    /// link: its delivery time follows from the route alone. Occupancy
+    /// commits in event-time order, so the predicate is exact, not
+    /// heuristic.
     pub fn uncontended(&self) -> bool {
         self.inject_wait == SimDuration::ZERO && self.link_wait == SimDuration::ZERO
     }
@@ -160,65 +159,16 @@ struct LinkAcc {
 
 /// Send-engine timing for one message, independent of any network
 /// occupancy state: when the CPU is released, when the payload is ready
-/// to enter the wire, and at what byte rate it streams. Because none of
-/// these depend on link or FIFO watermarks, an analytic fast path can
-/// compute them *before* deciding whether the wire journey itself can be
-/// elided.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineTiming {
+/// to enter the wire, and at what byte rate it streams.
+#[derive(Debug, Clone, Copy)]
+struct EngineTiming {
     /// When the sending CPU is free to continue.
-    pub cpu_release: SimTime,
+    cpu_release: SimTime,
     /// When the payload is ready to enter the injection engine.
-    pub engine_ready: SimTime,
+    engine_ready: SimTime,
     /// The engine's streaming rate, ns per byte (the wire streams at the
     /// slower of this and the link rate).
-    pub engine_ns_per_byte: f64,
-}
-
-/// Admission statistics for the event-elision fast path
-/// ([`NetState::send_elided`]): how many transfers took the closed-form
-/// path versus falling back to the event-by-event wire model, and why.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ElideStats {
-    /// Transfers admitted: every path resource provably idle, completion
-    /// computed in closed form.
-    pub admitted: u64,
-    /// Fallbacks because the injection engine or a route link was busy
-    /// past the payload's wire entry.
-    pub path_busy: u64,
-    /// Fallbacks because the wire config is not the calibrated default
-    /// (an ablation or packetization run — the closed form only models
-    /// whole-message wormhole with contention on).
-    pub config_fallback: u64,
-    /// Local (src == dst) sends: no wire journey to elide.
-    pub local: u64,
-}
-
-impl ElideStats {
-    /// Total [`NetState::send_elided`] calls observed.
-    pub fn attempts(&self) -> u64 {
-        self.admitted + self.path_busy + self.config_fallback + self.local
-    }
-
-    /// Fraction of attempts admitted to the closed-form path (0 when no
-    /// attempts ran).
-    pub fn admission_rate(&self) -> f64 {
-        let attempts = self.attempts();
-        if attempts == 0 {
-            0.0
-        } else {
-            self.admitted as f64 / attempts as f64
-        }
-    }
-
-    /// Exports `net.elide.*` counters and the admission-rate gauge.
-    pub fn export_metrics(&self, reg: &mut obs::MetricsRegistry) {
-        reg.counter("net.elide.admitted", self.admitted);
-        reg.counter("net.elide.path_busy", self.path_busy);
-        reg.counter("net.elide.config_fallback", self.config_fallback);
-        reg.counter("net.elide.local", self.local);
-        reg.gauge("net.elide.admission_rate", self.admission_rate());
-    }
+    engine_ns_per_byte: f64,
 }
 
 /// Mutable network state for one `p`-node partition of a machine.
@@ -251,8 +201,6 @@ pub struct NetState {
     link_cap: Vec<f64>,
     /// Scratch per-link accumulators, parallel to `scratch`.
     link_acc: Vec<LinkAcc>,
-    /// Elision-admission statistics ([`NetState::send_elided`]).
-    elide: ElideStats,
 }
 
 impl std::fmt::Debug for NetState {
@@ -304,7 +252,6 @@ impl NetState {
             scratch: Vec::new(),
             link_cap,
             link_acc: Vec::new(),
-            elide: ElideStats::default(),
         }
     }
 
@@ -343,15 +290,6 @@ impl NetState {
         if let Some(instr) = &self.instr {
             instr.export_metrics(reg);
         }
-        if self.elide.attempts() > 0 {
-            self.elide.export_metrics(reg);
-        }
-    }
-
-    /// Elision-admission statistics: all-zero unless
-    /// [`NetState::send_elided`] ran.
-    pub fn elide_stats(&self) -> ElideStats {
-        self.elide
     }
 
     /// The topology in use.
@@ -583,124 +521,6 @@ impl NetState {
             link_wait: SimDuration::from_nanos(link_queue_ns),
         }
     }
-
-    /// [`NetState::send`] with a conservative closed-form fast path: when
-    /// the injection engine and every link on the route are provably idle
-    /// until the payload's wire entry (checked against the next-busy
-    /// watermarks), the wormhole completion instant is computed directly
-    /// — no per-segment loop — and is bit-identical to what [`NetState::send`]
-    /// would produce, including the occupancy watermarks committed back
-    /// (so the contention census and any later admission check stay
-    /// exact). Any admission failure falls back to [`NetState::send`];
-    /// the outcome is recorded in [`NetState::elide_stats`] either way.
-    ///
-    /// Admission requires the calibrated default [`WireConfig`]: the
-    /// closed form models whole-message wormhole routing with contention
-    /// and NIC serialization on. Ablation and packetization runs always
-    /// fall back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node id is out of range.
-    pub fn send_elided(
-        &mut self,
-        spec: &MachineSpec,
-        class: OpClass,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u32,
-        start: SimTime,
-    ) -> SendTiming {
-        if self.config != WireConfig::default() {
-            self.elide.config_fallback += 1;
-            return self.send(spec, class, src, dst, bytes, start);
-        }
-        if src == dst {
-            self.elide.local += 1;
-            return self.send(spec, class, src, dst, bytes, start);
-        }
-        assert!(
-            src.0 < self.nodes() && dst.0 < self.nodes(),
-            "node out of range"
-        );
-        let EngineTiming {
-            cpu_release,
-            engine_ready,
-            engine_ns_per_byte,
-        } = spec.engine_timing(class, bytes, start);
-
-        // Route lookup through the same per-pair cache as `send`.
-        let cache_idx = src.0 * self.nodes() + dst.0;
-        if self.route_cache[cache_idx].is_none() {
-            self.route_cache[cache_idx] = Some(self.topo.route(src, dst));
-        }
-        self.scratch.clear();
-        let cached = self.route_cache[cache_idx].as_ref().expect("filled above");
-        self.scratch.extend_from_slice(cached.links());
-
-        // Admission: every resource on the path must be idle by the time
-        // the payload can enter the wire. The header reaches link `i` no
-        // earlier than `engine_ready`, so `free_at <= engine_ready` is a
-        // conservative (sufficient) idleness bound per link.
-        let admitted = self.inject[src.0].free_at() <= engine_ready
-            && self
-                .scratch
-                .iter()
-                .all(|link| self.links.free_at(link.0) <= engine_ready);
-        if !admitted {
-            self.elide.path_busy += 1;
-            return self.send(spec, class, src, dst, bytes, start);
-        }
-        self.elide.admitted += 1;
-        self.messages += 1;
-        self.bytes += u64::from(bytes);
-        if let Some(instr) = &mut self.instr {
-            instr.class_msgs[class.index()] += 1;
-            instr.class_bytes[class.index()] += u64::from(bytes);
-            for link in &self.scratch {
-                instr.link_bytes[link.0] += u64::from(bytes);
-                instr.link_msgs[link.0] += 1;
-            }
-        }
-
-        // Closed-form wormhole completion over an idle path. This mirrors
-        // `send`'s single-segment arithmetic term for term — the same
-        // `from_nanos_f64` roundings, the same integer hop accumulation —
-        // so the result is bit-identical, not merely approximate.
-        let stream_ns_per_byte = spec.link_ns_per_byte.max(engine_ns_per_byte);
-        let chunk_bytes = f64::from(bytes.max(spec.min_packet_bytes));
-        let serialize = SimDuration::from_nanos_f64(chunk_bytes * stream_ns_per_byte);
-        let hop = SimDuration::from_nanos_f64(spec.hop_ns);
-
-        // NIC: idle, so injection starts at `engine_ready`.
-        self.inject[src.0].commit(engine_ready + serialize, serialize, 1);
-        self.fifo_updates += 1;
-        self.fifo_commits += 1;
-
-        // Header walk: each link is claimed the instant the header
-        // arrives and held for its occupancy (capacity-scaled
-        // serialization).
-        let mut t_hdr = engine_ready;
-        for li in 0..self.scratch.len() {
-            let capacity = self.link_cap[self.scratch[li].0];
-            let occupancy = if capacity > 1.0 {
-                SimDuration::from_nanos_f64(chunk_bytes * stream_ns_per_byte / capacity)
-            } else {
-                serialize
-            };
-            self.links
-                .commit(self.scratch[li].0, t_hdr + occupancy, occupancy, 1);
-            self.fifo_updates += 1;
-            self.fifo_commits += 1;
-            t_hdr += hop;
-        }
-        SendTiming {
-            cpu_release,
-            delivered: t_hdr + serialize,
-            inject_wait: SimDuration::ZERO,
-            link_wait: SimDuration::ZERO,
-        }
-    }
 }
 
 /// Software-cost helpers shared by the executor. These are thin wrappers
@@ -734,10 +554,8 @@ impl MachineSpec {
     /// Send-engine behaviour for one message: who pays the payload copy,
     /// and at what byte rate the payload enters the wire. Classes whose
     /// sends stay on the CPU (`offload = false`) bypass the engine
-    /// entirely. Pure in the spec — no occupancy state is consulted — so
-    /// the executor's analytic fast path can charge the sender's copy
-    /// time before the wire journey is resolved.
-    pub fn engine_timing(&self, class: OpClass, bytes: u32, start: SimTime) -> EngineTiming {
+    /// entirely.
+    fn engine_timing(&self, class: OpClass, bytes: u32, start: SimTime) -> EngineTiming {
         let costs = self.costs.get(class);
         let copy = SimDuration::from_nanos_f64(f64::from(bytes) * costs.byte_send_ns);
         let engine = if costs.offload {
@@ -1234,143 +1052,5 @@ mod tests {
         let s = spec(SendEngine::Cpu);
         let mut net = NetState::new(&s, 2);
         net.send(&s, OpClass::PointToPoint, NodeId(0), NodeId(5), 1, T0);
-    }
-
-    /// Drives the same traffic through `send` and `send_elided` on twin
-    /// states and asserts bit-identical timings and watermark end-state.
-    fn assert_elide_matches(
-        s: &MachineSpec,
-        p: usize,
-        traffic: &[(usize, usize, u32, u64)], // (src, dst, bytes, start_ns)
-    ) {
-        let mut base = NetState::new(s, p);
-        let mut fast = NetState::new(s, p);
-        for &(src, dst, bytes, at) in traffic {
-            let t0 = SimTime::from_nanos(at);
-            let a = base.send(s, OpClass::Alltoall, NodeId(src), NodeId(dst), bytes, t0);
-            let b = fast.send_elided(s, OpClass::Alltoall, NodeId(src), NodeId(dst), bytes, t0);
-            assert_eq!(a, b, "send {src}->{dst} {bytes}B @{at}ns");
-        }
-        assert_eq!(base.messages_sent(), fast.messages_sent());
-        assert_eq!(base.total_link_busy(), fast.total_link_busy());
-        for i in 0..base.inject.len() {
-            assert_eq!(
-                base.inject[i].free_at(),
-                fast.inject[i].free_at(),
-                "nic {i}"
-            );
-        }
-        for l in 0..base.links.len() {
-            assert_eq!(base.links.free_at(l), fast.links.free_at(l), "link {l}");
-        }
-    }
-
-    #[test]
-    fn elided_send_matches_event_path_when_idle() {
-        for engine in [
-            SendEngine::Cpu,
-            SendEngine::Coprocessor { ns_per_byte: 4.0 },
-            SendEngine::BlockTransfer {
-                threshold_bytes: 64,
-                setup_us: 1.0,
-                ns_per_byte: 1.0,
-            },
-        ] {
-            let s = spec(engine);
-            // Disjoint paths at spread-out instants: everything admits.
-            assert_elide_matches(
-                &s,
-                16,
-                &[
-                    (0, 1, 100, 0),
-                    (5, 6, 4_096, 0),
-                    (2, 14, 32, 50_000),
-                    (0, 3, 8, 400_000),
-                ],
-            );
-        }
-    }
-
-    #[test]
-    fn elided_send_falls_back_on_busy_path_and_matches() {
-        let s = spec(SendEngine::Coprocessor { ns_per_byte: 0.0 });
-        // Same source at the same instant (NIC busy), then a shared link:
-        // the fallback must reproduce the contended timings exactly.
-        assert_elide_matches(
-            &s,
-            4,
-            &[(0, 1, 1_000, 0), (0, 2, 1_000, 0), (1, 3, 1_000, 0)],
-        );
-        let mut fast = NetState::new(&s, 4);
-        fast.send_elided(&s, OpClass::Alltoall, NodeId(0), NodeId(1), 1_000, T0);
-        fast.send_elided(&s, OpClass::Alltoall, NodeId(0), NodeId(2), 1_000, T0);
-        let st = fast.elide_stats();
-        assert_eq!(st.admitted, 1);
-        assert_eq!(st.path_busy, 1);
-    }
-
-    #[test]
-    fn elided_send_counts_local_and_config_fallbacks() {
-        let s = spec(SendEngine::Cpu);
-        let mut fast = NetState::new(&s, 4);
-        let local = fast.send_elided(&s, OpClass::Bcast, NodeId(2), NodeId(2), 100, T0);
-        assert_eq!(local.delivered.as_nanos(), 200, "copy only");
-        assert_eq!(fast.elide_stats().local, 1);
-
-        let mut ablated = NetState::with_config(
-            &s,
-            4,
-            WireConfig {
-                wormhole: false,
-                ..WireConfig::default()
-            },
-        );
-        let a = ablated.send_elided(&s, OpClass::Bcast, NodeId(0), NodeId(3), 100, T0);
-        let mut plain = NetState::with_config(
-            &s,
-            4,
-            WireConfig {
-                wormhole: false,
-                ..WireConfig::default()
-            },
-        );
-        let b = plain.send(&s, OpClass::Bcast, NodeId(0), NodeId(3), 100, T0);
-        assert_eq!(a, b, "config fallback delegates untouched");
-        assert_eq!(ablated.elide_stats().config_fallback, 1);
-        assert_eq!(ablated.elide_stats().admission_rate(), 0.0);
-
-        let mut reg = obs::MetricsRegistry::new();
-        ablated.export_metrics(&mut reg);
-        assert_eq!(
-            reg.get("net.elide.config_fallback").unwrap().as_f64(),
-            Some(1.0)
-        );
-        // A state that never ran send_elided exports no elide metrics.
-        let mut quiet = NetState::new(&s, 2);
-        quiet.send(&s, OpClass::Bcast, NodeId(0), NodeId(1), 10, T0);
-        let mut reg = obs::MetricsRegistry::new();
-        quiet.export_metrics(&mut reg);
-        assert!(reg.get("net.elide.admitted").is_none());
-    }
-
-    #[test]
-    fn engine_timing_matches_send_cpu_release() {
-        for engine in [
-            SendEngine::Cpu,
-            SendEngine::Coprocessor { ns_per_byte: 4.0 },
-            SendEngine::BlockTransfer {
-                threshold_bytes: 64,
-                setup_us: 1.0,
-                ns_per_byte: 1.0,
-            },
-        ] {
-            let s = spec(engine);
-            for bytes in [10u32, 1_000] {
-                let et = s.engine_timing(OpClass::PointToPoint, bytes, T0);
-                let mut net = NetState::new(&s, 2);
-                let t = net.send(&s, OpClass::PointToPoint, NodeId(0), NodeId(1), bytes, T0);
-                assert_eq!(et.cpu_release, t.cpu_release);
-            }
-        }
     }
 }

@@ -232,9 +232,8 @@ impl Decomposition {
     }
 }
 
-/// The contention census over a run's transfers: how many never queued —
-/// the admission set for an event-elision fast path that would predict
-/// delivery times without simulating link occupancy.
+/// The contention census over a run's transfers: how many never waited
+/// for a busy injection engine or link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Census {
     /// Remote transfers examined.

@@ -18,8 +18,6 @@
 //!   ablations) attached to every exported artifact.
 //! * [`QuantileSketch`] — streaming mergeable quantile summary for
 //!   host-side wall-clock latencies where pow2 buckets are too coarse.
-//! * [`Profiler`] — named wall-clock timers (zero-cost when disabled)
-//!   for profiling the simulator itself.
 //! * [`prom`] — Prometheus text-exposition export of a registry.
 //! * [`critpath`] — causal critical-path reconstruction: walks blame
 //!   spans backward from completion and decomposes end-to-end latency
@@ -35,7 +33,6 @@ pub mod critpath;
 pub mod diff;
 pub mod json;
 pub mod manifest;
-pub mod prof;
 pub mod prom;
 pub mod quantile;
 pub mod record;
@@ -45,7 +42,6 @@ pub mod trace;
 pub use diff::{DiffReport, Verdict};
 pub use json::{validate, Json};
 pub use manifest::RunManifest;
-pub use prof::Profiler;
 pub use quantile::QuantileSketch;
 pub use record::RunRecord;
 pub use registry::{Metric, MetricsRegistry, Pow2Histogram};

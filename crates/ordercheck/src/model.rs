@@ -20,7 +20,8 @@
 //! its causal future is confined to its own state and the channels that
 //! feed it, so same-instant swaps against disjoint ranks cannot
 //! propagate. Two events are **independent** iff their widened
-//! footprints are disjoint — the admission set for tie-order elision.
+//! footprints are disjoint: swapping such a same-instant pair cannot
+//! change the run.
 
 use collectives::{Rank, Schedule, Step};
 use desim::eventlog::{EventKind, LoggedEvent};
@@ -94,9 +95,6 @@ impl StaticModel {
             TypedEvent::ScheduleStep { rank, .. } => &[rank],
             // A link grant resumes the granted rank's transfer.
             TypedEvent::LinkGrant { grantee, .. } => &[grantee],
-            // A bulk completion drains the pending-send heap and can
-            // wake the receiving rank of each drained transfer.
-            TypedEvent::BulkComplete { rank, .. } => &[rank],
             TypedEvent::Timer { .. } | TypedEvent::Continuation { .. } => &[],
         };
         for &r in advanced {
