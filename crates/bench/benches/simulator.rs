@@ -120,46 +120,12 @@ fn measurement_pipeline() {
     }
 }
 
-fn event_queues() {
-    use desim::{Engine, SimTime};
-    println!("-- event_queue_backends --");
-    for (name, make) in [
-        ("heap", Engine::<u64>::new as fn() -> Engine<u64>),
-        (
-            "calendar",
-            Engine::<u64>::with_calendar_queue as fn() -> Engine<u64>,
-        ),
-    ] {
-        bench(name, 20, 50, || {
-            let mut engine = make();
-            let mut world = 0u64;
-            // Dense self-rescheduling population: 64 actors x 100 steps.
-            for actor in 0..64u64 {
-                fn tick(n: u32, stride: u64) -> desim::EventFn<u64> {
-                    Box::new(move |s, w: &mut u64| {
-                        *w += 1;
-                        if n > 0 {
-                            s.schedule_in(
-                                desim::SimDuration::from_nanos(stride),
-                                tick(n - 1, stride),
-                            );
-                        }
-                    })
-                }
-                engine.schedule_at(SimTime::from_nanos(actor * 17), tick(100, 97 + actor));
-            }
-            engine.run(&mut world);
-            world
-        });
-    }
-}
-
 fn typed_dispatch() {
     use desim::{Engine, EventWorld, Scheduler, SimDuration, SimTime, TypedEvent};
     println!("-- event_dispatch --");
 
-    // Same dense self-rescheduling population as `event_queues`, but on
-    // the typed-event path: no per-event allocation, dispatch by match.
+    // A dense self-rescheduling population: no per-event allocation,
+    // dispatch by match.
     struct Counter {
         fired: u64,
         stride: u64,
@@ -182,7 +148,7 @@ fn typed_dispatch() {
     bench("typed_timer_chain", 20, 50, || {
         let mut engine = Engine::<Counter>::new();
         // 64 actors x 100 steps; actor index rides in the id's high part
-        // so each chain keeps its own stride, mirroring the closure bench.
+        // so each chain keeps its own stride.
         for actor in 0..64u64 {
             engine.post_at(
                 SimTime::from_nanos(actor * 17),
@@ -205,7 +171,6 @@ fn main() {
     collectives();
     machines();
     routing();
-    event_queues();
     typed_dispatch();
     measurement_pipeline();
 }

@@ -13,14 +13,14 @@
 //! ```
 //!
 //! `--profile` additionally enables the desim engine's self-profiling
-//! (events/sec, calendar-queue depth and occupancy, wall-clock), which
-//! then appears in the metrics snapshot under `engine.prof.*`.
+//! (wall-clock, events/sec, sampled queue-depth quantiles), which then
+//! appears in the metrics snapshot under `engine.prof.*`.
 //!
 //! `--suite` runs the fixed 21-point perfgate suite (all seven
 //! collectives × three machines at the representative `(m, p)`) instead
-//! of a single point, writing one trace + metrics + canonical
-//! `*.record.json` run-record triple per point plus a `dataset.csv`
-//! measured over the same grid. Every file is a pure function of the
+//! of a single point, executing each point once and writing its trace +
+//! metrics + canonical `*.record.json` run-record triple, plus a
+//! `dataset.csv` measured over the same grid. Every file is a pure function of the
 //! simulation seed, so the whole output directory is byte-identical for
 //! any `--threads N` — the CI determinism job compares a serial run
 //! against `--threads 4` with `tracediff`, which explains the first
@@ -32,6 +32,7 @@
 
 use harness::{Protocol, SweepBuilder};
 use mpisim::comm::RunOptions;
+use mpisim::exec::{ExecOutcome, Observed};
 use mpisim::{observe, Machine, OpClass, Rank};
 use obs::MetricsRegistry;
 
@@ -118,7 +119,7 @@ fn stem(machine: &Machine, op: OpClass, p: usize, bytes: u32) -> String {
 
 /// One fully instrumented point, rendered to its output documents.
 struct ObservedPoint {
-    out: mpisim::exec::ExecOutcome,
+    out: ExecOutcome,
     trace: obs::ChromeTrace,
     snapshot: String,
     reg: MetricsRegistry,
@@ -127,21 +128,33 @@ struct ObservedPoint {
 }
 
 /// Runs one point under full instrumentation and renders its trace +
-/// metrics documents. Pure: same inputs produce the same bytes.
+/// metrics documents.
 fn observe_point(
     machine: &Machine,
     op: OpClass,
     p: usize,
-    m: u32,
+    bytes: u32,
     options: RunOptions,
 ) -> ObservedPoint {
-    let bytes = if op == OpClass::Barrier { 0 } else { m };
     let comm = machine.communicator(p).expect("communicator size");
     let schedule = comm.schedule(op, Rank(0), bytes).expect("schedule build");
     let (out, observed) = comm
         .run_observed(&[&schedule], options)
         .expect("observed execution");
+    render_point(machine, op, p, bytes, out, &observed)
+}
 
+/// Renders one observed execution of the point `(machine, op, p,
+/// bytes)` to its trace + metrics documents. Pure: same inputs produce
+/// the same bytes.
+fn render_point(
+    machine: &Machine,
+    op: OpClass,
+    p: usize,
+    bytes: u32,
+    out: ExecOutcome,
+    observed: &Observed,
+) -> ObservedPoint {
     let wire = machine.wire_config();
     let manifest = obs::RunManifest::new(machine.name())
         .param("op", op.key())
@@ -158,8 +171,8 @@ fn observe_point(
         );
 
     let mut reg = MetricsRegistry::new();
-    observe::export_metrics(&out, &observed, &mut reg);
-    let trace = observe::chrome_trace(machine.name(), &out, &observed);
+    observe::export_metrics(&out, observed, &mut reg);
+    let trace = observe::chrome_trace(machine.name(), &out, observed);
     let snapshot = observe::snapshot(&manifest, &reg).to_string_pretty();
     let links = observed.net.link_bytes.len();
     ObservedPoint {
@@ -184,32 +197,29 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>) {
         threads,
         |i| {
             let pt = &suite[i];
-            let obs = observe_point(
-                &pt.machine,
-                pt.op,
-                pt.nodes,
-                pt.bytes,
-                RunOptions {
-                    trace_limit: trace_cap,
-                    ..RunOptions::default()
-                },
-            );
-            // A second, fully instrumented run builds the canonical
-            // run record that `tracediff` compares structurally.
-            let record = bench::diffsuite::record_point(
-                &pt.machine,
-                pt.op,
-                pt.nodes,
-                pt.bytes,
+            // One run with provenance and the event log on feeds the
+            // canonical run record `tracediff` compares structurally;
+            // neither changes the execution, so the same run also
+            // yields the trace and the metrics snapshot.
+            let recorded = bench::diffsuite::record_suite_point(
+                pt,
                 mpisim::TieBreakPolicy::InsertionOrder,
                 trace_cap,
+            );
+            let obs = render_point(
+                &pt.machine,
+                pt.op,
+                pt.nodes,
+                pt.bytes,
+                recorded.out,
+                &recorded.observed,
             );
             let file_stem = stem(&pt.machine, pt.op, pt.nodes, pt.bytes);
             (
                 file_stem,
                 obs.trace.to_json_string(),
                 obs.snapshot,
-                record.to_json_string(),
+                recorded.record.to_json_string(),
                 obs.trace.len(),
             )
         },
@@ -280,7 +290,7 @@ fn main() {
         trace_limit: cli.trace_cap,
         ..RunOptions::default()
     };
-    let point = observe_point(machine, op, cli.p, cli.m, options);
+    let point = observe_point(machine, op, cli.p, bytes, options);
 
     let file_stem = stem(machine, op, cli.p, bytes);
     std::fs::create_dir_all(cli.out_dir()).expect("create output directory");

@@ -27,7 +27,7 @@
 //! archive executor utilization next to the wall-clock numbers.
 //!
 //! Exit codes: 0 pass, 1 regression beyond the noise-aware threshold,
-//! 2 schema or I/O error.
+//! 2 schema or I/O error, or an unknown flag or missing value.
 
 use bench::perfgate::{
     compare, default_suite, drift, iso_date, perf_rows, run_suite, BenchReport, GateStatus,
@@ -47,6 +47,14 @@ struct Opts {
     update_baseline: bool,
     report_only: bool,
     fit: bool,
+}
+
+const USAGE: &str = "usage: perfgate [--quick] [--rounds N] [--threads N] [--out FILE] \
+                     [--baseline FILE] [--update-baseline] [--report-only] [--no-fit]";
+
+fn usage() -> ! {
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 fn parse_opts() -> Opts {
@@ -71,33 +79,38 @@ fn parse_opts() -> Opts {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| {
                         eprintln!("--rounds needs a positive integer");
-                        std::process::exit(2);
+                        usage();
                     });
             }
             "--threads" => {
                 o.threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--threads needs a non-negative integer (0 = auto)");
-                    std::process::exit(2);
+                    usage();
                 });
             }
-            "--out" => o.out = args.next(),
+            "--out" => {
+                o.out = Some(args.next().unwrap_or_else(|| {
+                    eprintln!("--out needs a path");
+                    usage();
+                }));
+            }
             "--baseline" => {
                 o.baseline = args.next().unwrap_or_else(|| {
                     eprintln!("--baseline needs a path");
-                    std::process::exit(2);
+                    usage();
                 });
             }
             "--update-baseline" => o.update_baseline = true,
             "--report-only" => o.report_only = true,
             "--no-fit" => o.fit = false,
             "--help" | "-h" => {
-                eprintln!(
-                    "options: --quick  --rounds N  --threads N  --out FILE  \
-                     --baseline FILE  --update-baseline  --report-only  --no-fit"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => eprintln!("ignoring unknown option {other}"),
+            other => {
+                eprintln!("unknown option {other}");
+                usage();
+            }
         }
     }
     o

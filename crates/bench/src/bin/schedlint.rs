@@ -35,6 +35,13 @@ struct Opts {
     threads: usize,
 }
 
+const USAGE: &str = "usage: schedlint [--all] [--deny] [--json] [--threads N] [--demo-broken]";
+
+fn usage() -> ! {
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn parse_opts() -> Opts {
     let mut o = Opts {
         all: false,
@@ -53,14 +60,17 @@ fn parse_opts() -> Opts {
             "--threads" => {
                 o.threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--threads needs a non-negative integer (0 = auto)");
-                    std::process::exit(2);
+                    usage();
                 });
             }
             "--help" | "-h" => {
-                eprintln!("options: --all  --deny  --json  --threads N  --demo-broken");
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => eprintln!("ignoring unknown option {other}"),
+            other => {
+                eprintln!("unknown option {other}");
+                usage();
+            }
         }
     }
     o

@@ -246,7 +246,8 @@ fn run_suite(args: &Args) -> bool {
                 pt,
                 mpisim::TieBreakPolicy::InsertionOrder,
                 args.trace_cap,
-            );
+            )
+            .record;
             let b = bench::diffsuite::record_suite_point(
                 pt,
                 if args.perturb {
@@ -255,7 +256,8 @@ fn run_suite(args: &Args) -> bool {
                     mpisim::TieBreakPolicy::InsertionOrder
                 },
                 args.trace_cap,
-            );
+            )
+            .record;
             let diff = obs::diff::diff(&a, &b);
             let ok = diff.verdict == obs::Verdict::ByteIdentical && diff.certified;
             let rendered = report::diff::render_report(&pt.label(), &diff);

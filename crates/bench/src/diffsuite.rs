@@ -4,10 +4,20 @@
 //! [`obs::RunRecord`] that `obs::diff` and the `tracediff` binary
 //! compare.
 
-use crate::perfgate::{default_suite, SuitePoint};
-use mpisim::exec::{ExecConfig, TieBreakPolicy};
+use crate::perfgate::SuitePoint;
+use mpisim::exec::{ExecConfig, ExecOutcome, Observed, TieBreakPolicy};
 use mpisim::{Machine, OpClass, Rank};
 use obs::{MetricsRegistry, RunRecord};
+
+/// One fully instrumented execution and the run record built from it.
+pub struct RecordedPoint {
+    /// The execution's outcome.
+    pub out: ExecOutcome,
+    /// Its instrumentation, provenance and event log included.
+    pub observed: Observed,
+    /// The canonical run record of `out` and `observed`.
+    pub record: RunRecord,
+}
 
 /// Runs one point fully instrumented and builds its run record. Pure:
 /// same inputs produce byte-identical serialized records. A non-default
@@ -22,7 +32,7 @@ pub fn record_point(
     m: u32,
     tie_break: TieBreakPolicy,
     trace_limit: Option<usize>,
-) -> RunRecord {
+) -> RecordedPoint {
     let bytes = if op == OpClass::Barrier { 0 } else { m };
     let comm = machine.communicator(p).expect("communicator size");
     let schedule = comm.schedule(op, Rank(0), bytes).expect("schedule build");
@@ -63,7 +73,11 @@ pub fn record_point(
             );
         }
     }
-    rec
+    RecordedPoint {
+        out,
+        observed,
+        record: rec,
+    }
 }
 
 /// [`record_point`] over a [`SuitePoint`].
@@ -71,7 +85,7 @@ pub fn record_suite_point(
     pt: &SuitePoint,
     tie_break: TieBreakPolicy,
     trace_limit: Option<usize>,
-) -> RunRecord {
+) -> RecordedPoint {
     record_point(
         &pt.machine,
         pt.op,
@@ -80,11 +94,6 @@ pub fn record_suite_point(
         tie_break,
         trace_limit,
     )
-}
-
-/// The canonical 21-point suite (re-exported so bins need one import).
-pub fn suite() -> Vec<SuitePoint> {
-    default_suite()
 }
 
 /// File-stem-safe form of a suite label, e.g. `sp2_alltoall`.

@@ -54,9 +54,24 @@ pub struct Cli {
     pub threads: usize,
 }
 
+/// The flags [`Cli::parse`] accepts.
+const CLI_OPTIONS: &str = "[--quick] [--csv DIR] [--out FILE] [--json] [--threads N]";
+
+/// Prints `msg` and the usage line, then exits with status 2.
+fn cli_usage_error(msg: &str) -> ! {
+    let bin = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&bin)
+        .file_name()
+        .map_or(bin.clone(), |f| f.to_string_lossy().into_owned());
+    eprintln!("{msg}");
+    eprintln!("usage: {bin} {CLI_OPTIONS}");
+    std::process::exit(2);
+}
+
 impl Cli {
     /// Parses `--quick`, `--csv DIR`, `--out FILE`, `--json`, and
-    /// `--threads N` from `std::env::args`.
+    /// `--threads N` from `std::env::args`. An unknown flag, or a flag
+    /// without its value, prints usage and exits with status 2.
     pub fn parse() -> Self {
         let mut cli = Cli {
             threads: 1,
@@ -64,22 +79,25 @@ impl Cli {
         };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
+            let mut value = || {
+                args.next()
+                    .unwrap_or_else(|| cli_usage_error(&format!("{a} needs a value")))
+            };
             match a.as_str() {
                 "--quick" => cli.quick = true,
-                "--csv" => cli.csv_dir = args.next(),
-                "--out" => cli.out = args.next(),
+                "--csv" => cli.csv_dir = Some(value()),
+                "--out" => cli.out = Some(value()),
                 "--json" => cli.json = true,
                 "--threads" => {
-                    cli.threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--threads needs a non-negative integer (0 = auto)");
-                        std::process::exit(2);
+                    cli.threads = value().parse().unwrap_or_else(|_| {
+                        cli_usage_error("--threads needs a non-negative integer (0 = auto)")
                     });
                 }
                 "--help" | "-h" => {
-                    eprintln!("options: --quick  --csv DIR  --out FILE  --json  --threads N");
+                    eprintln!("options: {CLI_OPTIONS}");
                     std::process::exit(0);
                 }
-                other => eprintln!("ignoring unknown option {other}"),
+                other => cli_usage_error(&format!("unknown option {other}")),
             }
         }
         cli

@@ -1,72 +1,66 @@
 //! The discrete-event engine.
 //!
 //! [`Engine`] owns a time-ordered event queue and a monotonically advancing
-//! clock. Events are [`Event`]s over a user-supplied *world* type `W` (the
-//! mutable simulation state): typed plain-data payloads stored inline in
-//! the queue and dispatched through the world's
-//! [`EventWorld::dispatch`](crate::EventWorld::dispatch) `match` — the hot
-//! path, zero allocations — or boxed closures for the rare dynamic case.
-//! Firing an event may schedule further events. Ties in firing time break
-//! by insertion order, which makes every run deterministic.
+//! clock over a user-supplied *world* type `W` (the mutable simulation
+//! state). Events are plain-data [`TypedEvent`]s, stored inline in a
+//! binary heap and dispatched through the world's
+//! [`EventWorld::dispatch`](crate::EventWorld::dispatch) `match`: no
+//! allocation and no indirect call per event. Firing an event may
+//! schedule further events. Ties in firing time break by insertion order,
+//! which makes every run deterministic.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 
-use crate::calqueue::CalendarQueue;
-use crate::event::{Event, EventStats, EventWorld, TypedEvent};
+use crate::event::{EventStats, EventWorld, TypedEvent};
 use crate::eventlog::EventLog;
 use crate::provenance::{Provenance, ROOT};
 use crate::time::{SimDuration, SimTime};
 
-/// A dynamic event callback: receives the scheduling handle and the world.
-pub type EventFn<W> = Box<dyn FnOnce(&mut Scheduler<W>, &mut W)>;
-
-struct Scheduled<W> {
+/// One pending event: when it fires, its insertion sequence number (the
+/// same-instant tie-break), and its payload.
+pub(crate) struct Scheduled {
     at: SimTime,
     seq: u64,
-    ev: Event<W>,
+    ev: TypedEvent,
 }
 
-impl<W> PartialEq for Scheduled<W> {
+impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<W> Eq for Scheduled<W> {}
-impl<W> PartialOrd for Scheduled<W> {
+impl Eq for Scheduled {}
+impl PartialOrd for Scheduled {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<W> Ord for Scheduled<W> {
+impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// The part of the engine visible to a firing event: the clock, the
-/// ability to schedule more events, and the continuation slab.
+/// The part of the engine visible to a firing event: the clock and the
+/// pending-event queue it posts into.
 ///
-/// Split from [`Engine`] so firing events can schedule without aliasing
-/// the queue being drained.
+/// Split from [`Engine`] so a firing event can post and read the clock
+/// but cannot step the engine or touch its instrumentation. `W` is the
+/// world type the queued events are dispatched to.
 pub struct Scheduler<W> {
     now: SimTime,
     next_seq: u64,
-    pending: Vec<Scheduled<W>>,
-    /// Parked dynamic continuations, addressed by
-    /// [`TypedEvent::Continuation`] slot. Freed slots are recycled
-    /// through `slab_free` so steady-state continuation traffic reuses
-    /// capacity instead of growing the slab.
-    slab: Vec<Option<EventFn<W>>>,
-    slab_free: Vec<u32>,
-    stats: EventStats,
+    queue: BinaryHeap<Scheduled>,
     /// Causal-parent log, `None` (the default) unless the engine was
     /// built [`Engine::with_provenance`] — one branch per push when off.
     prov: Option<Box<Provenance>>,
     /// Sequence number of the event currently being dispatched, or
     /// [`ROOT`] outside dispatch. Only maintained when `prov` is on.
     current: u64,
+    world: PhantomData<fn(&mut W)>,
 }
 
 impl<W> Scheduler<W> {
@@ -75,90 +69,19 @@ impl<W> Scheduler<W> {
         self.now
     }
 
-    /// Posts a typed event to fire after `delay` — the allocation-free
-    /// hot path. The event is stored inline in the queue and dispatched
-    /// through [`EventWorld::dispatch`].
+    /// Posts an event to fire after `delay`. The event is stored inline
+    /// in the queue and dispatched through [`EventWorld::dispatch`].
     pub fn post_in(&mut self, delay: SimDuration, ev: TypedEvent) {
         let at = self.now + delay;
         self.post_at(at, ev);
     }
 
-    /// Posts a typed event at the absolute instant `at`.
+    /// Posts an event at the absolute instant `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past — simulated time never rewinds.
     pub fn post_at(&mut self, at: SimTime, ev: TypedEvent) {
-        self.stats.typed += 1;
-        self.push(at, Event::Typed(ev));
-    }
-
-    /// Schedules a boxed-closure `event` to fire after `delay` (the
-    /// legacy dynamic path — one heap allocation per event; prefer
-    /// [`Scheduler::post_in`] for known event kinds).
-    pub fn schedule_in(&mut self, delay: SimDuration, event: EventFn<W>) {
-        let at = self.now + delay;
-        self.schedule_at(at, event);
-    }
-
-    /// Schedules a boxed-closure `event` at the absolute instant `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past — simulated time never rewinds.
-    pub fn schedule_at(&mut self, at: SimTime, event: EventFn<W>) {
-        self.stats.dynamic += 1;
-        self.push(at, Event::Dyn(event));
-    }
-
-    /// Defers a dynamic continuation: the closure is parked in the
-    /// engine slab (slot recycled from the free-list when possible) and
-    /// a [`TypedEvent::Continuation`] fires it after `delay`. For code
-    /// that genuinely needs a capture but runs often enough that slab
-    /// reuse matters.
-    pub fn defer_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut Scheduler<W>, &mut W) + 'static,
-    ) {
-        let at = self.now + delay;
-        self.defer_at(at, f);
-    }
-
-    /// Defers a dynamic continuation at the absolute instant `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn defer_at(&mut self, at: SimTime, f: impl FnOnce(&mut Scheduler<W>, &mut W) + 'static) {
-        self.stats.continuations += 1;
-        let boxed: EventFn<W> = Box::new(f);
-        let slot = match self.slab_free.pop() {
-            Some(slot) => {
-                self.stats.slab_reuses += 1;
-                self.slab[slot as usize] = Some(boxed);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("continuation slab overflow");
-                self.slab.push(Some(boxed));
-                slot
-            }
-        };
-        self.push(at, Event::Typed(TypedEvent::Continuation { slot }));
-    }
-
-    /// Removes and returns the continuation parked at `slot`, returning
-    /// the slot to the free-list.
-    fn take_continuation(&mut self, slot: u32) -> EventFn<W> {
-        let f = self.slab[slot as usize]
-            .take()
-            .expect("continuation slot fired twice");
-        self.slab_free.push(slot);
-        f
-    }
-
-    fn push(&mut self, at: SimTime, ev: Event<W>) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now={}, at={}",
@@ -172,7 +95,7 @@ impl<W> Scheduler<W> {
             // order, so the Vec index and the sequence number coincide.
             p.record(self.current, at);
         }
-        self.pending.push(Scheduled { at, seq, ev });
+        self.queue.push(Scheduled { at, seq, ev });
     }
 }
 
@@ -189,66 +112,9 @@ struct TieSwap {
     applied: bool,
 }
 
-/// The pending-event set: a binary heap by default, or a calendar queue
-/// for heavily loaded simulations (identical ordering semantics).
-enum Queue<W> {
-    Heap(BinaryHeap<Scheduled<W>>),
-    Calendar(CalendarQueue<Event<W>>),
-}
-
-impl<W> Queue<W> {
-    fn push(&mut self, ev: Scheduled<W>) {
-        match self {
-            Queue::Heap(h) => h.push(ev),
-            Queue::Calendar(c) => c.push((ev.at.as_nanos(), ev.seq), ev.ev),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<W>> {
-        match self {
-            Queue::Heap(h) => h.pop(),
-            Queue::Calendar(c) => c.pop().map(|((t, seq), ev)| Scheduled {
-                at: SimTime::from_nanos(t),
-                seq,
-                ev,
-            }),
-        }
-    }
-
-    fn peek_at(&self) -> Option<SimTime> {
-        match self {
-            Queue::Heap(h) => h.peek().map(|ev| ev.at),
-            Queue::Calendar(c) => c.peek_key().map(|(t, _)| SimTime::from_nanos(t)),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            Queue::Heap(h) => h.is_empty(),
-            Queue::Calendar(c) => c.is_empty(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Heap(h) => h.len(),
-            Queue::Calendar(c) => c.len(),
-        }
-    }
-
-    /// `(resizes, buckets, max_bucket_occupancy)` for the calendar
-    /// backend; `None` for the heap.
-    fn calendar_stats(&self) -> Option<(u64, usize, usize)> {
-        match self {
-            Queue::Heap(_) => None,
-            Queue::Calendar(c) => Some((c.resizes(), c.bucket_count(), c.max_bucket_occupancy())),
-        }
-    }
-}
-
 /// Host-side engine self-profile, collected only when the engine was
 /// built [`Engine::with_profiling`]. Wall-clock figures come from
-/// `std::time::Instant` around [`Engine::run`]; queue statistics are
+/// `std::time::Instant` around [`Engine::run`]; the queue depth is
 /// sampled every [`EngineProfile::SAMPLE_EVERY`] fired events so the
 /// hot loop stays branch-plus-mask cheap.
 #[derive(Debug, Clone, Default)]
@@ -261,12 +127,10 @@ pub struct EngineProfile {
     samples: u64,
     /// Sampled pending-queue depths (pow2 buckets).
     queue_depth: obs::Pow2Histogram,
-    /// Sampled fullest-day-bucket occupancy (calendar backend only).
-    calendar_occupancy: obs::Pow2Histogram,
 }
 
 impl EngineProfile {
-    /// Queue statistics are sampled once per this many fired events.
+    /// The queue depth is sampled once per this many fired events.
     pub const SAMPLE_EVERY: u64 = 64;
 
     /// Wall-clock nanoseconds spent inside timed `run()` windows.
@@ -311,24 +175,13 @@ impl EngineProfile {
             );
             reg.gauge("engine.prof.queue_depth.mean", self.queue_depth.mean());
         }
-        if self.calendar_occupancy.count() > 0 {
-            reg.gauge(
-                "engine.prof.calendar.max_bucket.p50",
-                self.calendar_occupancy.quantile(0.5).unwrap_or(0) as f64,
-            );
-            reg.gauge(
-                "engine.prof.calendar.max_bucket.mean",
-                self.calendar_occupancy.mean(),
-            );
-        }
     }
 }
 
 /// A deterministic discrete-event simulation engine over world state `W`.
 ///
-/// The world implements [`EventWorld`] and receives typed events through
-/// its `dispatch` match; boxed closures remain available through
-/// [`Engine::schedule_in`] for the rare dynamic case.
+/// The world implements [`EventWorld`] and receives every event through
+/// its `dispatch` match.
 ///
 /// # Examples
 ///
@@ -358,7 +211,6 @@ impl EngineProfile {
 /// assert_eq!(world.hits, vec![5, 15]);
 /// ```
 pub struct Engine<W> {
-    queue: Queue<W>,
     scheduler: Scheduler<W>,
     fired: u64,
     event_limit: u64,
@@ -374,7 +226,7 @@ pub struct Engine<W> {
     swap: Option<TieSwap>,
     /// The deferred half of an engaged tie swap: popped first, fired
     /// second.
-    held: Option<Scheduled<W>>,
+    held: Option<Scheduled>,
     /// Last `(time_ns, seq)` the queue yielded, for the pop-order
     /// invariant check (debug builds only): pops must be strictly
     /// increasing — ties break by insertion order.
@@ -392,19 +244,8 @@ impl<W> Engine<W> {
     /// Default cap on fired events; a backstop against runaway simulations.
     pub const DEFAULT_EVENT_LIMIT: u64 = 2_000_000_000;
 
-    /// Creates an empty engine with the clock at time zero (binary-heap
-    /// pending set).
-    pub fn new() -> Self {
-        Self::with_queue(Queue::Heap(BinaryHeap::new()))
-    }
-
-    /// Creates an engine backed by a calendar queue — O(1) amortized
-    /// enqueue/dequeue for dense event populations, with identical
-    /// deterministic ordering to the default heap.
-    pub fn with_calendar_queue() -> Self {
-        Self::with_queue(Queue::Calendar(CalendarQueue::new()))
-    }
-
+    /// Creates an empty engine with the clock at time zero.
+    //
     // Never inlined: a call is opaque to MIR value numbering. rustc
     // 1.95.0's GVN pass otherwise treats two `Engine::new()` values as
     // one, and a closure taking an engine by value, called twice with
@@ -414,18 +255,15 @@ impl<W> Engine<W> {
     // by `engines_built_in_sequence_start_fresh` in
     // `tests/proptest_engine.rs`.
     #[inline(never)]
-    fn with_queue(queue: Queue<W>) -> Self {
+    pub fn new() -> Self {
         Engine {
-            queue,
             scheduler: Scheduler {
                 now: SimTime::ZERO,
                 next_seq: 0,
-                pending: Vec::new(),
-                slab: Vec::new(),
-                slab_free: Vec::new(),
-                stats: EventStats::default(),
+                queue: BinaryHeap::new(),
                 prov: None,
                 current: ROOT,
+                world: PhantomData,
             },
             fired: 0,
             event_limit: Self::DEFAULT_EVENT_LIMIT,
@@ -447,9 +285,8 @@ impl<W> Engine<W> {
     }
 
     /// Enables engine self-profiling: wall-clock timing of `run()` loops
-    /// plus sampled queue-depth / calendar-occupancy histograms.
-    /// Profiling never perturbs the simulation itself — only host-side
-    /// counters are touched.
+    /// plus a sampled queue-depth histogram. Profiling never perturbs the
+    /// simulation itself — only host-side counters are touched.
     pub fn with_profiling(mut self) -> Self {
         self.prof = Some(Box::default());
         self
@@ -528,117 +365,44 @@ impl<W> Engine<W> {
     }
 
     /// Largest number of simultaneously pending events seen so far —
-    /// the queue-depth high-water mark.
+    /// the queue-depth high-water mark, sampled after each post from
+    /// outside the engine and at the end of each step.
     pub fn queue_high_water(&self) -> usize {
         self.queue_high_water
     }
 
-    /// Which pending-set backend this engine uses: `"heap"` or
-    /// `"calendar"`.
-    pub fn queue_backend(&self) -> &'static str {
-        match self.queue {
-            Queue::Heap(_) => "heap",
-            Queue::Calendar(_) => "calendar",
-        }
-    }
-
-    /// Exports engine counters into a metrics registry: events fired,
-    /// current and high-water queue occupancy, and a backend indicator
-    /// (`engine.queue.backend.heap` / `.calendar`).
-    pub fn export_metrics(&self, reg: &mut obs::MetricsRegistry) {
-        reg.counter("engine.events_fired", self.fired);
-        reg.counter("engine.scheduled_total", self.scheduler.next_seq);
-        reg.gauge("engine.queue.high_water", self.queue_high_water as f64);
-        reg.gauge("engine.queue.len", self.queue.len() as f64);
-        reg.counter(format!("engine.queue.backend.{}", self.queue_backend()), 1);
-        self.scheduler.stats.export_metrics(reg);
-        if let Some((resizes, buckets, occ)) = self.queue.calendar_stats() {
-            reg.counter("engine.calendar.resizes", resizes);
-            reg.gauge("engine.calendar.buckets", buckets as f64);
-            reg.gauge("engine.calendar.max_bucket", occ as f64);
-        }
-        if let Some(prof) = &self.prof {
-            prof.export_metrics(reg);
-        }
-        if let Some(prov) = &self.scheduler.prov {
-            prov.export_metrics(reg);
-        }
-        if let Some(elog) = &self.elog {
-            elog.export_metrics(reg);
-        }
-    }
-
     /// True when no events remain.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.scheduler.pending.is_empty() && self.held.is_none()
+        self.scheduler.queue.is_empty() && self.held.is_none()
     }
 
-    /// Posts a typed event after `delay` from the current clock — the
-    /// allocation-free hot path (see [`Scheduler::post_in`]).
+    /// Posts an event after `delay` from the current clock (see
+    /// [`Scheduler::post_in`]).
     pub fn post_in(&mut self, delay: SimDuration, ev: TypedEvent) {
         self.scheduler.post_in(delay, ev);
-        self.drain_pending();
+        self.note_high_water();
     }
 
-    /// Posts a typed event at absolute time `at`.
+    /// Posts an event at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current clock.
     pub fn post_at(&mut self, at: SimTime, ev: TypedEvent) {
         self.scheduler.post_at(at, ev);
-        self.drain_pending();
+        self.note_high_water();
     }
 
-    /// Defers a slab-backed dynamic continuation after `delay` (see
-    /// [`Scheduler::defer_in`]).
-    pub fn defer_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut Scheduler<W>, &mut W) + 'static,
-    ) {
-        self.scheduler.defer_in(delay, f);
-        self.drain_pending();
-    }
-
-    /// Defers a slab-backed dynamic continuation at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current clock.
-    pub fn defer_at(&mut self, at: SimTime, f: impl FnOnce(&mut Scheduler<W>, &mut W) + 'static) {
-        self.scheduler.defer_at(at, f);
-        self.drain_pending();
-    }
-
-    /// Schedules a boxed-closure event after `delay` from the current
-    /// clock (the legacy dynamic path; stored as [`Event::Dyn`]).
-    pub fn schedule_in(&mut self, delay: SimDuration, event: EventFn<W>) {
-        self.scheduler.schedule_in(delay, event);
-        self.drain_pending();
-    }
-
-    /// Schedules a boxed-closure event at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current clock.
-    pub fn schedule_at(&mut self, at: SimTime, event: EventFn<W>) {
-        self.scheduler.schedule_at(at, event);
-        self.drain_pending();
-    }
-
-    /// How events entered the queue so far: typed (inline) vs dynamic
-    /// (boxed) vs slab continuations — the `engine.alloc.*` counters.
+    /// How many events entered the queue so far (the
+    /// `engine.alloc.typed_events` counter).
     pub fn event_stats(&self) -> EventStats {
-        self.scheduler.stats
+        EventStats {
+            typed: self.scheduler.next_seq,
+        }
     }
 
-    fn drain_pending(&mut self) {
-        for ev in self.scheduler.pending.drain(..) {
-            self.queue.push(ev);
-        }
-        self.queue_high_water = self.queue_high_water.max(self.queue.len());
+    fn note_high_water(&mut self) {
+        self.queue_high_water = self.queue_high_water.max(self.scheduler.queue.len());
     }
 }
 
@@ -671,10 +435,7 @@ impl<W: EventWorld> Engine<W> {
         if let Some(prof) = &mut self.prof {
             if self.fired & (EngineProfile::SAMPLE_EVERY - 1) == 0 {
                 prof.samples += 1;
-                prof.queue_depth.record(self.queue.len() as u64);
-                if let Some((_, _, occ)) = self.queue.calendar_stats() {
-                    prof.calendar_occupancy.record(occ as u64);
-                }
+                prof.queue_depth.record(self.scheduler.queue.len() as u64);
             }
         }
         self.scheduler.now = ev.at;
@@ -683,35 +444,27 @@ impl<W: EventWorld> Engine<W> {
             self.scheduler.current = ev.seq;
         }
         if let Some(log) = &mut self.elog {
-            // Encode from a borrow — the dispatch match below consumes
-            // the payload.
             let (kind, a, b) = crate::eventlog::encode(&ev.ev);
             log.record(ev.seq, ev.at, kind, a, b);
         }
-        match ev.ev {
-            Event::Typed(TypedEvent::Continuation { slot }) => {
-                let f = self.scheduler.take_continuation(slot);
-                f(&mut self.scheduler, world);
-            }
-            Event::Typed(t) => world.dispatch(&mut self.scheduler, t),
-            Event::Dyn(f) => f(&mut self.scheduler, world),
-        }
+        world.dispatch(&mut self.scheduler, ev.ev);
         if self.scheduler.prov.is_some() {
             // Anything scheduled between steps (from outside dispatch)
             // is a fresh root stimulus.
             self.scheduler.current = ROOT;
         }
-        self.drain_pending();
+        // Dispatch only adds events, so the queue is deepest now.
+        self.note_high_water();
         true
     }
 
     /// Pops the earliest pending event, checking (in debug builds) the
     /// engine's ordering invariant: successive pops yield strictly
-    /// increasing `(time_ns, seq)` — ties break by insertion order, on
-    /// both queue backends. A queue refactor that breaks this fails
-    /// loudly in tests instead of via silent trace drift.
-    fn pop_checked(&mut self) -> Option<Scheduled<W>> {
-        let ev = self.queue.pop()?;
+    /// increasing `(time_ns, seq)` — ties break by insertion order. A
+    /// queue refactor that breaks this fails loudly in tests instead of
+    /// via silent trace drift.
+    fn pop_checked(&mut self) -> Option<Scheduled> {
+        let ev = self.scheduler.queue.pop()?;
         #[cfg(debug_assertions)]
         {
             let key = (ev.at.as_nanos(), ev.seq);
@@ -735,7 +488,7 @@ impl<W: EventWorld> Engine<W> {
     /// is the immediately next pending event at the same instant, holds
     /// `ev` for the following step and returns the partner to fire
     /// first. Otherwise returns `ev` unchanged.
-    fn maybe_swap(&mut self, ev: Scheduled<W>) -> Scheduled<W> {
+    fn maybe_swap(&mut self, ev: Scheduled) -> Scheduled {
         let Some(swap) = self.swap else {
             return ev;
         };
@@ -760,7 +513,7 @@ impl<W: EventWorld> Engine<W> {
                 {
                     self.last_pop = before;
                 }
-                self.queue.push(other);
+                self.scheduler.queue.push(other);
                 ev
             }
             None => ev,
@@ -791,9 +544,9 @@ impl<W: EventWorld> Engine<W> {
     /// Events at exactly `deadline` do fire.
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
         loop {
-            let at = match (&self.held, self.queue.peek_at()) {
+            let at = match (&self.held, self.scheduler.queue.peek()) {
                 (Some(h), _) => h.at,
-                (None, Some(at)) => at,
+                (None, Some(ev)) => ev.at,
                 (None, None) => break,
             };
             if at > deadline {
@@ -813,7 +566,7 @@ impl<W> std::fmt::Debug for Engine<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.scheduler.now)
-            .field("queued", &self.queue.len())
+            .field("queued", &self.scheduler.queue.len())
             .field("fired", &self.fired)
             .finish()
     }
@@ -823,101 +576,115 @@ impl<W> std::fmt::Debug for Engine<W> {
 mod tests {
     use super::*;
 
-    type World = Vec<(u64, &'static str)>;
+    /// Logs every fired event with its instant. With `countdown` set, a
+    /// `Timer { id }` with `id > 0` posts `Timer { id: id - 1 }` that
+    /// many nanoseconds later.
+    #[derive(Default)]
+    struct Log {
+        fired: Vec<(u64, TypedEvent)>,
+        countdown: Option<u64>,
+    }
 
-    fn record(label: &'static str) -> EventFn<World> {
-        Box::new(move |s, w: &mut World| w.push((s.now().as_nanos(), label)))
+    impl Log {
+        /// `(instant, id)` per fired timer.
+        fn timers(&self) -> Vec<(u64, u64)> {
+            self.fired
+                .iter()
+                .map(|&(t, ev)| match ev {
+                    TypedEvent::Timer { id } => (t, id),
+                    other => panic!("expected a timer, fired {other:?}"),
+                })
+                .collect()
+        }
+
+        /// Fired timer ids in firing order.
+        fn ids(&self) -> Vec<u64> {
+            self.timers().into_iter().map(|(_, id)| id).collect()
+        }
+    }
+
+    impl EventWorld for Log {
+        fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: TypedEvent) {
+            self.fired.push((s.now().as_nanos(), ev));
+            if let (TypedEvent::Timer { id }, Some(delay)) = (ev, self.countdown) {
+                if id > 0 {
+                    s.post_in(
+                        SimDuration::from_nanos(delay),
+                        TypedEvent::Timer { id: id - 1 },
+                    );
+                }
+            }
+        }
+    }
+
+    fn timer(e: &mut Engine<Log>, at: u64, id: u64) {
+        e.post_at(SimTime::from_nanos(at), TypedEvent::Timer { id });
     }
 
     #[test]
     fn fires_in_time_order() {
         let mut e = Engine::new();
-        let mut w: World = Vec::new();
-        e.schedule_at(SimTime::from_nanos(30), record("c"));
-        e.schedule_at(SimTime::from_nanos(10), record("a"));
-        e.schedule_at(SimTime::from_nanos(20), record("b"));
+        let mut w = Log::default();
+        timer(&mut e, 30, 3);
+        timer(&mut e, 10, 1);
+        timer(&mut e, 20, 2);
         e.run(&mut w);
-        assert_eq!(w, vec![(10, "a"), (20, "b"), (30, "c")]);
+        assert_eq!(w.timers(), vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
         let mut e = Engine::new();
-        let mut w: World = Vec::new();
-        for label in ["first", "second", "third"] {
-            e.schedule_at(SimTime::from_nanos(5), record(label));
+        let mut w = Log::default();
+        for id in [7, 3, 5] {
+            timer(&mut e, 5, id);
         }
         e.run(&mut w);
-        assert_eq!(
-            w.iter().map(|(_, l)| *l).collect::<Vec<_>>(),
-            vec!["first", "second", "third"]
-        );
+        assert_eq!(w.ids(), vec![7, 3, 5]);
     }
 
     #[test]
     fn tie_swap_inverts_exactly_one_adjacent_pair() {
-        for calendar in [false, true] {
-            let mut e = if calendar {
-                Engine::with_calendar_queue()
-            } else {
-                Engine::new()
-            }
-            .with_tie_swap(SimTime::from_nanos(5), 0, 1);
-            let mut w: World = Vec::new();
-            for label in ["first", "second", "third"] {
-                e.schedule_at(SimTime::from_nanos(5), record(label));
-            }
-            e.run(&mut w);
-            assert_eq!(
-                w.iter().map(|(_, l)| *l).collect::<Vec<_>>(),
-                vec!["second", "first", "third"],
-                "calendar={calendar}"
-            );
-            assert_eq!(e.tie_swap_applied(), Some(true));
+        let mut e = Engine::new().with_tie_swap(SimTime::from_nanos(5), 0, 1);
+        let mut w = Log::default();
+        for id in [1, 2, 3] {
+            timer(&mut e, 5, id);
         }
+        e.run(&mut w);
+        assert_eq!(w.ids(), vec![2, 1, 3]);
+        assert_eq!(e.tie_swap_applied(), Some(true));
     }
 
     #[test]
     fn tie_swap_missing_partner_leaves_run_untouched() {
-        for calendar in [false, true] {
-            // Targets seqs (0, 2), but seq 1 sits between them: the swap
-            // must not engage and the order must be the insertion order.
-            let mut e = if calendar {
-                Engine::with_calendar_queue()
-            } else {
-                Engine::new()
-            }
-            .with_tie_swap(SimTime::from_nanos(5), 0, 2);
-            let mut w: World = Vec::new();
-            for label in ["first", "second", "third"] {
-                e.schedule_at(SimTime::from_nanos(5), record(label));
-            }
-            e.run(&mut w);
-            assert_eq!(
-                w.iter().map(|(_, l)| *l).collect::<Vec<_>>(),
-                vec!["first", "second", "third"],
-                "calendar={calendar}"
-            );
-            assert_eq!(e.tie_swap_applied(), Some(false));
+        // Targets seqs (0, 2), but seq 1 sits between them: the swap
+        // must not engage and the order must be the insertion order.
+        let mut e = Engine::new().with_tie_swap(SimTime::from_nanos(5), 0, 2);
+        let mut w = Log::default();
+        for id in [1, 2, 3] {
+            timer(&mut e, 5, id);
         }
+        e.run(&mut w);
+        assert_eq!(w.ids(), vec![1, 2, 3]);
+        assert_eq!(e.tie_swap_applied(), Some(false));
     }
 
     #[test]
     fn tie_swap_wrong_instant_never_engages() {
         let mut e = Engine::new().with_tie_swap(SimTime::from_nanos(99), 0, 1);
-        let mut w: World = Vec::new();
-        e.schedule_at(SimTime::from_nanos(5), record("a"));
-        e.schedule_at(SimTime::from_nanos(5), record("b"));
+        let mut w = Log::default();
+        timer(&mut e, 5, 1);
+        timer(&mut e, 5, 2);
         e.run(&mut w);
-        assert_eq!(w, vec![(5, "a"), (5, "b")]);
+        assert_eq!(w.timers(), vec![(5, 1), (5, 2)]);
         assert_eq!(e.tie_swap_applied(), Some(false));
     }
 
     #[test]
     fn no_swap_reports_none() {
         let mut e = Engine::new();
-        let mut w: World = Vec::new();
-        e.schedule_at(SimTime::from_nanos(1), record("x"));
+        let mut w = Log::default();
+        timer(&mut e, 1, 0);
         e.run(&mut w);
         assert_eq!(e.tie_swap_applied(), None);
     }
@@ -925,35 +692,33 @@ mod tests {
     #[test]
     fn events_can_schedule_events() {
         let mut e = Engine::new();
-        let mut w: World = Vec::new();
-        e.schedule_in(
-            SimDuration::from_nanos(1),
-            Box::new(|s, _w: &mut World| {
-                s.schedule_in(SimDuration::from_nanos(2), record("child"));
-            }),
-        );
+        let mut w = Log {
+            countdown: Some(2),
+            ..Log::default()
+        };
+        e.post_in(SimDuration::from_nanos(1), TypedEvent::Timer { id: 1 });
         e.run(&mut w);
-        assert_eq!(w, vec![(3, "child")]);
+        assert_eq!(w.timers(), vec![(1, 1), (3, 0)]);
         assert_eq!(e.events_fired(), 2);
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
         let mut e = Engine::new();
-        let mut w: World = Vec::new();
-        e.schedule_at(SimTime::from_nanos(10), record("early"));
-        e.schedule_at(SimTime::from_nanos(100), record("late"));
+        let mut w = Log::default();
+        timer(&mut e, 10, 1);
+        timer(&mut e, 100, 2);
         e.run_until(&mut w, SimTime::from_nanos(50));
-        assert_eq!(w, vec![(10, "early")]);
+        assert_eq!(w.timers(), vec![(10, 1)]);
         assert_eq!(e.now(), SimTime::from_nanos(10));
         e.run(&mut w);
-        assert_eq!(w.len(), 2);
+        assert_eq!(w.fired.len(), 2);
     }
 
     #[test]
     fn run_until_advances_idle_clock() {
-        let mut e: Engine<World> = Engine::new();
-        let mut w: World = Vec::new();
+        let mut e: Engine<Log> = Engine::new();
+        let mut w = Log::default();
         e.run_until(&mut w, SimTime::from_nanos(42));
         assert_eq!(e.now(), SimTime::from_nanos(42));
     }
@@ -962,74 +727,53 @@ mod tests {
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_past_panics() {
         let mut e = Engine::new();
-        let mut w: World = Vec::new();
-        e.schedule_at(SimTime::from_nanos(10), record("x"));
+        let mut w = Log::default();
+        timer(&mut e, 10, 0);
         e.run(&mut w);
-        e.schedule_at(SimTime::from_nanos(5), record("bad"));
+        timer(&mut e, 5, 1);
     }
 
     #[test]
     #[should_panic(expected = "event limit")]
     fn event_limit_trips() {
         let mut e = Engine::new().with_event_limit(10);
-        let mut w: World = Vec::new();
-        fn rearm(s: &mut Scheduler<World>) {
-            s.schedule_in(
-                SimDuration::from_nanos(1),
-                Box::new(|s, _w: &mut World| rearm(s)),
-            );
-        }
-        e.schedule_in(
-            SimDuration::from_nanos(1),
-            Box::new(|s, _w: &mut World| rearm(s)),
-        );
+        let mut w = Log {
+            countdown: Some(1),
+            ..Log::default()
+        };
+        timer(&mut e, 1, u64::MAX);
         e.run(&mut w);
     }
 
     #[test]
     fn queue_high_water_tracks_peak_occupancy() {
         let mut e = Engine::new();
-        let mut w: World = Vec::new();
+        let mut w = Log::default();
         for t in 1..=5 {
-            e.schedule_at(SimTime::from_nanos(t), record("x"));
+            timer(&mut e, t, 0);
         }
         assert_eq!(e.queue_high_water(), 5);
         e.run(&mut w);
         assert_eq!(e.queue_high_water(), 5, "high water survives the drain");
-        assert_eq!(e.queue_backend(), "heap");
-        assert_eq!(
-            Engine::<World>::with_calendar_queue().queue_backend(),
-            "calendar"
-        );
-
-        let mut reg = obs::MetricsRegistry::new();
-        e.export_metrics(&mut reg);
-        assert_eq!(reg.get("engine.events_fired").unwrap().as_f64(), Some(5.0));
-        assert_eq!(
-            reg.get("engine.queue.high_water").unwrap().as_f64(),
-            Some(5.0)
-        );
-        assert_eq!(
-            reg.get("engine.queue.backend.heap").unwrap().as_f64(),
-            Some(1.0)
-        );
+        assert_eq!(e.events_fired(), 5);
     }
 
     #[test]
     fn profiling_observes_without_perturbing() {
-        fn chain(e: &mut Engine<World>) -> (SimTime, World) {
-            let mut w: World = Vec::new();
+        fn chain(e: &mut Engine<Log>) -> (SimTime, Vec<(u64, u64)>) {
+            let mut w = Log::default();
             for t in 1..=1000u64 {
-                e.schedule_at(SimTime::from_nanos(t * 3), record("x"));
+                timer(e, t * 3, 0);
             }
             let end = e.run(&mut w);
-            (end, w)
+            (end, w.timers())
         }
         let (plain_end, plain_w) = chain(&mut Engine::new());
         let mut profiled = Engine::new().with_profiling();
         let (prof_end, prof_w) = chain(&mut profiled);
         assert_eq!(plain_end, prof_end, "profiling must not change results");
         assert_eq!(plain_w, prof_w);
+        assert_eq!(profiled.event_stats().typed, 1000);
 
         let prof = profiled.profile().expect("profile collected");
         assert!(prof.wall_ns() > 0);
@@ -1038,71 +782,31 @@ mod tests {
         assert!(prof.queue_depth().count() > 0, "depth sampled every 64");
 
         let mut reg = obs::MetricsRegistry::new();
-        profiled.export_metrics(&mut reg);
+        prof.export_metrics(&mut reg);
         assert!(reg.get("engine.prof.wall_ns").unwrap().as_f64().unwrap() > 0.0);
         assert_eq!(
             reg.get("engine.prof.events_timed").unwrap().as_f64(),
             Some(1000.0)
         );
-        assert_eq!(
-            reg.get("engine.scheduled_total").unwrap().as_f64(),
-            Some(1000.0)
-        );
     }
 
     #[test]
-    fn disabled_profiling_exports_nothing() {
+    fn profiling_is_off_by_default() {
         let mut e = Engine::new();
-        let mut w: World = Vec::new();
-        e.schedule_at(SimTime::from_nanos(1), record("x"));
+        let mut w = Log::default();
+        timer(&mut e, 1, 0);
         e.run(&mut w);
         assert!(e.profile().is_none());
-        let mut reg = obs::MetricsRegistry::new();
-        e.export_metrics(&mut reg);
-        assert!(reg.get("engine.prof.wall_ns").is_none());
-    }
-
-    #[test]
-    fn calendar_backend_exports_queue_stats() {
-        let mut e = Engine::<World>::with_calendar_queue().with_profiling();
-        let mut w: World = Vec::new();
-        for t in 1..=500u64 {
-            e.schedule_at(SimTime::from_nanos(t * 7), record("x"));
-        }
-        e.run(&mut w);
-        let mut reg = obs::MetricsRegistry::new();
-        e.export_metrics(&mut reg);
-        assert!(reg.get("engine.calendar.resizes").is_some());
-        assert!(
-            reg.get("engine.calendar.buckets")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
-    }
-
-    /// A world exercising the typed dispatch path: every event kind is
-    /// logged with its firing time; `Timer` re-arms once.
-    #[derive(Default)]
-    struct TypedWorld {
-        log: Vec<(u64, TypedEvent)>,
-    }
-
-    impl EventWorld for TypedWorld {
-        fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: TypedEvent) {
-            self.log.push((s.now().as_nanos(), ev));
-            if let TypedEvent::Timer { id: 0 } = ev {
-                s.post_in(SimDuration::from_nanos(4), TypedEvent::Timer { id: 1 });
-            }
-        }
     }
 
     #[test]
     fn typed_events_dispatch_through_world() {
         let mut e = Engine::new();
-        let mut w = TypedWorld::default();
-        e.post_at(SimTime::from_nanos(3), TypedEvent::Timer { id: 0 });
+        let mut w = Log {
+            countdown: Some(4),
+            ..Log::default()
+        };
+        timer(&mut e, 3, 1);
         e.post_at(
             SimTime::from_nanos(5),
             TypedEvent::MessageReady { src: 1, dst: 2 },
@@ -1110,110 +814,25 @@ mod tests {
         e.post_at(SimTime::from_nanos(5), TypedEvent::RankResume { rank: 9 });
         let end = e.run(&mut w);
         assert_eq!(
-            w.log,
+            w.fired,
             vec![
-                (3, TypedEvent::Timer { id: 0 }),
+                (3, TypedEvent::Timer { id: 1 }),
                 (5, TypedEvent::MessageReady { src: 1, dst: 2 }),
                 (5, TypedEvent::RankResume { rank: 9 }),
-                (7, TypedEvent::Timer { id: 1 }),
+                (7, TypedEvent::Timer { id: 0 }),
             ]
         );
         assert_eq!(end, SimTime::from_nanos(7));
-        let stats = e.event_stats();
-        assert_eq!(stats.typed, 4);
-        assert_eq!(stats.dynamic, 0);
-    }
-
-    #[test]
-    fn typed_and_dyn_interleave_by_insertion_order() {
-        let mut e = Engine::new();
-        let mut w = TypedWorld::default();
-        // Same timestamp; the closure fires between the two typed events
-        // because insertion order breaks the tie.
-        e.post_at(SimTime::from_nanos(5), TypedEvent::Timer { id: 10 });
-        e.schedule_at(
-            SimTime::from_nanos(5),
-            Box::new(|s, w: &mut TypedWorld| {
-                w.log
-                    .push((s.now().as_nanos(), TypedEvent::Timer { id: 99 }));
-            }),
-        );
-        e.post_at(SimTime::from_nanos(5), TypedEvent::Timer { id: 11 });
-        e.run(&mut w);
-        assert_eq!(
-            w.log.iter().map(|(_, ev)| *ev).collect::<Vec<_>>(),
-            vec![
-                TypedEvent::Timer { id: 10 },
-                TypedEvent::Timer { id: 99 },
-                TypedEvent::Timer { id: 11 },
-            ]
-        );
-        let stats = e.event_stats();
-        assert_eq!((stats.typed, stats.dynamic), (2, 1));
-    }
-
-    #[test]
-    fn continuations_recycle_slab_slots() {
-        let mut e = Engine::new();
-        let mut w: World = Vec::new();
-        // Chain of deferred continuations: each frees its slot before the
-        // next is parked, so the slab never grows past one slot.
-        fn arm(s: &mut Scheduler<World>, depth: u64) {
-            s.defer_in(SimDuration::from_nanos(2), move |s, w: &mut World| {
-                w.push((s.now().as_nanos(), "cont"));
-                if depth > 0 {
-                    arm(s, depth - 1);
-                }
-            });
-        }
-        e.defer_in(SimDuration::from_nanos(2), |s, w: &mut World| {
-            w.push((s.now().as_nanos(), "cont"));
-            arm(s, 3);
-        });
-        e.run(&mut w);
-        assert_eq!(
-            w,
-            vec![
-                (2, "cont"),
-                (4, "cont"),
-                (6, "cont"),
-                (8, "cont"),
-                (10, "cont")
-            ]
-        );
-        let stats = e.event_stats();
-        assert_eq!(stats.continuations, 5);
-        assert_eq!(stats.slab_reuses, 4, "all but the first reuse the slot");
-    }
-
-    #[test]
-    fn alloc_counters_reach_metrics() {
-        let mut e = Engine::new();
-        let mut w = TypedWorld::default();
-        e.post_at(SimTime::from_nanos(1), TypedEvent::Timer { id: 5 });
-        e.defer_at(SimTime::from_nanos(2), |_, _| {});
-        e.run(&mut w);
-        let mut reg = obs::MetricsRegistry::new();
-        e.export_metrics(&mut reg);
-        assert_eq!(
-            reg.get("engine.alloc.typed_events")
-                .and_then(|m| m.as_f64()),
-            Some(1.0)
-        );
-        assert_eq!(
-            reg.get("engine.alloc.continuations")
-                .and_then(|m| m.as_f64()),
-            Some(1.0)
-        );
+        assert_eq!(e.event_stats().typed, 4);
     }
 
     #[test]
     fn clock_is_monotone_across_steps() {
         let mut e = Engine::new();
-        let mut w: World = Vec::new();
-        e.schedule_at(SimTime::from_nanos(7), record("a"));
-        e.schedule_at(SimTime::from_nanos(7), record("b"));
-        e.schedule_at(SimTime::from_nanos(9), record("c"));
+        let mut w = Log::default();
+        timer(&mut e, 7, 1);
+        timer(&mut e, 7, 2);
+        timer(&mut e, 9, 3);
         let mut last = SimTime::ZERO;
         while e.step(&mut w) {
             assert!(e.now() >= last);

@@ -5,9 +5,7 @@
 //! actually executed — not what was scheduled, which includes events
 //! superseded or reordered by ties. [`EventLog`] captures, per fired
 //! event, the `(seq, at, kind, a, b)` tuple where `kind`/`a`/`b` encode
-//! the [`TypedEvent`](crate::TypedEvent) payload losslessly (dynamic
-//! closures collapse to [`EventKind::Dyn`] — their identity is their
-//! position in the stream).
+//! the [`TypedEvent`](crate::TypedEvent) payload losslessly.
 //!
 //! Like profiling and provenance, the log follows the zero-cost-when-off
 //! pattern: `None` (the default) unless the engine was built
@@ -36,11 +34,11 @@
 //! assert_eq!(log.get(0).a, 42);
 //! ```
 
-use crate::event::{Event, TypedEvent};
+use crate::event::TypedEvent;
 use crate::time::SimTime;
 
 /// The kind of a fired event, as recorded in the log. Mirrors the
-/// [`TypedEvent`] variants plus [`EventKind::Dyn`] for boxed closures.
+/// [`TypedEvent`] variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
     /// [`TypedEvent::RankResume`] — `a` = rank.
@@ -53,22 +51,16 @@ pub enum EventKind {
     ScheduleStep,
     /// [`TypedEvent::Timer`] — `a` = id.
     Timer,
-    /// [`TypedEvent::Continuation`] — `a` = slab slot.
-    Continuation,
-    /// A boxed dynamic closure ([`Event::Dyn`]); payload unrecordable.
-    Dyn,
 }
 
 impl EventKind {
     /// Every kind, in serialization-code order.
-    pub const ALL: [EventKind; 7] = [
+    pub const ALL: [EventKind; 5] = [
         EventKind::RankResume,
         EventKind::MessageReady,
         EventKind::LinkGrant,
         EventKind::ScheduleStep,
         EventKind::Timer,
-        EventKind::Continuation,
-        EventKind::Dyn,
     ];
 
     /// Stable snake_case key for serialization and display.
@@ -79,8 +71,6 @@ impl EventKind {
             EventKind::LinkGrant => "link_grant",
             EventKind::ScheduleStep => "schedule_step",
             EventKind::Timer => "timer",
-            EventKind::Continuation => "continuation",
-            EventKind::Dyn => "dyn",
         }
     }
 
@@ -98,8 +88,6 @@ impl EventKind {
             EventKind::LinkGrant => ("link", "grantee"),
             EventKind::ScheduleStep => ("rank", "step"),
             EventKind::Timer => ("id", ""),
-            EventKind::Continuation => ("slot", ""),
-            EventKind::Dyn => ("", ""),
         }
     }
 }
@@ -122,10 +110,9 @@ pub struct LoggedEvent {
 
 impl LoggedEvent {
     /// Decodes the logged `(kind, a, b)` triple back into the
-    /// [`TypedEvent`] it encoded — the inverse of [`encode`]. Returns
-    /// `None` for [`EventKind::Dyn`], whose payload is unrecordable.
-    pub fn typed(&self) -> Option<TypedEvent> {
-        let ev = match self.kind {
+    /// [`TypedEvent`] it encoded — the inverse of [`encode`].
+    pub fn typed(&self) -> TypedEvent {
+        match self.kind {
             EventKind::RankResume => TypedEvent::RankResume {
                 rank: self.a as u32,
             },
@@ -142,33 +129,22 @@ impl LoggedEvent {
                 step: self.b as u32,
             },
             EventKind::Timer => TypedEvent::Timer { id: self.a },
-            EventKind::Continuation => TypedEvent::Continuation {
-                slot: self.a as u32,
-            },
-            EventKind::Dyn => return None,
-        };
-        Some(ev)
+        }
     }
 }
 
 /// Encodes an event payload into its canonical `(kind, a, b)` triple.
-pub fn encode<W>(ev: &Event<W>) -> (EventKind, u64, u64) {
-    match ev {
-        Event::Typed(TypedEvent::RankResume { rank }) => (EventKind::RankResume, *rank as u64, 0),
-        Event::Typed(TypedEvent::MessageReady { src, dst }) => {
-            (EventKind::MessageReady, *src as u64, *dst as u64)
+pub fn encode(ev: &TypedEvent) -> (EventKind, u64, u64) {
+    match *ev {
+        TypedEvent::RankResume { rank } => (EventKind::RankResume, rank as u64, 0),
+        TypedEvent::MessageReady { src, dst } => (EventKind::MessageReady, src as u64, dst as u64),
+        TypedEvent::LinkGrant { link, grantee } => {
+            (EventKind::LinkGrant, link as u64, grantee as u64)
         }
-        Event::Typed(TypedEvent::LinkGrant { link, grantee }) => {
-            (EventKind::LinkGrant, *link as u64, *grantee as u64)
+        TypedEvent::ScheduleStep { rank, step } => {
+            (EventKind::ScheduleStep, rank as u64, step as u64)
         }
-        Event::Typed(TypedEvent::ScheduleStep { rank, step }) => {
-            (EventKind::ScheduleStep, *rank as u64, *step as u64)
-        }
-        Event::Typed(TypedEvent::Timer { id }) => (EventKind::Timer, *id, 0),
-        Event::Typed(TypedEvent::Continuation { slot }) => {
-            (EventKind::Continuation, *slot as u64, 0)
-        }
-        Event::Dyn(_) => (EventKind::Dyn, 0, 0),
+        TypedEvent::Timer { id } => (EventKind::Timer, id, 0),
     }
 }
 
@@ -214,11 +190,6 @@ impl EventLog {
             b,
         });
     }
-
-    /// Exports log counters into `reg` under `engine.elog.*`.
-    pub fn export_metrics(&self, reg: &mut obs::MetricsRegistry) {
-        reg.counter("engine.elog.events", self.events.len() as u64);
-    }
 }
 
 impl<'a> IntoIterator for &'a EventLog {
@@ -242,53 +213,53 @@ mod tests {
     }
 
     #[test]
-    fn encode_covers_every_typed_variant() {
-        let cases: [(Event<()>, EventKind, u64, u64); 6] = [
+    fn encode_covers_every_typed_variant_and_typed_inverts_it() {
+        let cases = [
             (
-                Event::Typed(TypedEvent::RankResume { rank: 3 }),
+                TypedEvent::RankResume { rank: 3 },
                 EventKind::RankResume,
                 3,
                 0,
             ),
             (
-                Event::Typed(TypedEvent::MessageReady { src: 1, dst: 2 }),
+                TypedEvent::MessageReady { src: 1, dst: 2 },
                 EventKind::MessageReady,
                 1,
                 2,
             ),
             (
-                Event::Typed(TypedEvent::LinkGrant {
+                TypedEvent::LinkGrant {
                     link: 7,
                     grantee: 9,
-                }),
+                },
                 EventKind::LinkGrant,
                 7,
                 9,
             ),
             (
-                Event::Typed(TypedEvent::ScheduleStep { rank: 4, step: 11 }),
+                TypedEvent::ScheduleStep { rank: 4, step: 11 },
                 EventKind::ScheduleStep,
                 4,
                 11,
             ),
             (
-                Event::Typed(TypedEvent::Timer { id: u64::MAX }),
+                TypedEvent::Timer { id: u64::MAX },
                 EventKind::Timer,
                 u64::MAX,
-                0,
-            ),
-            (
-                Event::Typed(TypedEvent::Continuation { slot: 5 }),
-                EventKind::Continuation,
-                5,
                 0,
             ),
         ];
         for (ev, kind, a, b) in cases {
             assert_eq!(encode(&ev), (kind, a, b));
+            let logged = LoggedEvent {
+                seq: 0,
+                at: SimTime::ZERO,
+                kind,
+                a,
+                b,
+            };
+            assert_eq!(logged.typed(), ev);
         }
-        let dynamic: Event<()> = Event::Dyn(Box::new(|_, _| {}));
-        assert_eq!(encode(&dynamic), (EventKind::Dyn, 0, 0));
     }
 
     #[test]
@@ -299,11 +270,5 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.get(0).seq, 2);
         assert_eq!(log.get(1).seq, 0);
-        let mut reg = obs::MetricsRegistry::new();
-        log.export_metrics(&mut reg);
-        assert_eq!(
-            reg.get("engine.elog.events").and_then(|m| m.as_f64()),
-            Some(2.0)
-        );
     }
 }

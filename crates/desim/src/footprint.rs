@@ -54,8 +54,8 @@ pub enum Resource {
     Network,
     /// The hardware-barrier synchronization word.
     Barrier,
-    /// Opaque payload (boxed closures): may touch anything. Conflicts
-    /// with every resource including itself.
+    /// Opaque payload (timers): may touch anything. Conflicts with
+    /// every resource including itself.
     Global,
 }
 
@@ -146,7 +146,7 @@ impl TypedEvent {
     ///   injects into the network, acquiring shared link/FIFO state.
     /// * `LinkGrant { link, grantee }` — releases shared link state to
     ///   `grantee`.
-    /// * `Timer` / `Continuation` — opaque payloads: global.
+    /// * `Timer` — opaque payload: global.
     pub fn footprint(&self) -> Footprint {
         match *self {
             TypedEvent::RankResume { rank } => Footprint::of(&[Resource::Rank(rank)]),
@@ -159,9 +159,7 @@ impl TypedEvent {
             TypedEvent::LinkGrant { grantee, .. } => {
                 Footprint::of(&[Resource::Rank(grantee), Resource::Network])
             }
-            TypedEvent::Timer { .. } | TypedEvent::Continuation { .. } => {
-                Footprint::of(&[Resource::Global])
-            }
+            TypedEvent::Timer { .. } => Footprint::of(&[Resource::Global]),
         }
     }
 }

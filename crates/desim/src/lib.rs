@@ -5,12 +5,11 @@
 //! (topologies, machine models, the MPI layer) is expressed in terms of:
 //!
 //! * [`time::SimTime`] / [`time::SimDuration`] — integer-nanosecond clock;
-//! * [`engine::Engine`] — a time-ordered event queue over a user world
+//! * [`engine::Engine`] — a binary-heap event queue over a user world
 //!   type, with deterministic FIFO tie-breaking;
 //! * [`event::TypedEvent`] — the plain-data event vocabulary, stored
 //!   inline in the queue and dispatched through the world's
-//!   [`event::EventWorld::dispatch`] match (boxed closures remain
-//!   available for the rare dynamic case);
+//!   [`event::EventWorld::dispatch`] match;
 //! * [`resource::FifoResource`] — serializing servers used for links, NIC
 //!   ports and DMA engines;
 //! * [`rng::SplitMix64`] — seeded randomness for clock skew and noise;
@@ -19,7 +18,7 @@
 //!
 //! # Examples
 //!
-//! A two-event simulation on the allocation-free typed path:
+//! A two-event simulation:
 //!
 //! ```
 //! use desim::{Engine, EventWorld, Scheduler, SimDuration, TypedEvent};
@@ -50,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod calqueue;
 pub mod check;
 pub mod engine;
 pub mod event;
@@ -62,9 +60,8 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use calqueue::CalendarQueue;
-pub use engine::{Engine, EngineProfile, EventFn, Scheduler};
-pub use event::{Event, EventStats, EventWorld, TypedEvent};
+pub use engine::{Engine, EngineProfile, Scheduler};
+pub use event::{EventStats, EventWorld, TypedEvent};
 pub use eventlog::{EventKind, EventLog, LoggedEvent};
 pub use footprint::{Footprint, Resource};
 pub use provenance::{ProvRecord, Provenance};

@@ -138,12 +138,6 @@ impl Provenance {
     pub fn chain_depth(&self) -> usize {
         self.last_fired().map_or(0, |seq| self.chain(seq).len())
     }
-
-    /// Exports provenance counters into `reg` under `engine.prov.*`.
-    pub fn export_metrics(&self, reg: &mut obs::MetricsRegistry) {
-        reg.counter("engine.prov.events", self.records.len() as u64);
-        reg.counter("engine.prov.chain_depth", self.chain_depth() as u64);
-    }
 }
 
 #[cfg(test)]
@@ -208,9 +202,6 @@ mod tests {
         e.post_at(SimTime::from_nanos(1), TypedEvent::Timer { id: 2 });
         e.run(&mut w);
         assert!(e.provenance().is_none());
-        let mut reg = obs::MetricsRegistry::new();
-        e.export_metrics(&mut reg);
-        assert!(reg.get("engine.prov.events").is_none());
     }
 
     #[test]
@@ -230,25 +221,8 @@ mod tests {
         let (end_on, fired_on, stats_on) = run(true);
         assert_eq!(end_off, end_on, "provenance must not change timing");
         assert_eq!(fired_off, fired_on);
-        // The event-allocation profile is identical: provenance adds no
-        // dynamic events, continuations, or typed-event count changes.
+        // Provenance posts no events of its own.
         assert_eq!(stats_off, stats_on);
-        assert_eq!(stats_off.dynamic, 0);
-    }
-
-    #[test]
-    fn exports_prov_metrics() {
-        let mut e = Engine::new().with_provenance();
-        let mut w = Cascade::default();
-        e.post_at(SimTime::from_nanos(1), TypedEvent::Timer { id: 1 });
-        e.run(&mut w);
-        let mut reg = obs::MetricsRegistry::new();
-        e.export_metrics(&mut reg);
-        assert_eq!(reg.get("engine.prov.events").unwrap().as_f64(), Some(2.0));
-        assert_eq!(
-            reg.get("engine.prov.chain_depth").unwrap().as_f64(),
-            Some(2.0)
-        );
     }
 
     #[test]

@@ -4,8 +4,95 @@
 
 #![allow(clippy::unwrap_used)]
 
-use desim::check::forall;
-use desim::{Engine, FifoResource, SimDuration, SimTime, SplitMix64, Summary};
+use desim::check::{forall, Gen};
+use desim::{
+    Engine, EventWorld, FifoResource, Scheduler, SimDuration, SimTime, SplitMix64, Summary,
+    TypedEvent,
+};
+
+/// `children[id]`: the `(delay_ns, child_id)` posts timer `id` makes
+/// when it fires.
+type Children = Vec<Vec<(u64, u64)>>;
+
+/// A world driven by a plan: every fired `Timer { id }` is logged as
+/// `(instant, id)` and posts the timer's children, in order, at their
+/// delays.
+struct Plan {
+    children: Children,
+    fired: Vec<(u64, u64)>,
+}
+
+impl EventWorld for Plan {
+    fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: TypedEvent) {
+        let TypedEvent::Timer { id } = ev else {
+            unreachable!("plans post only timers: {ev:?}")
+        };
+        self.fired.push((s.now().as_nanos(), id));
+        for &(delay, child) in &self.children[id as usize] {
+            s.post_in(
+                SimDuration::from_nanos(delay),
+                TypedEvent::Timer { id: child },
+            );
+        }
+    }
+}
+
+/// Posts `roots` (`(instant, id)`, in order) and runs the plan to
+/// completion; returns the fired `(instant, id)` sequence.
+fn run_plan(
+    engine: &mut Engine<Plan>,
+    roots: &[(u64, u64)],
+    children: &Children,
+) -> Vec<(u64, u64)> {
+    for &(t, id) in roots {
+        engine.post_at(SimTime::from_nanos(t), TypedEvent::Timer { id });
+    }
+    let mut plan = Plan {
+        children: children.clone(),
+        fired: Vec::new(),
+    };
+    engine.run(&mut plan);
+    plan.fired
+}
+
+/// The firing order of a plan computed without the engine: repeatedly
+/// fire the pending event with the least `(instant, scheduling order)`,
+/// appending its children to the scheduling order as it fires.
+fn reference_order(roots: &[(u64, u64)], children: &Children) -> Vec<(u64, u64)> {
+    let mut pending: Vec<(u64, usize, u64)> = roots
+        .iter()
+        .enumerate()
+        .map(|(order, &(t, id))| (t, order, id))
+        .collect();
+    let mut next_order = pending.len();
+    let mut fired = Vec::new();
+    while let Some(i) = (0..pending.len()).min_by_key(|&i| (pending[i].0, pending[i].1)) {
+        let (t, _, id) = pending.swap_remove(i);
+        fired.push((t, id));
+        for &(delay, child) in &children[id as usize] {
+            pending.push((t + delay, next_order, child));
+            next_order += 1;
+        }
+    }
+    fired
+}
+
+/// A random plan of up to 200 timers: the first few are roots posted up
+/// front at instants in `0..=30` ns; every later timer is a child of a
+/// random earlier one, posted `0..=5` ns after its parent fires. The
+/// small ranges make same-instant ties common, including a child tying
+/// with events already pending.
+fn random_plan(g: &mut Gen) -> (Vec<(u64, u64)>, Children) {
+    let n = g.usize(1, 200);
+    let roots = g.usize(1, n);
+    let plan_roots = (0..roots as u64).map(|id| (g.u64(0, 30), id)).collect();
+    let mut children = vec![Vec::new(); n];
+    for id in roots..n {
+        let parent = g.usize(0, id - 1);
+        children[parent].push((g.u64(0, 5), id as u64));
+    }
+    (plan_roots, children)
+}
 
 /// Events fire in non-decreasing time order regardless of the
 /// scheduling order, and all of them fire.
@@ -13,21 +100,48 @@ use desim::{Engine, FifoResource, SimDuration, SimTime, SplitMix64, Summary};
 fn events_fire_sorted() {
     forall("events fire sorted", 64, |g| {
         let times = g.vec_u64(1, 200, 0, 999_999);
-        let mut engine: Engine<Vec<u64>> = Engine::new();
-        for &t in &times {
-            engine.schedule_at(
-                SimTime::from_nanos(t),
-                Box::new(move |s, w: &mut Vec<u64>| w.push(s.now().as_nanos())),
-            );
-        }
-        let mut fired = Vec::new();
-        let end = engine.run(&mut fired);
-        assert_eq!(fired.len(), times.len());
-        assert!(fired.windows(2).all(|w| w[0] <= w[1]));
+        let roots: Vec<(u64, u64)> = times.iter().map(|&t| (t, 0)).collect();
+        let mut engine = Engine::new();
+        let fired = run_plan(&mut engine, &roots, &vec![Vec::new()]);
+        let fired: Vec<u64> = fired.into_iter().map(|(t, _)| t).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
-        assert_eq!(&fired, &sorted);
-        assert_eq!(end.as_nanos(), *sorted.last().unwrap());
+        assert_eq!(fired, sorted);
+        assert_eq!(engine.now().as_nanos(), *sorted.last().unwrap());
+    });
+}
+
+/// The engine's ordering contract: events fire by instant, and
+/// same-instant events in the order they were scheduled — including
+/// children posted while their parent fires. On flat plans (no
+/// children), a tie swap aimed at any adjacent same-instant pair
+/// transposes exactly that pair.
+#[test]
+fn firing_order_is_time_then_scheduling_order() {
+    forall("firing order is time then scheduling order", 64, |g| {
+        let (roots, children) = random_plan(g);
+        let fired = run_plan(&mut Engine::new(), &roots, &children);
+        assert_eq!(fired.len(), children.len(), "every event fires once");
+        assert_eq!(fired, reference_order(&roots, &children));
+
+        // Flat: root `id` is posted `id`-th, so its seq is its id.
+        let flat = vec![Vec::new(); roots.len()];
+        let base = run_plan(&mut Engine::new(), &roots, &flat);
+        assert_eq!(base, reference_order(&roots, &flat));
+        let ties: Vec<usize> = (1..base.len())
+            .filter(|&i| base[i - 1].0 == base[i].0)
+            .collect();
+        if ties.is_empty() {
+            return;
+        }
+        let i = *g.pick(&ties);
+        let ((at, first), (_, second)) = (base[i - 1], base[i]);
+        let mut engine = Engine::new().with_tie_swap(SimTime::from_nanos(at), first, second);
+        let swapped = run_plan(&mut engine, &roots, &flat);
+        assert_eq!(engine.tie_swap_applied(), Some(true));
+        let mut expect = base;
+        expect.swap(i - 1, i);
+        assert_eq!(swapped, expect);
     });
 }
 
@@ -97,115 +211,6 @@ fn summary_merge_associative() {
     });
 }
 
-/// The calendar-queue engine fires the exact same sequence as the
-/// heap engine — including FIFO tie-breaking.
-#[test]
-fn calendar_engine_matches_heap() {
-    forall("calendar engine matches heap", 64, |g| {
-        let times = g.vec_u64(1, 300, 0, 4_999_999);
-        let run = |mut engine: Engine<Vec<(u64, usize)>>| {
-            let mut fired = Vec::new();
-            for (i, &t) in times.iter().enumerate() {
-                engine.schedule_at(
-                    SimTime::from_nanos(t),
-                    Box::new(move |s, w: &mut Vec<(u64, usize)>| {
-                        w.push((s.now().as_nanos(), i));
-                    }),
-                );
-            }
-            engine.run(&mut fired);
-            fired
-        };
-        let heap = run(Engine::new());
-        let calendar = run(Engine::with_calendar_queue());
-        assert_eq!(heap, calendar);
-    });
-}
-
-/// Calendar queue standalone: pops are globally sorted for any
-/// workload, including cascading events.
-#[test]
-fn calendar_engine_cascading_events() {
-    forall("calendar engine cascading events", 64, |g| {
-        let seed = g.u64(0, u64::MAX);
-        let mut engine: Engine<Vec<u64>> = Engine::with_calendar_queue();
-        let mut rng = SplitMix64::new(seed);
-        for _ in 0..20 {
-            let t = rng.next_below(1_000);
-            let gap = rng.next_below(100_000) + 1;
-            engine.schedule_at(
-                SimTime::from_nanos(t),
-                Box::new(move |s, w: &mut Vec<u64>| {
-                    w.push(s.now().as_nanos());
-                    s.schedule_in(
-                        SimDuration::from_nanos(gap),
-                        Box::new(|s, w: &mut Vec<u64>| w.push(s.now().as_nanos())),
-                    );
-                }),
-            );
-        }
-        let mut fired = Vec::new();
-        engine.run(&mut fired);
-        assert_eq!(fired.len(), 40);
-        assert!(fired.windows(2).all(|w| w[0] <= w[1]));
-    });
-}
-
-/// Mixed typed events, boxed closures, and slab continuations interleave
-/// by (time, insertion order): the fired log is exactly a stable sort of
-/// the scheduling plan by time, identical on both queue backends and
-/// across same-seed reruns.
-#[test]
-fn mixed_typed_dyn_workload_is_deterministic() {
-    use desim::{EventWorld, Scheduler, TypedEvent};
-
-    #[derive(Default)]
-    struct Log(Vec<(u64, usize)>);
-    impl EventWorld for Log {
-        fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: TypedEvent) {
-            match ev {
-                TypedEvent::Timer { id } => self.0.push((s.now().as_nanos(), id as usize)),
-                other => unreachable!("test posts only timers: {other:?}"),
-            }
-        }
-    }
-
-    forall("mixed typed/dyn workload deterministic", 64, |g| {
-        let n = g.usize(1, 150);
-        let plan: Vec<(u64, u32)> = (0..n).map(|_| (g.u64(0, 99_999), g.u32(0, 2))).collect();
-        let run = |mut engine: Engine<Log>| {
-            for (i, &(t, kind)) in plan.iter().enumerate() {
-                let at = SimTime::from_nanos(t);
-                match kind {
-                    0 => engine.post_at(at, TypedEvent::Timer { id: i as u64 }),
-                    1 => engine.schedule_at(
-                        at,
-                        Box::new(move |s, w: &mut Log| w.0.push((s.now().as_nanos(), i))),
-                    ),
-                    _ => engine.defer_at(
-                        at,
-                        Box::new(move |s: &mut Scheduler<Log>, w: &mut Log| {
-                            w.0.push((s.now().as_nanos(), i));
-                        }),
-                    ),
-                }
-            }
-            let mut log = Log::default();
-            engine.run(&mut log);
-            log.0
-        };
-        let heap = run(Engine::new());
-        let calendar = run(Engine::with_calendar_queue());
-        let rerun = run(Engine::new());
-        let mut expect: Vec<(u64, usize)> =
-            plan.iter().enumerate().map(|(i, &(t, _))| (t, i)).collect();
-        expect.sort_by_key(|&(t, _)| t); // stable: ties keep insertion order
-        assert_eq!(heap, expect);
-        assert_eq!(heap, calendar);
-        assert_eq!(heap, rerun);
-    });
-}
-
 /// Engines passed by value into a closure, one fresh `Engine::new()` per
 /// call, each start at time zero. This is the reduced form of a
 /// release-only miscompile (rustc 1.95.0, MIR GVN): the second call
@@ -215,8 +220,6 @@ fn mixed_typed_dyn_workload_is_deterministic() {
 /// values cannot be merged; run this test with `--release` to check.
 #[test]
 fn engines_built_in_sequence_start_fresh() {
-    use desim::{EventWorld, Scheduler, TypedEvent};
-
     #[derive(Default)]
     struct Log(Vec<u64>);
     impl EventWorld for Log {

@@ -35,7 +35,7 @@ pub struct RecEvent {
     /// Firing instant, nanoseconds.
     pub at_ns: u64,
     /// Stable kind key (`rank_resume`, `message_ready`, `link_grant`,
-    /// `schedule_step`, `timer`, `continuation`, `dyn`). Borrowed from
+    /// `schedule_step`, `timer`). Borrowed from
     /// the executor's static vocabulary when built from a run; owned
     /// when parsed.
     pub kind: Cow<'static, str>,
@@ -57,13 +57,12 @@ pub fn event_field_names(kind: &str) -> (&'static str, &'static str) {
         "link_grant" => ("link", "grantee"),
         "schedule_step" => ("rank", "step"),
         "timer" => ("id", ""),
-        "continuation" => ("slot", ""),
         _ => ("", ""),
     }
 }
 
-/// The ranks an event touches, for context-window summaries. `dyn` and
-/// `timer` events touch none; `link_grant` touches the grantee.
+/// The ranks an event touches, for context-window summaries. `timer`
+/// events touch none; `link_grant` touches the grantee.
 pub fn event_ranks(ev: &RecEvent) -> Vec<u32> {
     match &*ev.kind {
         "rank_resume" | "schedule_step" => vec![ev.a as u32],

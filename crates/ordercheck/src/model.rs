@@ -80,10 +80,7 @@ impl StaticModel {
     /// The event's handler footprint widened by the closure flags of
     /// every rank whose tape the handler can advance.
     pub fn footprint(&self, ev: &LoggedEvent) -> Footprint {
-        let Some(typed) = ev.typed() else {
-            // Dynamic closures are opaque: global footprint.
-            return Footprint::of(&[Resource::Global]);
-        };
+        let typed = ev.typed();
         let mut fp = typed.footprint();
         let advanced: &[u32] = match typed {
             TypedEvent::RankResume { rank } => &[rank],
@@ -95,7 +92,7 @@ impl StaticModel {
             TypedEvent::ScheduleStep { rank, .. } => &[rank],
             // A link grant resumes the granted rank's transfer.
             TypedEvent::LinkGrant { grantee, .. } => &[grantee],
-            TypedEvent::Timer { .. } | TypedEvent::Continuation { .. } => &[],
+            TypedEvent::Timer { .. } => &[],
         };
         for &r in advanced {
             if self.net_coupled(r as usize) {

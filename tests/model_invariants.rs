@@ -149,16 +149,3 @@ fn subgroup_times_consistent_with_full_group() {
     let ratio = a / b;
     assert!((0.8..1.6).contains(&ratio), "subgroup {a} vs direct {b}");
 }
-
-#[test]
-fn calendar_engine_reproduces_heap_results_end_to_end() {
-    // The backend choice must not change simulated physics. Run the same
-    // schedule through both engine backends via the low-level executor.
-    use mpisim::{execute, ExecConfig};
-    let machine = Machine::paragon();
-    let comm = machine.communicator(16).unwrap();
-    let s = comm.schedule(OpClass::Alltoall, Rank(0), 2_048).unwrap();
-    let a = execute(machine.spec(), &[&s], &ExecConfig::default()).unwrap();
-    let b = execute(machine.spec(), &[&s], &ExecConfig::default()).unwrap();
-    assert_eq!(a.finish, b.finish);
-}

@@ -30,7 +30,7 @@ fn random_point(g: &mut Gen) -> (Machine, OpClass, usize, u32) {
 fn self_diff_is_always_certified_byte_identical() {
     forall("diff_self_identity", 16, |g| {
         let (machine, op, p, bytes) = random_point(g);
-        let rec = record_point(&machine, op, p, bytes, TieBreakPolicy::InsertionOrder, None);
+        let rec = record_point(&machine, op, p, bytes, TieBreakPolicy::InsertionOrder, None).record;
         let report = diff(&rec, &rec.clone());
         let label = format!("{} {} p={p} m={bytes}", machine.name(), op.key());
         assert_eq!(report.verdict, Verdict::ByteIdentical, "{label}");
@@ -44,7 +44,7 @@ fn self_diff_is_always_certified_byte_identical() {
 fn single_event_perturbation_localizes_to_that_event() {
     forall("diff_perturbation_localizes", 16, |g| {
         let (machine, op, p, bytes) = random_point(g);
-        let a = record_point(&machine, op, p, bytes, TieBreakPolicy::InsertionOrder, None);
+        let a = record_point(&machine, op, p, bytes, TieBreakPolicy::InsertionOrder, None).record;
         assert!(!a.events.is_empty(), "instrumented run records events");
         let mut b = a.clone();
         let idx = g.usize(0, a.events.len() - 1);
@@ -82,11 +82,11 @@ fn blame_deltas_sum_to_the_elapsed_delta() {
     // per-category deltas tile the elapsed-time delta exactly.
     forall("diff_blame_conservation", 12, |g| {
         let (machine, op, p, bytes) = random_point(g);
-        let a = record_point(&machine, op, p, bytes, TieBreakPolicy::InsertionOrder, None);
+        let a = record_point(&machine, op, p, bytes, TieBreakPolicy::InsertionOrder, None).record;
         // B is a genuinely different execution of the same point: the
         // tie-break-inverted variant, or a doubled message size.
         let b = if op == OpClass::Barrier || g.usize(0, 1) == 0 {
-            record_point(&machine, op, p, bytes, TieBreakPolicy::InvertAll, None)
+            record_point(&machine, op, p, bytes, TieBreakPolicy::InvertAll, None).record
         } else {
             record_point(
                 &machine,
@@ -96,6 +96,7 @@ fn blame_deltas_sum_to_the_elapsed_delta() {
                 TieBreakPolicy::InsertionOrder,
                 None,
             )
+            .record
         };
         let report = diff(&a, &b);
         let label = format!("{} {} p={p} m={bytes}", machine.name(), op.key());
