@@ -30,9 +30,9 @@
 //! 2 schema or I/O error, or an unknown flag or missing value.
 
 use bench::perfgate::{
-    compare, default_suite, drift, iso_date, perf_rows, run_suite, BenchReport, GateStatus,
-    SuiteConfig,
+    compare, drift, iso_date, perf_rows, run_suite, BenchReport, GateStatus, SuiteConfig,
 };
+use bench::suite::default_suite;
 use harness::{Protocol, SweepBuilder};
 use mpisim::OpClass;
 use obs::MetricsRegistry;

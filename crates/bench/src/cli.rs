@@ -7,6 +7,7 @@
 //! own usage text) and feed every flag through [`PointCli::accept`]
 //! first; only unrecognized flags fall through to the binary's match.
 
+use crate::suite::SuitePoint;
 use mpisim::{Machine, OpClass, SimMpiError};
 
 /// Resolves a machine key (`sp2`, `t3d`, `paragon`; case-insensitive).
@@ -137,6 +138,16 @@ impl PointCli {
         }
     }
 
+    /// The selected point, once `--machine` and `--op` are both given.
+    pub fn point(&self) -> Option<SuitePoint> {
+        Some(SuitePoint::new(
+            self.machine.clone()?,
+            self.op?,
+            self.p,
+            self.m,
+        ))
+    }
+
     /// The output directory, defaulting to the current directory.
     pub fn out_dir(&self) -> &str {
         self.out.as_deref().unwrap_or(".")
@@ -211,5 +222,11 @@ mod tests {
         );
         cli.accept("--suite", || None);
         assert_eq!(cli.check_point(), Ok(()), "the suite ignores -p");
+        assert_eq!(
+            cli.point().map(|pt| (pt.nodes, pt.bytes)),
+            Some((128, 4096))
+        );
+        cli.accept("--op", || Some("barrier".into()));
+        assert_eq!(cli.point().map(|pt| pt.bytes), Some(0), "no payload");
     }
 }

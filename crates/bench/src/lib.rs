@@ -27,7 +27,9 @@
 //!
 //! Criterion micro-benchmarks of the simulator itself live in
 //! `benches/`; the wall-clock regression pipeline lives in
-//! [`perfgate`].
+//! [`perfgate`]; the fixed 21-point suite and its one instrumented run,
+//! which the workspace's `observe`, `critpath` and `tracediff` binaries
+//! render, live in [`suite`].
 
 use harness::{Dataset, Protocol};
 use mpisim::{Machine, OpClass};
@@ -35,8 +37,8 @@ use perfmodel::paper;
 use std::time::Instant;
 
 pub mod cli;
-pub mod diffsuite;
 pub mod perfgate;
+pub mod suite;
 
 /// Common CLI options for the regenerator binaries.
 #[derive(Debug, Clone, Default)]

@@ -1,10 +1,11 @@
 //! The continuous-benchmarking pipeline behind `bench/perfgate`.
 //!
-//! A fixed suite (every collective on every machine at one
-//! representative `(m, p)` point) is timed in interleaved round-robin
-//! rounds — round `i` of every suite point runs before round `i + 1` of
-//! any, so slow ambient drift (thermal throttling, a background build)
-//! spreads across all points instead of biasing whichever ran last.
+//! The fixed suite of [`crate::suite`] (every collective on every
+//! machine at one representative `(m, p)` point) is timed in interleaved
+//! round-robin rounds — round `i` of every suite point runs before round
+//! `i + 1` of any, so slow ambient drift (thermal throttling, a
+//! background build) spreads across all points instead of biasing
+//! whichever ran last.
 //! Per-point wall times are reduced to robust statistics (median, MAD,
 //! min-of-best-K, bootstrap CI of the median) and compared against a
 //! committed baseline with a noise-aware threshold, so the gate neither
@@ -13,67 +14,16 @@
 //! Everything here is a library so the regression gate itself is
 //! unit-testable; `src/bin/perfgate.rs` is a thin CLI on top.
 
+use crate::suite::SuitePoint;
 use desim::SplitMix64;
 use harness::{measure, Protocol};
-use mpisim::{Machine, OpClass, SimMpiError};
+use mpisim::SimMpiError;
 use obs::Json;
 use std::time::Instant;
 
 /// Version stamp of the `BENCH_<date>.json` document layout. Bump on
 /// any breaking change; [`BenchReport::from_json`] rejects mismatches.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// The representative message length of the fixed suite (bytes): large
-/// enough that transmission matters, small enough that startup still
-/// shows — the knee of the paper's Fig. 2 curves.
-pub const SUITE_BYTES: u32 = 4096;
-
-/// The representative machine size of the fixed suite.
-pub const SUITE_NODES: usize = 64;
-
-/// One suite entry: a collective on a machine at a fixed `(m, p)`.
-#[derive(Debug, Clone)]
-pub struct SuitePoint {
-    /// The machine model to run on.
-    pub machine: Machine,
-    /// The collective.
-    pub op: OpClass,
-    /// Message length (0 for barrier).
-    pub bytes: u32,
-    /// Partition size.
-    pub nodes: usize,
-}
-
-impl SuitePoint {
-    /// Stable identifier, e.g. `sp2/alltoall`.
-    pub fn label(&self) -> String {
-        let mach = crate::machine_id(self.machine.name())
-            .map(|id| id.name().to_ascii_lowercase())
-            .unwrap_or_else(|| self.machine.name().to_ascii_lowercase());
-        format!("{}/{}", mach, self.op.key())
-    }
-}
-
-/// The fixed suite: all seven collectives on all three machines at the
-/// representative point (barrier carries no message length).
-pub fn default_suite() -> Vec<SuitePoint> {
-    let mut suite = Vec::new();
-    for machine in crate::machines() {
-        for op in crate::SIX_OPS.into_iter().chain([OpClass::Barrier]) {
-            suite.push(SuitePoint {
-                machine: machine.clone(),
-                op,
-                bytes: if op == OpClass::Barrier {
-                    0
-                } else {
-                    SUITE_BYTES
-                },
-                nodes: SUITE_NODES,
-            });
-        }
-    }
-    suite
-}
 
 /// Median of a sample set (mean of the middle pair for even counts).
 /// Returns 0 for empty input.
@@ -280,10 +230,7 @@ impl BenchReport {
     /// missing fields, or a schema-version mismatch.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
         let j = obs::validate(text)?;
-        let version = j
-            .get("schema_version")
-            .and_then(Json::as_f64)
-            .ok_or("missing 'schema_version'")? as u64;
+        let version = field_uint(&j, "schema_version")?.ok_or("missing 'schema_version'")?;
         if version != SCHEMA_VERSION {
             return Err(format!(
                 "schema version {version} unsupported (expected {SCHEMA_VERSION})"
@@ -304,10 +251,22 @@ impl BenchReport {
                 .ok_or("missing 'date'")?
                 .to_string(),
             quick: matches!(j.get("quick"), Some(Json::Bool(true))),
-            rounds: j.get("rounds").and_then(Json::as_f64).unwrap_or(0.0) as usize,
+            rounds: usize::try_from(field_uint(&j, "rounds")?.unwrap_or(0))
+                .map_err(|_| "'rounds' overflows usize")?,
             points,
             metrics: j.get("metrics").cloned().unwrap_or(Json::Null),
         })
+    }
+}
+
+/// An optional non-negative integer field. A negative, fractional or
+/// out-of-range number is an error naming the field, never truncated.
+fn field_uint(j: &Json, name: &str) -> Result<Option<u64>, String> {
+    match j.get(name) {
+        None => Ok(None),
+        Some(Json::UInt(u)) => Ok(Some(*u)),
+        Some(&Json::Int(i)) if i >= 0 => Ok(Some(i as u64)),
+        Some(_) => Err(format!("'{name}' is not a non-negative integer")),
     }
 }
 
@@ -562,6 +521,7 @@ pub fn iso_date(unix_secs: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpisim::{Machine, OpClass};
 
     fn report_with(medians: &[(&str, f64)], noise_rel: f64) -> BenchReport {
         let points = medians
@@ -598,24 +558,6 @@ mod tests {
             bootstrap_ci_median(&[1.0, 2.0, 3.0], 100, 0.9, 7),
             bootstrap_ci_median(&[1.0, 2.0, 3.0], 100, 0.9, 7)
         );
-    }
-
-    #[test]
-    fn default_suite_covers_all_pairs() {
-        let suite = default_suite();
-        assert_eq!(suite.len(), 21, "7 collectives x 3 machines");
-        let labels: std::collections::HashSet<String> =
-            suite.iter().map(SuitePoint::label).collect();
-        assert_eq!(labels.len(), 21, "labels unique");
-        assert!(labels.contains("sp2/alltoall"));
-        assert!(labels.contains("t3d/barrier"));
-        for pt in &suite {
-            if pt.op == OpClass::Barrier {
-                assert_eq!(pt.bytes, 0);
-            } else {
-                assert_eq!(pt.bytes, SUITE_BYTES);
-            }
-        }
     }
 
     #[test]
@@ -771,17 +713,32 @@ mod tests {
         assert!(BenchReport::from_json(&missing_points)
             .unwrap_err()
             .contains("points"));
+        // Integer fields are read exactly: a fractional version is not
+        // version 1, and a negative or huge round count is not 0 or
+        // `usize::MAX`.
+        for (field, doc) in [
+            (
+                "schema_version",
+                r#"{"schema_version":1.9,"date":"d","points":[]}"#,
+            ),
+            (
+                "rounds",
+                r#"{"schema_version":1,"date":"d","points":[],"rounds":-3}"#,
+            ),
+            (
+                "rounds",
+                r#"{"schema_version":1,"date":"d","points":[],"rounds":1e300}"#,
+            ),
+        ] {
+            let err = BenchReport::from_json(doc).unwrap_err();
+            assert!(err.contains(field), "{doc}: {err}");
+        }
     }
 
     #[test]
     fn tiny_real_suite_runs_and_serializes() {
         // One cheap point, three rounds: exercises the real timing loop.
-        let suite = vec![SuitePoint {
-            machine: Machine::t3d(),
-            op: OpClass::Bcast,
-            bytes: 256,
-            nodes: 8,
-        }];
+        let suite = vec![SuitePoint::new(Machine::t3d(), OpClass::Bcast, 8, 256)];
         let mut calls = 0;
         let r = run_suite(
             &suite,

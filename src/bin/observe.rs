@@ -9,22 +9,32 @@
 //!   link-utilization heatmap.
 //!
 //! ```text
-//! cargo run -p bench --bin observe -- --machine t3d --op bcast -p 64 -m 4096
+//! cargo run --release --bin observe -- --machine t3d --op bcast -p 64 -m 4096
 //! ```
 //!
 //! `--profile` additionally enables the desim engine's self-profiling
 //! (wall-clock, events/sec, sampled queue-depth quantiles), which then
 //! appears in the metrics snapshot under `engine.prof.*`.
 //!
-//! `--suite` runs the fixed 21-point perfgate suite (all seven
-//! collectives × three machines at the representative `(m, p)`) instead
-//! of a single point, executing each point once and writing its trace +
-//! metrics + canonical `*.record.json` run-record triple, plus a
-//! `dataset.csv` measured over the same grid. Every file is a pure function of the
-//! simulation seed, so the whole output directory is byte-identical for
-//! any `--threads N` — the CI determinism job compares a serial run
-//! against `--threads 4` with `tracediff`, which explains the first
-//! divergent event structurally when the gate trips.
+//! `--suite` is the one suite run: it executes each of the fixed 21
+//! points of `bench::suite` (all seven collectives × three machines at
+//! the representative `(m, p)`) once, through
+//! `bench::suite::record_point`, and renders every suite artifact from
+//! that execution:
+//!
+//! * per point, the trace, the metrics snapshot and the canonical
+//!   `*.record.json` run record;
+//! * `critpath.json`, one critical-path decomposition per point, and
+//!   `census.prom`, the contention census as Prometheus gauges, with
+//!   the blame table and the scan-vs-bcast comparison on stdout;
+//! * `dataset.csv`, the same grid measured through the harness
+//!   methodology.
+//!
+//! Every file is a pure function of the simulation seed, so the whole
+//! output directory is byte-identical for any `--threads N` — the CI
+//! determinism job compares a serial run against `--threads 4` with
+//! `tracediff`, which explains the first divergent event structurally
+//! when the gate trips.
 //!
 //! `--trace-cap N` caps recorded message traces at N entries
 //! (messages beyond the cap are counted as dropped; `tracediff`
@@ -32,11 +42,16 @@
 
 use harness::{Protocol, SweepBuilder};
 use mpisim::comm::RunOptions;
+use mpisim::critpath::CritPath;
 use mpisim::exec::{ExecOutcome, Observed};
-use mpisim::{observe, Machine, OpClass, Rank};
-use obs::MetricsRegistry;
+use mpisim::{observe, Rank, TieBreakPolicy};
+use obs::{Json, MetricsRegistry};
 
 use bench::cli::{Accept, PointCli};
+use bench::suite::{
+    blame_table, census_metrics, decomposition_json, default_suite, record_point, scan_vs_bcast,
+    SuitePoint, SUITE_BYTES, SUITE_NODES,
+};
 
 fn usage() -> ! {
     eprintln!(
@@ -106,60 +121,18 @@ fn heatmap(loads: &[(usize, desim::SimDuration)], links: usize) -> String {
     out
 }
 
-/// Stable per-point file stem, e.g. `observe_ibm_sp2_alltoall_p64_m4096`.
-fn stem(machine: &Machine, op: OpClass, p: usize, bytes: u32) -> String {
-    format!(
-        "observe_{}_{}_p{}_m{}",
-        machine.name().to_ascii_lowercase().replace(' ', "_"),
-        op.key(),
-        p,
-        bytes
-    )
-}
-
-/// One fully instrumented point, rendered to its output documents.
-struct ObservedPoint {
-    out: ExecOutcome,
-    trace: obs::ChromeTrace,
-    snapshot: String,
-    reg: MetricsRegistry,
-    manifest: obs::RunManifest,
-    links: usize,
-}
-
-/// Runs one point under full instrumentation and renders its trace +
-/// metrics documents.
-fn observe_point(
-    machine: &Machine,
-    op: OpClass,
-    p: usize,
-    bytes: u32,
-    options: RunOptions,
-) -> ObservedPoint {
-    let comm = machine.communicator(p).expect("communicator size");
-    let schedule = comm.schedule(op, Rank(0), bytes).expect("schedule build");
-    let (out, observed) = comm
-        .run_observed(&[&schedule], options)
-        .expect("observed execution");
-    render_point(machine, op, p, bytes, out, &observed)
-}
-
-/// Renders one observed execution of the point `(machine, op, p,
-/// bytes)` to its trace + metrics documents. Pure: same inputs produce
-/// the same bytes.
+/// The trace, metrics and run manifest of one observed execution of
+/// `pt`. Pure: same inputs produce the same bytes.
 fn render_point(
-    machine: &Machine,
-    op: OpClass,
-    p: usize,
-    bytes: u32,
-    out: ExecOutcome,
+    pt: &SuitePoint,
+    out: &ExecOutcome,
     observed: &Observed,
-) -> ObservedPoint {
-    let wire = machine.wire_config();
-    let manifest = obs::RunManifest::new(machine.name())
-        .param("op", op.key())
-        .param("p", p)
-        .param("m_bytes", bytes)
+) -> (obs::ChromeTrace, MetricsRegistry, obs::RunManifest) {
+    let wire = pt.machine.wire_config();
+    let manifest = obs::RunManifest::new(pt.machine.name())
+        .param("op", pt.op.key())
+        .param("p", pt.nodes)
+        .param("m_bytes", pt.bytes)
         .param("start", "cold, no skew")
         .param("link_contention", wire.link_contention)
         .param("nic_serialization", wire.nic_serialization)
@@ -169,27 +142,18 @@ fn render_point(
             wire.segment_bytes
                 .map_or("none".to_string(), |s| s.to_string()),
         );
-
     let mut reg = MetricsRegistry::new();
-    observe::export_metrics(&out, observed, &mut reg);
-    let trace = observe::chrome_trace(machine.name(), &out, observed);
-    let snapshot = observe::snapshot(&manifest, &reg).to_string_pretty();
-    let links = observed.net.link_bytes.len();
-    ObservedPoint {
-        out,
-        trace,
-        snapshot,
-        reg,
-        manifest,
-        links,
-    }
+    observe::export_metrics(out, observed, &mut reg);
+    let trace = observe::chrome_trace(pt.machine.name(), out, observed);
+    (trace, reg, manifest)
 }
 
-/// The fixed 21-point suite in canonical order, run under full
-/// instrumentation with `threads` workers; every output file is written
-/// in canonical order from the merged results.
+/// The fixed 21-point suite in canonical order, each point executed
+/// once under full instrumentation with `threads` workers; every suite
+/// artifact is rendered from those executions and written in canonical
+/// order from the merged results.
 fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>) {
-    let suite = bench::perfgate::default_suite();
+    let suite = default_suite();
     std::fs::create_dir_all(out_dir).expect("create output directory");
 
     let (rendered, stats) = harness::map_indexed(
@@ -200,32 +164,25 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>) {
             // One run with provenance and the event log on feeds the
             // canonical run record `tracediff` compares structurally;
             // neither changes the execution, so the same run also
-            // yields the trace and the metrics snapshot.
-            let recorded = bench::diffsuite::record_suite_point(
-                pt,
-                mpisim::TieBreakPolicy::InsertionOrder,
-                trace_cap,
-            );
-            let obs = render_point(
-                &pt.machine,
-                pt.op,
-                pt.nodes,
-                pt.bytes,
-                recorded.out,
-                &recorded.observed,
-            );
-            let file_stem = stem(&pt.machine, pt.op, pt.nodes, pt.bytes);
+            // yields the trace, the metrics snapshot and the critical
+            // path.
+            let rec = record_point(pt, TieBreakPolicy::InsertionOrder, trace_cap);
+            let (trace, reg, manifest) = render_point(pt, &rec.out, &rec.observed);
             (
-                file_stem,
-                obs.trace.to_json_string(),
-                obs.snapshot,
-                recorded.record.to_json_string(),
-                obs.trace.len(),
+                trace.to_json_string(),
+                observe::snapshot(&manifest, &reg).to_string_pretty(),
+                rec.record.to_json_string(),
+                trace.len(),
+                rec.cp,
+                rec.out.dropped_messages,
             )
         },
         &|_, _| {},
     );
-    for (file_stem, trace_json, metrics_json, record_json, events) in &rendered {
+    let mut dropped = 0;
+    for (pt, (trace_json, metrics_json, record_json, events, _, d)) in suite.iter().zip(&rendered) {
+        dropped += d;
+        let file_stem = pt.stem("observe");
         std::fs::write(format!("{out_dir}/{file_stem}.trace.json"), trace_json)
             .expect("write trace");
         std::fs::write(format!("{out_dir}/{file_stem}.metrics.json"), metrics_json)
@@ -235,33 +192,41 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>) {
         println!("wrote {out_dir}/{file_stem}.trace.json ({events} events)");
     }
 
+    // The critical-path decomposition and contention census of the
+    // same executions.
+    let rows: Vec<(&SuitePoint, &CritPath)> = suite
+        .iter()
+        .zip(&rendered)
+        .map(|(pt, (.., cp, _))| (pt, cp))
+        .collect();
+    println!("critical-path blame decomposition ({} points):", rows.len());
+    println!("{}", blame_table(&rows).render());
+    if dropped > 0 {
+        println!("WARNING: {dropped} messages exceeded the trace cap and were not walked");
+    }
+    print!("{}", scan_vs_bcast(&rows));
+    let census = census_metrics(&rows);
+    std::fs::write(format!("{out_dir}/census.prom"), obs::prom::text(&census))
+        .expect("write census");
+    println!("wrote {out_dir}/census.prom ({} series)", census.len());
+    let decompositions = rows
+        .iter()
+        .map(|(pt, cp)| decomposition_json(pt, cp))
+        .collect();
+    std::fs::write(
+        format!("{out_dir}/critpath.json"),
+        Json::Array(decompositions).to_string_pretty(),
+    )
+    .expect("write decompositions");
+    println!("wrote {out_dir}/critpath.json ({} points)", rows.len());
+
     // The same grid measured through the harness methodology: the
     // Dataset side of the serial-vs-parallel byte-equality gate.
-    let ops: Vec<OpClass> = suite
-        .iter()
-        .map(|pt| pt.op)
-        .collect::<Vec<_>>()
-        .into_iter()
-        .fold(Vec::new(), |mut acc, op| {
-            if !acc.contains(&op) {
-                acc.push(op);
-            }
-            acc
-        });
-    let machines: Vec<Machine> = {
-        let mut seen: Vec<Machine> = Vec::new();
-        for pt in &suite {
-            if !seen.iter().any(|m| m.name() == pt.machine.name()) {
-                seen.push(pt.machine.clone());
-            }
-        }
-        seen
-    };
     let data = SweepBuilder::new()
-        .machines(machines)
-        .ops(ops)
-        .message_sizes([bench::perfgate::SUITE_BYTES])
-        .node_counts([bench::perfgate::SUITE_NODES])
+        .machines(bench::machines())
+        .ops(bench::suite::ops())
+        .message_sizes([SUITE_BYTES])
+        .node_counts([SUITE_NODES])
         .protocol(Protocol::quick())
         .threads(threads)
         .run()
@@ -282,39 +247,34 @@ fn main() {
         return;
     }
 
-    let machine = cli.machine.as_ref().expect("checked in parse_args");
-    let op = cli.op.expect("checked in parse_args");
-    let bytes = if op == OpClass::Barrier { 0 } else { cli.m };
+    let pt = cli.point().expect("checked in parse_args");
+    let comm = pt.machine.communicator(pt.nodes).expect("communicator");
+    let schedule = comm
+        .schedule(pt.op, Rank(0), pt.bytes)
+        .expect("schedule build");
     let options = RunOptions {
         profile,
         trace_limit: cli.trace_cap,
         ..RunOptions::default()
     };
-    let point = observe_point(machine, op, cli.p, bytes, options);
+    let (out, observed) = comm
+        .run_observed(&[&schedule], options)
+        .expect("observed execution");
+    let (trace, reg, manifest) = render_point(&pt, &out, &observed);
 
-    let file_stem = stem(machine, op, cli.p, bytes);
+    let file_stem = pt.stem("observe");
     std::fs::create_dir_all(cli.out_dir()).expect("create output directory");
     let trace_path = format!("{}/{file_stem}.trace.json", cli.out_dir());
     let metrics_path = format!("{}/{file_stem}.metrics.json", cli.out_dir());
+    std::fs::write(&trace_path, trace.to_json_string()).expect("write trace");
+    let snapshot = observe::snapshot(&manifest, &reg).to_string_pretty();
+    std::fs::write(&metrics_path, snapshot).expect("write metrics");
 
-    std::fs::write(&trace_path, point.trace.to_json_string()).expect("write trace");
-    std::fs::write(&metrics_path, &point.snapshot).expect("write metrics");
-
-    println!("{}", report::metrics::render(&point.manifest, &point.reg));
+    println!("{}", report::metrics::render(&manifest, &reg));
     println!();
-    println!(
-        "{}",
-        heatmap(
-            &point
-                .out
-                .link_loads
-                .iter()
-                .map(|&(id, b)| (id, b))
-                .collect::<Vec<_>>(),
-            point.links
-        )
-    );
-    println!("wrote {trace_path} ({} events)", point.trace.len());
-    println!("wrote {metrics_path} ({} metrics)", point.reg.len());
+    let links = observed.net.link_bytes.len();
+    println!("{}", heatmap(&out.link_loads, links));
+    println!("wrote {trace_path} ({} events)", trace.len());
+    println!("wrote {metrics_path} ({} metrics)", reg.len());
     println!("open the trace at https://ui.perfetto.dev (drag & drop the .trace.json)");
 }

@@ -12,7 +12,7 @@
 //! oracle. Prints the commutability census and writes a
 //! `*.ordercheck.json` document.
 //!
-//! `--suite [--threads N]` sweeps the fixed 21-point perfgate grid,
+//! `--suite [--threads N]` sweeps the fixed 21-point `bench::suite` grid,
 //! writing `ordercheck.json` plus an `ordercheck.prom` exposition file
 //! (`ordercheck.sensitive_pairs`, `ordercheck.explored`, and per-point
 //! series). Output is byte-identical for any `--threads N`. With
@@ -149,7 +149,7 @@ fn stem(c: &PointCensus) -> String {
 }
 
 fn run_suite(args: &Args) {
-    let suite = bench::perfgate::default_suite();
+    let suite = bench::suite::default_suite();
     let points: Vec<PointSpec> = suite
         .iter()
         .map(|pt| PointSpec {

@@ -18,8 +18,8 @@
 //! ```text
 //! tracediff --suite [--threads N] [--perturb] [--trace-cap N] [--out DIR]
 //! ```
-//! runs every point of the fixed 21-point perfgate suite twice
-//! in-process and diffs the two records. Without `--perturb` both runs
+//! runs every point of the fixed 21-point suite (`bench::suite`)
+//! twice in-process and diffs the two records. Without `--perturb` both runs
 //! are identical seeds and the suite certifies 21/21 byte-identical;
 //! with `--perturb` the second run deliberately inverts the
 //! send-completion FIFO tie-break (the eager-delivery failure mode) and
@@ -38,6 +38,8 @@
 //! noise-aware thresholds.
 
 use bench::perfgate::{self, BenchReport, GateStatus};
+use bench::suite::{default_suite, record_point};
+use mpisim::TieBreakPolicy;
 use obs::record::RunRecord;
 use report::Table;
 use std::path::Path;
@@ -233,7 +235,12 @@ fn run_pair(a: &str, b: &str) -> bool {
 /// `--perturb`, the tie-break-inverted variant whose divergence the
 /// report explains.
 fn run_suite(args: &Args) -> bool {
-    let suite = perfgate::default_suite();
+    let suite = default_suite();
+    let second = if args.perturb {
+        TieBreakPolicy::InvertAll
+    } else {
+        TieBreakPolicy::InsertionOrder
+    };
     if let Some(dir) = &args.out {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
@@ -242,22 +249,8 @@ fn run_suite(args: &Args) -> bool {
         args.threads,
         |i| {
             let pt = &suite[i];
-            let a = bench::diffsuite::record_suite_point(
-                pt,
-                mpisim::TieBreakPolicy::InsertionOrder,
-                args.trace_cap,
-            )
-            .record;
-            let b = bench::diffsuite::record_suite_point(
-                pt,
-                if args.perturb {
-                    mpisim::TieBreakPolicy::InvertAll
-                } else {
-                    mpisim::TieBreakPolicy::InsertionOrder
-                },
-                args.trace_cap,
-            )
-            .record;
+            let a = record_point(pt, TieBreakPolicy::InsertionOrder, args.trace_cap).record;
+            let b = record_point(pt, second, args.trace_cap).record;
             let diff = obs::diff::diff(&a, &b);
             let ok = diff.verdict == obs::Verdict::ByteIdentical && diff.certified;
             let rendered = report::diff::render_report(&pt.label(), &diff);
@@ -276,7 +269,7 @@ fn run_suite(args: &Args) -> bool {
         print!("{rendered}");
         identical += usize::from(*ok);
         if let Some(dir) = &args.out {
-            let file_stem = bench::diffsuite::label_stem(label);
+            let file_stem = label.replace('/', "_");
             std::fs::write(format!("{dir}/{file_stem}.record.json"), rec_a).expect("write record");
             if args.perturb {
                 std::fs::write(format!("{dir}/{file_stem}.perturbed.record.json"), rec_b)
@@ -343,7 +336,7 @@ fn load_history(dir: &str) -> Vec<(String, BenchReport)> {
 /// transition.
 fn render_history(reports: &[(String, BenchReport)]) -> String {
     let mut labels: Vec<String> = Vec::new();
-    for pt in perfgate::default_suite() {
+    for pt in default_suite() {
         labels.push(pt.label());
     }
     for (_, r) in reports {

@@ -7,14 +7,14 @@
 //! * per-category blame deltas sum to the elapsed-time delta
 //!   (conservation, mirroring `proptest_critpath`).
 
-use bench::diffsuite::record_point;
+use bench::suite::{record_point, SuitePoint};
 use desim::check::{forall, Gen};
 use mpisim::TieBreakPolicy;
 use mpisim::{Machine, OpClass};
 use obs::diff::diff;
 use obs::Verdict;
 
-fn random_point(g: &mut Gen) -> (Machine, OpClass, usize, u32) {
+fn random_point(g: &mut Gen) -> SuitePoint {
     let machine = Machine::all()[g.usize(0, 2)].clone();
     let op = *g.pick(&OpClass::COLLECTIVES);
     let p = 1 << g.usize(1, 5); // 2..32 ranks
@@ -23,16 +23,16 @@ fn random_point(g: &mut Gen) -> (Machine, OpClass, usize, u32) {
     } else {
         1 << g.usize(2, 14) // 4 B .. 16 KB
     };
-    (machine, op, p, bytes)
+    SuitePoint::new(machine, op, p, bytes)
 }
 
 #[test]
 fn self_diff_is_always_certified_byte_identical() {
     forall("diff_self_identity", 16, |g| {
-        let (machine, op, p, bytes) = random_point(g);
-        let rec = record_point(&machine, op, p, bytes, TieBreakPolicy::InsertionOrder, None).record;
+        let pt = random_point(g);
+        let rec = record_point(&pt, TieBreakPolicy::InsertionOrder, None).record;
         let report = diff(&rec, &rec.clone());
-        let label = format!("{} {} p={p} m={bytes}", machine.name(), op.key());
+        let label = format!("{} p={} m={}", pt.label(), pt.nodes, pt.bytes);
         assert_eq!(report.verdict, Verdict::ByteIdentical, "{label}");
         assert!(report.certified, "{label}: no drops, must certify");
         assert!(report.first.is_none(), "{label}: nothing to explain");
@@ -43,8 +43,8 @@ fn self_diff_is_always_certified_byte_identical() {
 #[test]
 fn single_event_perturbation_localizes_to_that_event() {
     forall("diff_perturbation_localizes", 16, |g| {
-        let (machine, op, p, bytes) = random_point(g);
-        let a = record_point(&machine, op, p, bytes, TieBreakPolicy::InsertionOrder, None).record;
+        let pt = random_point(g);
+        let a = record_point(&pt, TieBreakPolicy::InsertionOrder, None).record;
         assert!(!a.events.is_empty(), "instrumented run records events");
         let mut b = a.clone();
         let idx = g.usize(0, a.events.len() - 1);
@@ -57,9 +57,10 @@ fn single_event_perturbation_localizes_to_that_event() {
         }
         let report = diff(&a, &b);
         let label = format!(
-            "{} {} p={p} m={bytes} perturbed at {idx}",
-            machine.name(),
-            op.key()
+            "{} p={} m={} perturbed at {idx}",
+            pt.label(),
+            pt.nodes,
+            pt.bytes
         );
         assert_eq!(report.verdict, Verdict::Divergent, "{label}");
         let first = report.first.as_ref().expect("divergence located");
@@ -81,25 +82,21 @@ fn blame_deltas_sum_to_the_elapsed_delta() {
     // (proptest_critpath), so the differential tables conserve too:
     // per-category deltas tile the elapsed-time delta exactly.
     forall("diff_blame_conservation", 12, |g| {
-        let (machine, op, p, bytes) = random_point(g);
-        let a = record_point(&machine, op, p, bytes, TieBreakPolicy::InsertionOrder, None).record;
+        let pt = random_point(g);
+        let a = record_point(&pt, TieBreakPolicy::InsertionOrder, None).record;
         // B is a genuinely different execution of the same point: the
         // tie-break-inverted variant, or a doubled message size.
-        let b = if op == OpClass::Barrier || g.usize(0, 1) == 0 {
-            record_point(&machine, op, p, bytes, TieBreakPolicy::InvertAll, None).record
+        let b = if pt.op == OpClass::Barrier || g.usize(0, 1) == 0 {
+            record_point(&pt, TieBreakPolicy::InvertAll, None).record
         } else {
-            record_point(
-                &machine,
-                op,
-                p,
-                bytes * 2,
-                TieBreakPolicy::InsertionOrder,
-                None,
-            )
-            .record
+            let doubled = SuitePoint {
+                bytes: pt.bytes * 2,
+                ..pt.clone()
+            };
+            record_point(&doubled, TieBreakPolicy::InsertionOrder, None).record
         };
         let report = diff(&a, &b);
-        let label = format!("{} {} p={p} m={bytes}", machine.name(), op.key());
+        let label = format!("{} p={} m={}", pt.label(), pt.nodes, pt.bytes);
         assert_eq!(
             report.blame_delta_sum_ns(),
             report.elapsed_delta_ns(),
