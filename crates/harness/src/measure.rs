@@ -18,7 +18,9 @@
 
 use crate::protocol::Protocol;
 use desim::{SimTime, SplitMix64};
-use mpisim::{comm::RunOptions, Communicator, CpuNoise, OpClass, Rank, Schedule, SimMpiError};
+use mpisim::{
+    comm::RunOptions, Communicator, CpuNoise, ExecOutcome, OpClass, Rank, Schedule, SimMpiError,
+};
 
 /// One measured data point `T(m, p)` for an operation on a machine.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,6 +81,14 @@ fn quantize(t: SimTime, res: desim::SimDuration) -> f64 {
 /// are taken at each rank's segment completions, exactly as
 /// `MPI_Wtime()` calls between the loop iterations would.
 ///
+/// The simulator is deterministic, so a repetition whose skew and noise
+/// draws equal the previous repetition's would reproduce its result bit
+/// for bit. Such a repetition is not re-executed: the previous result is
+/// pushed again and averaged like any other. A protocol with no skew and
+/// no noise ([`Protocol::quick`]) therefore executes once per call, while
+/// the paper's protocol, which draws fresh skew per rank, executes every
+/// repetition.
+///
 /// # Errors
 ///
 /// Propagates schedule/executor failures, and reports an invalid
@@ -93,11 +103,18 @@ pub fn measure(
     let p = comm.size();
     let barrier = comm.schedule(OpClass::Barrier, Rank(0), 0)?;
     let coll = comm.schedule(op, Rank(0), bytes)?;
+    let segments: Vec<&Schedule> = std::iter::once(&barrier)
+        .chain(std::iter::repeat_n(&coll, protocol.runs_per_repetition()))
+        .collect();
 
     let mut rng = SplitMix64::new(protocol.seed);
     let mut per_rep_max = Vec::with_capacity(protocol.repetitions);
     let mut per_rep_min = Vec::with_capacity(protocol.repetitions);
     let mut per_rep_mean = Vec::with_capacity(protocol.repetitions);
+    // The inputs the last executed repetition drew, and its (max, min,
+    // mean). A repetition that draws equal inputs pushes that triple again.
+    let mut executed: Option<(Vec<SimTime>, Option<CpuNoise>)> = None;
+    let mut reduced = (0.0, 0.0, 0.0);
 
     for _rep in 0..protocol.repetitions {
         let skew: Vec<SimTime> = (0..p)
@@ -110,38 +127,25 @@ pub fn measure(
                 }
             })
             .collect();
-
-        let mut segments: Vec<&Schedule> = Vec::with_capacity(1 + protocol.runs_per_repetition());
-        segments.push(&barrier);
-        for _ in 0..protocol.runs_per_repetition() {
-            segments.push(&coll);
-        }
         let cpu_noise = (protocol.os_noise > 0.0).then(|| CpuNoise {
             amplitude: protocol.os_noise,
             seed: rng.next_u64(),
         });
-        let out = comm.run_with(
-            &segments,
-            RunOptions {
-                start_times: Some(skew),
-                cpu_noise,
-                ..RunOptions::default()
-            },
-        )?;
 
-        // Per-rank local time: (end - start) / k, where start is the
-        // timestamp after the warm-up segment and end after the last.
-        let start_seg = protocol.warmup; // segment index: 0 = barrier, 1.. = runs
-        let end_seg = protocol.warmup + protocol.iterations;
-        let mut local_means = Vec::with_capacity(p);
-        for r in 0..p {
-            let t_start = quantize(out.finish[start_seg][r], protocol.timer_resolution);
-            let t_end = quantize(out.finish[end_seg][r], protocol.timer_resolution);
-            local_means.push((t_end - t_start) / protocol.iterations as f64);
+        let drawn = (skew, cpu_noise);
+        if executed.as_ref() != Some(&drawn) {
+            let out = comm.run_with(
+                &segments,
+                RunOptions {
+                    start_times: Some(drawn.0.clone()),
+                    cpu_noise: drawn.1,
+                    ..RunOptions::default()
+                },
+            )?;
+            reduced = reduce(&out, protocol, p);
+            executed = Some(drawn);
         }
-        let max = local_means.iter().copied().fold(f64::MIN, f64::max);
-        let min = local_means.iter().copied().fold(f64::MAX, f64::min);
-        let mean = local_means.iter().sum::<f64>() / p as f64;
+        let (max, min, mean) = reduced;
         per_rep_max.push(max);
         per_rep_min.push(min);
         per_rep_mean.push(mean);
@@ -158,6 +162,24 @@ pub fn measure(
         mean_time_us: per_rep_mean.iter().sum::<f64>() / reps,
         per_repetition_us: per_rep_max,
     })
+}
+
+/// Reduces one repetition's run to `(max, min, mean)` over ranks of the
+/// per-rank local time `(end - start) / k`, where start is the timestamp
+/// after the warm-up segment and end after the last.
+fn reduce(out: &ExecOutcome, protocol: &Protocol, p: usize) -> (f64, f64, f64) {
+    let start_seg = protocol.warmup; // segment index: 0 = barrier, 1.. = runs
+    let end_seg = protocol.warmup + protocol.iterations;
+    let mut local_means = Vec::with_capacity(p);
+    for r in 0..p {
+        let t_start = quantize(out.finish[start_seg][r], protocol.timer_resolution);
+        let t_end = quantize(out.finish[end_seg][r], protocol.timer_resolution);
+        local_means.push((t_end - t_start) / protocol.iterations as f64);
+    }
+    let max = local_means.iter().copied().fold(f64::MIN, f64::max);
+    let min = local_means.iter().copied().fold(f64::MAX, f64::min);
+    let mean = local_means.iter().sum::<f64>() / p as f64;
+    (max, min, mean)
 }
 
 #[cfg(test)]
@@ -258,5 +280,24 @@ mod tests {
         let mut proto = Protocol::quick();
         proto.iterations = 0;
         assert!(measure(&comm, OpClass::Bcast, 4, &proto).is_err());
+
+        // Each once overflowed or over-allocated inside `measure`.
+        let broken = |edit: fn(&mut Protocol)| {
+            let mut p = Protocol::paper();
+            edit(&mut p);
+            p
+        };
+        for proto in [
+            broken(|p| p.max_skew = desim::SimDuration::MAX),
+            broken(|p| p.warmup = usize::MAX),
+            broken(|p| p.iterations = usize::MAX),
+            broken(|p| p.repetitions = usize::MAX),
+        ] {
+            let err = measure(&comm, OpClass::Bcast, 4, &proto);
+            assert!(
+                matches!(err, Err(SimMpiError::InvalidSpec(_))),
+                "{proto:?}: {err:?}"
+            );
+        }
     }
 }

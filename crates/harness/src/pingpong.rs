@@ -150,4 +150,16 @@ mod tests {
         let e = measure_pingpong(&comm, Rank(0), Rank(1), &[64], &Protocol::ideal());
         assert!(e.is_err());
     }
+
+    #[test]
+    fn oversized_protocol_rejected() {
+        // `warmup + iterations` once overflowed, then indexed past the run.
+        let comm = Machine::t3d().communicator(4).unwrap();
+        for warmup in [usize::MAX, Protocol::MAX_RUNS_PER_REPETITION] {
+            let mut proto = Protocol::quick();
+            proto.warmup = warmup;
+            let e = measure_pingpong(&comm, Rank(0), Rank(1), &[64], &proto);
+            assert!(matches!(e, Err(SimMpiError::InvalidSpec(_))), "{e:?}");
+        }
+    }
 }

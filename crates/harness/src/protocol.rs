@@ -20,7 +20,11 @@ pub struct Protocol {
     pub warmup: usize,
     /// Timed iterations `k` (paper: 20).
     pub iterations: usize,
-    /// Independent repetitions of the whole program (paper: 5).
+    /// Independent repetitions of the whole program (paper: 5). A
+    /// repetition whose skew and noise draws equal the previous
+    /// repetition's is not re-executed: [`measure`](crate::measure())
+    /// reuses the previous result, which the deterministic simulator
+    /// would reproduce exactly.
     pub repetitions: usize,
     /// Maximum per-node start skew, modeling unsynchronized clocks and
     /// OS scheduling jitter; each node's entry is drawn uniformly from
@@ -44,6 +48,17 @@ impl Default for Protocol {
 }
 
 impl Protocol {
+    /// Largest accepted `warmup + iterations`. The executed program has
+    /// one segment per run, and its timestamps take `runs × p` slots.
+    pub const MAX_RUNS_PER_REPETITION: usize = 10_000;
+
+    /// Largest accepted `repetitions`.
+    pub const MAX_REPETITIONS: usize = 10_000;
+
+    /// Largest accepted `max_skew`: one second, five orders of magnitude
+    /// beyond the paper's 10 µs.
+    pub const MAX_SKEW: SimDuration = SimDuration::from_secs(1);
+
     /// The paper's exact protocol: 2 warm-up + 20 timed iterations, five
     /// repetitions, ±10 µs start skew, 0.1 µs timer quantum.
     pub fn paper() -> Self {
@@ -59,7 +74,10 @@ impl Protocol {
     }
 
     /// A cheap protocol for unit tests and smoke runs: 1 warm-up + 3
-    /// timed iterations, two repetitions, no skew, ideal timer.
+    /// timed iterations, two repetitions, no skew, ideal timer. With no
+    /// skew and no noise both repetitions draw the same inputs, so
+    /// [`measure`](crate::measure()) executes the program once and
+    /// counts it twice.
     pub fn quick() -> Self {
         Protocol {
             warmup: 1,
@@ -93,23 +111,50 @@ impl Protocol {
         self
     }
 
-    /// Total collective executions per repetition (warm-up + timed).
+    /// Total collective executions per repetition (warm-up + timed),
+    /// saturating on an invalid protocol.
     pub fn runs_per_repetition(&self) -> usize {
-        self.warmup + self.iterations
+        self.warmup.saturating_add(self.iterations)
     }
 
     /// Validates protocol sanity.
     ///
     /// # Errors
     ///
-    /// Returns a message if `iterations` or `repetitions` is zero, or
-    /// the noise amplitude is negative or non-finite.
+    /// Returns a message naming the field if `iterations` or
+    /// `repetitions` is zero, `warmup + iterations` exceeds
+    /// [`MAX_RUNS_PER_REPETITION`](Self::MAX_RUNS_PER_REPETITION),
+    /// `repetitions` exceeds [`MAX_REPETITIONS`](Self::MAX_REPETITIONS),
+    /// `max_skew` exceeds [`MAX_SKEW`](Self::MAX_SKEW), or the noise
+    /// amplitude is negative or non-finite.
     pub fn validate(&self) -> Result<(), String> {
         if self.iterations == 0 {
             return Err("iterations must be positive".into());
         }
+        if self.runs_per_repetition() > Self::MAX_RUNS_PER_REPETITION {
+            return Err(format!(
+                "warmup + iterations must be at most {}, got warmup {} and iterations {}",
+                Self::MAX_RUNS_PER_REPETITION,
+                self.warmup,
+                self.iterations
+            ));
+        }
         if self.repetitions == 0 {
             return Err("repetitions must be positive".into());
+        }
+        if self.repetitions > Self::MAX_REPETITIONS {
+            return Err(format!(
+                "repetitions must be at most {}, got {}",
+                Self::MAX_REPETITIONS,
+                self.repetitions
+            ));
+        }
+        if self.max_skew > Self::MAX_SKEW {
+            return Err(format!(
+                "max_skew must be at most {}, got {}",
+                Self::MAX_SKEW,
+                self.max_skew
+            ));
         }
         if !self.os_noise.is_finite() || self.os_noise < 0.0 {
             return Err(format!(
@@ -148,6 +193,41 @@ mod tests {
         let mut p = Protocol::quick();
         p.repetitions = 0;
         assert!(p.validate().is_err());
+
+        // Each would overflow or over-allocate in `measure`; the error
+        // names the field.
+        let broken = |edit: fn(&mut Protocol)| {
+            let mut p = Protocol::paper();
+            edit(&mut p);
+            p
+        };
+        let cases = [
+            ("max_skew", broken(|p| p.max_skew = SimDuration::MAX)),
+            (
+                "max_skew",
+                broken(|p| p.max_skew = Protocol::MAX_SKEW + SimDuration::from_nanos(1)),
+            ),
+            ("warmup", broken(|p| p.warmup = usize::MAX)),
+            ("iterations", broken(|p| p.iterations = usize::MAX)),
+            ("repetitions", broken(|p| p.repetitions = usize::MAX)),
+        ];
+        for (field, p) in cases {
+            let err = p.validate().expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        }
+
+        let at_caps = Protocol {
+            warmup: 0,
+            iterations: Protocol::MAX_RUNS_PER_REPETITION,
+            repetitions: Protocol::MAX_REPETITIONS,
+            max_skew: Protocol::MAX_SKEW,
+            ..Protocol::paper()
+        };
+        assert_eq!(
+            at_caps.validate(),
+            Ok(()),
+            "the caps themselves are accepted"
+        );
     }
 
     #[test]
