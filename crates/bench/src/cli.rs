@@ -49,11 +49,15 @@ pub enum Accept {
 /// The point-selection flags every driver shares: a single
 /// (machine, op, p, m) point or `--suite`, plus output directory,
 /// worker count, and trace cap.
+///
+/// `--suite` runs fixed points, so it refuses the point flags
+/// (`--machine`, `--op`, `-p`, `-m`): [`PointCli::selection_ok`] is
+/// false when both are given, in either order.
 #[derive(Debug, Clone)]
 pub struct PointCli {
-    /// `--machine` (required unless `--suite`).
+    /// `--machine` (required unless `--suite`, which refuses it).
     pub machine: Option<Machine>,
-    /// `--op` (required unless `--suite`).
+    /// `--op` (required unless `--suite`, which refuses it).
     pub op: Option<OpClass>,
     /// `-p` / `--nodes` (default 64, the paper's largest partition).
     pub p: usize,
@@ -67,6 +71,8 @@ pub struct PointCli {
     pub threads: usize,
     /// `--trace-cap`.
     pub trace_cap: Option<usize>,
+    /// Whether any point flag was given, which `--suite` refuses.
+    point_flag: bool,
 }
 
 impl Default for PointCli {
@@ -80,6 +86,7 @@ impl Default for PointCli {
             suite: false,
             threads: 1,
             trace_cap: None,
+            point_flag: false,
         }
     }
 }
@@ -88,6 +95,10 @@ impl PointCli {
     /// Offers one flag; `value` yields the following argument when the
     /// flag takes one.
     pub fn accept(&mut self, flag: &str, mut value: impl FnMut() -> Option<String>) -> Accept {
+        self.point_flag |= matches!(
+            flag,
+            "--machine" | "--op" | "-p" | "--nodes" | "-m" | "--bytes"
+        );
         let mut need = |out: &mut dyn FnMut(&str) -> bool| match value() {
             Some(v) if out(&v) => Accept::Consumed,
             _ => Accept::Invalid,
@@ -117,10 +128,14 @@ impl PointCli {
         }
     }
 
-    /// True when the selection is complete: either `--suite` or both
-    /// `--machine` and `--op`.
+    /// True when the selection is complete and unambiguous: either
+    /// `--suite` without any point flag, or both `--machine` and `--op`.
     pub fn selection_ok(&self) -> bool {
-        self.suite || (self.machine.is_some() && self.op.is_some())
+        if self.suite {
+            !self.point_flag
+        } else {
+            self.machine.is_some() && self.op.is_some()
+        }
     }
 
     /// Checks the selected point against its machine: `-p` must be a
@@ -206,6 +221,37 @@ mod tests {
         );
         assert_eq!(cli.out_dir(), "bench");
     }
+
+    #[test]
+    fn suite_refuses_point_flags_in_either_order() {
+        let point_flags = [
+            ("--machine", "t3d"),
+            ("--op", "bcast"),
+            ("-p", "8"),
+            ("--nodes", "8"),
+            ("-m", "64"),
+            ("--bytes", "64"),
+        ];
+        for (flag, value) in point_flags {
+            for suite_first in [true, false] {
+                let mut cli = PointCli::default();
+                if suite_first {
+                    cli.accept("--suite", || None);
+                }
+                assert_eq!(cli.accept(flag, || Some(value.into())), Accept::Consumed);
+                if !suite_first {
+                    cli.accept("--suite", || None);
+                }
+                assert!(!cli.selection_ok(), "--suite with {flag} {value}");
+            }
+        }
+        let mut cli = PointCli::default();
+        for (flag, value) in [("--suite", ""), ("--threads", "4"), ("--trace-cap", "9")] {
+            cli.accept(flag, || Some(value.into()));
+        }
+        assert!(cli.selection_ok(), "suite flags are not point flags");
+    }
+
     #[test]
     fn point_size_must_fit_the_machine() {
         let mut cli = PointCli::default();
@@ -221,7 +267,7 @@ mod tests {
             })
         );
         cli.accept("--suite", || None);
-        assert_eq!(cli.check_point(), Ok(()), "the suite ignores -p");
+        assert_eq!(cli.check_point(), Ok(()), "the suite has no point to check");
         assert_eq!(
             cli.point().map(|pt| (pt.nodes, pt.bytes)),
             Some((128, 4096))

@@ -20,16 +20,14 @@
 //! | `explore` | single-configuration query tool |
 //! | `stap_report` | STAP workload per-stage breakdowns |
 //! | `full_report` | consolidated markdown report |
-//! | `perfgate` | continuous-benchmark suite + regression gate |
 //!
 //! All binaries accept `--quick` (reduced protocol) and `--csv DIR`
 //! (dump the measured dataset).
 //!
-//! Criterion micro-benchmarks of the simulator itself live in
-//! `benches/`; the wall-clock regression pipeline lives in
-//! [`perfgate`]; the fixed 21-point suite and its one instrumented run,
-//! which the workspace's `observe`, `critpath` and `tracediff` binaries
-//! render, live in [`suite`].
+//! The fixed 21-point suite and its one instrumented run, which the
+//! workspace's `observe`, `critpath` and `tracediff` binaries render,
+//! live in [`suite`]. The simulator's own wall time is measured by the
+//! `benchmark` crate (`crates/benchmark`), not here.
 
 use harness::{Dataset, Protocol};
 use mpisim::{Machine, OpClass};
@@ -37,7 +35,6 @@ use perfmodel::paper;
 use std::time::Instant;
 
 pub mod cli;
-pub mod perfgate;
 pub mod suite;
 
 /// Common CLI options for the regenerator binaries.

@@ -7,8 +7,8 @@
 //! renders every suite artifact from it — traces, metrics snapshots,
 //! run records, and the critical-path decomposition and contention
 //! census below — and `tracediff --suite` diffs the records of two such
-//! executions. `perfgate` times the same points, and `ordercheck`
-//! explores them with its own executions. The renderers here are pure
+//! executions. `ordercheck` explores the same points with its own
+//! executions. The renderers here are pure
 //! functions of the recorded points; files are written only by the
 //! binaries.
 

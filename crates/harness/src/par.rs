@@ -1,6 +1,6 @@
 //! Work-distributing parallel execution with deterministic merge.
 //!
-//! Every pipeline in this repository — sweeps, the perfgate suite, the
+//! Every pipeline in this repository — sweeps, the 21-point suite, the
 //! schedlint vendor sweep — is a grid of *independent* deterministic
 //! simulation points, exactly like the paper's own methodology (one
 //! timed run per machine/operation/size, §3). This module shards such

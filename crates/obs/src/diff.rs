@@ -15,8 +15,8 @@
 //! * for intentionally-different runs, per-category blame deltas (which
 //!   sum to the elapsed-time delta whenever each side's blame totals
 //!   conserve — the critpath invariant) and metric deltas flagged for
-//!   significance with the same 10% floor perfgate applies below its
-//!   MAD-derived thresholds.
+//!   significance against a fixed 10% relative-change floor
+//!   ([`METRIC_THRESHOLD`]).
 //!
 //! Identity verdicts are additionally *certified* only when neither
 //! side dropped traced messages: a truncated trace can hide a
@@ -29,8 +29,8 @@ use crate::record::{describe_event, event_ranks, RecEvent, RunRecord};
 /// Ancestor events included in a divergence context window.
 pub const DEFAULT_CONTEXT: usize = 8;
 
-/// Relative-change floor below which a metric delta is noise, mirroring
-/// perfgate's `MIN_THRESHOLD`.
+/// Relative-change floor below which a metric delta is noise and is
+/// not flagged as significant.
 pub const METRIC_THRESHOLD: f64 = 0.10;
 
 /// The comparison verdict, ordered from strongest to weakest.

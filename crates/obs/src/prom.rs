@@ -1,6 +1,6 @@
 //! Prometheus exposition-format text export of a [`MetricsRegistry`].
 //!
-//! `BENCH_*.json` is for machines and the metrics table is for eyes;
+//! The JSON snapshot is for machines and the metrics table for eyes;
 //! this renderer is for scrapers. It emits the [text-based exposition
 //! format]: a `# HELP` + `# TYPE` pair per metric (the HELP text carries
 //! the original dotted path, since the sample name is sanitized),

@@ -6,8 +6,8 @@
 //! published Table 3). This module quantifies fit quality as plain
 //! numbers — pseudo-R², relative residuals, and the accuracy of the
 //! fitted formula against both the dataset it was fitted on and the
-//! paper's oracle — and exports them as gauges so the perfgate pipeline
-//! can alarm on drift between runs.
+//! paper's oracle — and can export them as gauges for a pipeline that
+//! alarms on drift between runs.
 
 use crate::accuracy::{score, Accuracy};
 use crate::formula::TimingFormula;

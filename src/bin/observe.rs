@@ -14,7 +14,9 @@
 //!
 //! `--profile` additionally enables the desim engine's self-profiling
 //! (wall-clock, events/sec, sampled queue-depth quantiles), which then
-//! appears in the metrics snapshot under `engine.prof.*`.
+//! appears in the metrics snapshot under `engine.prof.*`. It applies to
+//! one point only: `--suite` refuses it, as it refuses the point flags
+//! (`--machine`, `--op`, `-p`, `-m`), with usage and exit status 2.
 //!
 //! `--suite` is the one suite run: it executes each of the fixed 21
 //! points of `bench::suite` (all seven collectives × three machines at
@@ -80,7 +82,7 @@ fn parse_args() -> (PointCli, bool) {
             }
         }
     }
-    if !cli.selection_ok() {
+    if !cli.selection_ok() || (cli.suite && profile) {
         usage();
     }
     if let Err(e) = cli.check_point() {

@@ -12,7 +12,8 @@
 //! oracle. Prints the commutability census and writes a
 //! `*.ordercheck.json` document.
 //!
-//! `--suite [--threads N]` sweeps the fixed 21-point `bench::suite` grid,
+//! `--suite [--threads N]` sweeps the fixed 21-point `bench::suite` grid
+//! (it refuses the point flags `--machine`, `--op`, `-p` and `-m`),
 //! writing `ordercheck.json` plus an `ordercheck.prom` exposition file
 //! (`ordercheck.sensitive_pairs`, `ordercheck.explored`, and per-point
 //! series). Output is byte-identical for any `--threads N`. With

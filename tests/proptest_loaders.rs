@@ -1,14 +1,13 @@
 //! Fuzz-style properties over every input loader: random bytes and
 //! mutated valid documents must come back as a value or a typed error,
 //! never as a panic or a stack overflow. The loaders are
-//! `obs::validate`, `RunRecord::from_json`, `BenchReport::from_json`,
-//! `Dataset::from_csv` and `PointCli::accept` (with the size check of
-//! the point it selects). The mutations are truncation, byte flips,
-//! inserted brackets and quotes, dropped array elements, nesting past
-//! `MAX_DEPTH`, and integers past `u64::MAX`.
+//! `obs::validate`, `RunRecord::from_json`, `Dataset::from_csv` and
+//! `PointCli::accept` (with the size check of the point it selects).
+//! The mutations are truncation, byte flips, inserted brackets and
+//! quotes, dropped array elements, nesting past `MAX_DEPTH`, and
+//! integers past `u64::MAX`.
 
 use bench::cli::PointCli;
-use bench::perfgate::{BenchReport, PointResult, SCHEMA_VERSION};
 use bench::suite::{record_point, SuitePoint};
 use desim::check::{forall, Gen};
 use harness::{Dataset, Protocol, SweepBuilder};
@@ -16,27 +15,13 @@ use mpisim::{Machine, OpClass, TieBreakPolicy};
 use obs::json::MAX_DEPTH;
 use obs::record::RunRecord;
 
-/// One valid document per text loader: a run record, a benchmark
-/// report and a dataset CSV, each small but with every section filled.
-fn valid_documents() -> [String; 3] {
+/// One valid document per text loader: a run record and a dataset CSV,
+/// each small but with every section filled.
+fn valid_documents() -> [String; 2] {
     let scan = SuitePoint::new(Machine::t3d(), OpClass::Scan, 8, 64);
     let record = record_point(&scan, TieBreakPolicy::InsertionOrder, None)
         .record
         .to_json_string();
-    let report = BenchReport {
-        schema_version: SCHEMA_VERSION,
-        date: "2026-10-17".into(),
-        quick: true,
-        rounds: 3,
-        points: vec![PointResult::from_rounds(
-            "t3d/scan".into(),
-            vec![10.0, 11.5, 9.75],
-            42.0,
-        )],
-        metrics: obs::Json::object([("fit.t3d.scan.r2", obs::Json::Float(0.999))]),
-    }
-    .to_json()
-    .to_string_pretty();
     let dataset = SweepBuilder::new()
         .machines([Machine::sp2()])
         .ops([OpClass::Bcast, OpClass::Barrier])
@@ -46,7 +31,7 @@ fn valid_documents() -> [String; 3] {
         .run()
         .expect("sweep")
         .to_csv();
-    [record, report, dataset]
+    [record, dataset]
 }
 
 /// Feeds `text` to every text loader. The results are dropped: the
@@ -54,7 +39,6 @@ fn valid_documents() -> [String; 3] {
 fn load_all(text: &str) {
     let _ = obs::validate(text);
     let _ = RunRecord::from_json(text);
-    let _ = BenchReport::from_json(text);
     let _ = Dataset::from_csv(text);
 }
 
@@ -113,11 +97,9 @@ fn mutate(g: &mut Gen, doc: &str) -> String {
 
 #[test]
 fn valid_documents_load() {
-    let [record, report, dataset] = valid_documents();
+    let [record, dataset] = valid_documents();
     let rec = RunRecord::from_json(&record).expect("record loads");
     assert!(!rec.events.is_empty() && !rec.transfers.is_empty());
-    let report = BenchReport::from_json(&report).expect("report loads");
-    assert_eq!(report.rounds, 3);
     assert_eq!(Dataset::from_csv(&dataset).expect("dataset loads").len(), 4);
 }
 
