@@ -13,7 +13,7 @@
 //! * alltoall algorithm: pairwise vs ring vs Bruck;
 //! * broadcast/scatter/gather/reduce: binomial vs linear.
 
-use bench::{timed, Cli};
+use bench::{timed, Cli, Flag};
 use collectives::{alltoall, bcast, gather, reduce, scatter, Rank};
 use harness::measure;
 use mpisim::{AlgorithmPolicy, Machine, OpClass, Placement, SimMpiError, WireConfig};
@@ -236,7 +236,7 @@ fn algorithm_ablation() -> Result<(), SimMpiError> {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[Flag::Quick]);
     timed("wire ablations", || wire_ablations(&cli));
     timed("vendor ablation", || vendor_ablation(&cli));
     timed("offload ablation", || offload_ablation(&cli));

@@ -1,148 +1,51 @@
-//! One-command consolidated report: runs the full measurement pipeline,
-//! fits every surface, scores it against the paper's published formulas,
-//! and emits a markdown report (stdout, or a file with `--out PATH`).
+//! The paper regeneration: sweeps the paper's full `T(m, p)` grid once
+//! and renders every paper artifact from that one dataset.
 //!
 //! ```sh
-//! cargo run -p bench --release --bin full_report -- --quick --out report.md
+//! cargo run -p bench --release --bin full_report -- --out results
+//! cargo run -p bench --release --bin full_report -- --quick
 //! ```
+//!
+//! With `--out DIR` it writes Table 3, Figs. 1–5, the headline numbers
+//! and the calibration grid (`*.txt`), `dataset.csv`, `report.md` and
+//! Fig. 1's gnuplot panels into `DIR`; without it, it prints the
+//! markdown report. `--threads N` spreads the sweep over `N` workers
+//! (0 = one per core); every output is byte-identical at any `N`.
 
-use bench::{machine_id, machines, timed, Cli, SIX_OPS};
-use harness::{SweepBuilder, PAPER_MESSAGE_SIZES, PAPER_NODE_COUNTS};
+use bench::{artifacts, machines, timed, Cli, Flag};
+use harness::SweepBuilder;
 use mpisim::OpClass;
-use perfmodel::{bandwidth_series, fit_surface, paper, score};
-use report::Table;
-use std::fmt::Write as _;
+use std::path::Path;
+
+/// Reports a failed create or write of `path` and exits with status 1.
+fn io_failure(path: &Path, e: &std::io::Error) -> ! {
+    eprintln!("failed to write {}: {e}", path.display());
+    std::process::exit(1);
+}
 
 fn main() {
-    let cli = Cli::parse();
-    let out_path = cli.out.clone();
-
+    let cli = Cli::parse(&[Flag::Quick, Flag::Threads, Flag::Out]);
+    let protocol = cli.protocol();
+    let out_dir = cli.out.as_deref().map(Path::new);
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| io_failure(dir, &e));
+    }
     let data = timed("full sweep", || {
         SweepBuilder::new()
             .machines(machines())
-            .ops(SIX_OPS.iter().copied().chain([OpClass::Barrier]))
-            .message_sizes(PAPER_MESSAGE_SIZES)
-            .node_counts(PAPER_NODE_COUNTS)
-            .protocol(cli.protocol())
+            .ops(OpClass::COLLECTIVES)
+            .protocol(protocol.clone())
+            .threads(cli.threads)
             .run()
             .expect("sweep")
     });
-    cli.maybe_write_csv("full_report", &data);
-
-    let mut md = String::new();
-    let _ = writeln!(md, "# Consolidated reproduction report\n");
-    let _ = writeln!(
-        md,
-        "Protocol: {} warm-up + {} iterations × {} repetitions; {} grid points.\n",
-        cli.protocol().warmup,
-        cli.protocol().iterations,
-        cli.protocol().repetitions,
-        data.len()
-    );
-
-    // Fitted formulas and accuracy vs the published Table 3.
-    let _ = writeln!(md, "## Fitted timing surfaces vs published Table 3\n");
-    let mut table = Table::new([
-        "Operation",
-        "Machine",
-        "Fitted T(m,p) [us]",
-        "MAPE vs published",
-        "bias",
-    ]);
-    for op in SIX_OPS.iter().copied().chain([OpClass::Barrier]) {
-        for mach in machines() {
-            let fitted = fit_surface(&data, mach.name(), op).expect("fit");
-            let (mape, bias) = machine_id(mach.name())
-                .and_then(|id| paper::table3(id, op))
-                .and_then(|published| score(&data, mach.name(), op, &published))
-                .map(|a| (format!("{:.0}%", a.mape * 100.0), format!("{:.2}", a.bias)))
-                .unwrap_or_else(|| ("-".into(), "-".into()));
-            table.push_row([
-                op.paper_name().to_string(),
-                mach.name().to_string(),
-                fitted.to_string(),
-                mape,
-                bias,
-            ]);
-        }
-    }
-    md.push_str(&table.render_markdown());
-
-    // Aggregated bandwidth headline.
-    let _ = writeln!(md, "\n## Aggregated bandwidth, 64-node total exchange\n");
-    let mut bw = Table::new(["Machine", "simulated (GB/s)", "published (GB/s)"]);
-    for (id, published) in paper::ALLTOALL_64_BANDWIDTH_GB_S {
-        let name = mpisim::Machine::from_id(id).name().to_string();
-        let sim = bandwidth_series(&data, &name, OpClass::Alltoall)
-            .ok()
-            .and_then(|s| s.iter().find(|b| b.nodes == 64).map(|b| b.mb_s / 1000.0));
-        bw.push_row([
-            name,
-            sim.map(|v| format!("{v:.3}")).unwrap_or_else(|| "-".into()),
-            format!("{published:.3}"),
-        ]);
-    }
-    md.push_str(&bw.render_markdown());
-
-    // Per-figure qualitative checklist.
-    let _ = writeln!(md, "\n## Qualitative checks\n");
-    let t = |m: &str, op: OpClass, bytes: u32, p: usize| {
-        data.at(m, op, bytes, p)
-            .map(|x| x.time_us)
-            .unwrap_or(f64::NAN)
+    let Some(dir) = out_dir else {
+        print!("{}", artifacts::report(&data, &protocol));
+        return;
     };
-    let checks: Vec<(String, bool)> = vec![
-        (
-            "T3D barrier ≈ 3 µs".into(),
-            (2.0..5.0).contains(&t("Cray T3D", OpClass::Barrier, 0, 64)),
-        ),
-        (
-            "T3D fastest 64-node alltoall (short)".into(),
-            t("Cray T3D", OpClass::Alltoall, 16, 64)
-                <= t("IBM SP2", OpClass::Alltoall, 16, 64).min(t(
-                    "Intel Paragon",
-                    OpClass::Alltoall,
-                    16,
-                    64,
-                )) * 1.05,
-        ),
-        (
-            "SP2 beats Paragon, short scatter".into(),
-            t("IBM SP2", OpClass::Scatter, 16, 64) < t("Intel Paragon", OpClass::Scatter, 16, 64),
-        ),
-        (
-            "Paragon beats SP2, long scatter".into(),
-            t("Intel Paragon", OpClass::Scatter, 65_536, 64)
-                < t("IBM SP2", OpClass::Scatter, 65_536, 64),
-        ),
-        (
-            "SP2 keeps long reduce".into(),
-            t("IBM SP2", OpClass::Reduce, 65_536, 64)
-                < t("Intel Paragon", OpClass::Reduce, 65_536, 64),
-        ),
-        (
-            "Paragon scan beats T3D".into(),
-            t("Intel Paragon", OpClass::Scan, 16, 64) < t("Cray T3D", OpClass::Scan, 16, 64),
-        ),
-    ];
-    let mut qt = Table::new(["Claim", "Holds"]);
-    for (claim, holds) in checks {
-        qt.push_row([
-            claim,
-            if holds {
-                "yes".into()
-            } else {
-                "NO".to_string()
-            },
-        ]);
+    for (name, text) in artifacts::files(&data, &protocol) {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap_or_else(|e| io_failure(&path, &e));
     }
-    md.push_str(&qt.render_markdown());
-
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &md).expect("write report");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{md}"),
-    }
+    eprintln!("wrote {}", dir.display());
 }

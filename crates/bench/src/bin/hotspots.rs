@@ -13,7 +13,7 @@
 //! `--json` emits the same data as one machine-readable JSON document
 //! (for dashboards and the profiling notes in ROADMAP.md).
 
-use bench::Cli;
+use bench::{Cli, Flag};
 use desim::SimDuration;
 use mpisim::comm::RunOptions;
 use mpisim::{Machine, OpClass, Rank};
@@ -140,7 +140,7 @@ fn to_json(all: &[MachineHotspots]) -> Json {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&[Flag::Threads, Flag::Json]);
     let machines = [Machine::sp2(), Machine::paragon(), Machine::t3d()];
     let (all, _stats) = harness::map_indexed(
         machines.len(),

@@ -16,7 +16,7 @@ use report::Table;
 const SIZES: [u32; 8] = [4, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144];
 
 fn main() {
-    let _cli = Cli::parse();
+    Cli::parse(&[]);
     println!("Point-to-point characterization (Hockney model)\n");
 
     let mut fits = Table::new([

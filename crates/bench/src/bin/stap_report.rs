@@ -9,7 +9,7 @@ use report::Table;
 use stap::{DataCube, StapRun, StapStage};
 
 fn main() {
-    let _cli = Cli::parse();
+    Cli::parse(&[]);
     for (label, cube) in [("small", DataCube::small()), ("medium", DataCube::medium())] {
         println!(
             "\n================ {label} cube: {} MB ================",

@@ -32,7 +32,7 @@ fn show(machine: &Machine, op: OpClass, p: usize, bytes: u32) {
 }
 
 fn main() {
-    let _cli = Cli::parse();
+    Cli::parse(&[]);
     let t3d = Machine::t3d();
     let sp2 = Machine::sp2();
     show(&t3d, OpClass::Bcast, 16, 4_096);

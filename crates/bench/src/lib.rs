@@ -1,50 +1,73 @@
-//! # bench — regenerators for every table and figure of the paper
+//! # bench — the paper regeneration and its companion tools
 //!
-//! One binary per artifact (run with `cargo run -p bench --release --bin <name>`):
+//! `cargo run -p bench --release --bin full_report -- --out results`
+//! sweeps the paper's full `T(m, p)` grid once and writes every paper
+//! artifact from that one dataset through the pure renderers of
+//! [`artifacts`]: Table 3, Figs. 1–5, the §1/§5/§8 headline numbers, the
+//! calibration grid, `dataset.csv`, `report.md` and Fig. 1's gnuplot
+//! panels.
 //!
-//! | Binary | Regenerates |
-//! |---|---|
-//! | `fig1` | Fig. 1 — startup latencies T0(p), six collectives |
-//! | `fig2` | Fig. 2 — T(m, 32) vs message length |
-//! | `fig3` | Fig. 3 — T(m, p) vs machine size for 16 B / 64 KB |
-//! | `fig4` | Fig. 4 — startup/transmission breakdown at p=32, m=1 KB |
-//! | `fig5` | Fig. 5 — aggregated bandwidths R∞(p) |
-//! | `table3` | Table 3 — fitted closed-form timing expressions |
-//! | `table12` | Tables 1 & 2 — operations and metric definitions |
-//! | `headline` | §1/§5/§8 headline numbers |
-//! | `calibrate` | calibration report: simulated vs published grids |
-//! | `ablations` | design-choice ablations (wire model, contention, vendor algorithms, offload engines, placement, interconnect abstraction) |
-//! | `hotspots` | link-load distributions per topology |
-//! | `p2p` | Hockney point-to-point characterization |
-//! | `trace` | message-timeline gallery |
-//! | `explore` | single-configuration query tool |
-//! | `stap_report` | STAP workload per-stage breakdowns |
-//! | `full_report` | consolidated markdown report |
+//! | Binary | Flags | Shows |
+//! |---|---|---|
+//! | `full_report` | `--quick`, `--threads N`, `--out DIR` | every paper artifact (without `--out`, `report.md` on stdout) |
+//! | `table12` | | Tables 1 & 2 — operations and metric definitions |
+//! | `ablations` | `--quick` | design-choice ablations (wire model, contention, vendor algorithms, offload engines, placement, interconnect abstraction) |
+//! | `hotspots` | `--threads N`, `--json` | link-load distributions per topology |
+//! | `p2p` | | Hockney point-to-point characterization |
+//! | `trace` | | message-timeline gallery |
+//! | `stap_report` | | STAP workload per-stage breakdowns |
+//! | `explore` | its own | single-configuration query tool |
+//! | `schedlint` | its own | static verification of every vendor schedule |
 //!
-//! All binaries accept `--quick` (reduced protocol) and `--csv DIR`
-//! (dump the measured dataset).
+//! A binary built on [`Cli`] refuses a flag it does not read, with
+//! usage and exit status 2.
 //!
 //! The fixed 21-point suite and its one instrumented run, which the
 //! workspace's `observe`, `critpath` and `tracediff` binaries render,
 //! live in [`suite`]. The simulator's own wall time is measured by the
 //! `benchmark` crate (`crates/benchmark`), not here.
 
-use harness::{Dataset, Protocol};
+use harness::Protocol;
 use mpisim::{Machine, OpClass};
 use perfmodel::paper;
 use std::time::Instant;
 
+pub mod artifacts;
 pub mod cli;
 pub mod suite;
 
-/// Common CLI options for the regenerator binaries.
+/// A flag of the [`Cli`] vocabulary. Each binary names the flags it
+/// reads; [`Cli::parse`] refuses the others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--quick`: the reduced protocol.
+    Quick,
+    /// `--out DIR`: the output directory.
+    Out,
+    /// `--json`: machine-readable output.
+    Json,
+    /// `--threads N`: worker threads.
+    Threads,
+}
+
+impl Flag {
+    /// The flag as typed, and its fragment of the usage line.
+    fn spelling(self) -> (&'static str, &'static str) {
+        match self {
+            Flag::Quick => ("--quick", "[--quick]"),
+            Flag::Out => ("--out", "[--out DIR]"),
+            Flag::Json => ("--json", "[--json]"),
+            Flag::Threads => ("--threads", "[--threads N]"),
+        }
+    }
+}
+
+/// Common CLI options of the bench binaries.
 #[derive(Debug, Clone, Default)]
 pub struct Cli {
     /// Use the reduced protocol (fewer iterations/repetitions).
     pub quick: bool,
-    /// Directory to write the measured dataset as CSV.
-    pub csv_dir: Option<String>,
-    /// Output file path (`--out`, used by report-writing binaries).
+    /// Output directory (`--out`).
     pub out: Option<String>,
     /// Emit machine-readable JSON instead of the text rendering.
     pub json: bool,
@@ -53,50 +76,63 @@ pub struct Cli {
     pub threads: usize,
 }
 
-/// The flags [`Cli::parse`] accepts.
-const CLI_OPTIONS: &str = "[--quick] [--csv DIR] [--out FILE] [--json] [--threads N]";
-
-/// Prints `msg` and the usage line, then exits with status 2.
-fn cli_usage_error(msg: &str) -> ! {
+/// The usage line for the `accepted` flags.
+fn usage_line(accepted: &[Flag]) -> String {
     let bin = std::env::args().next().unwrap_or_default();
     let bin = std::path::Path::new(&bin)
         .file_name()
         .map_or(bin.clone(), |f| f.to_string_lossy().into_owned());
+    let mut line = format!("usage: {bin}");
+    for flag in accepted {
+        line.push(' ');
+        line.push_str(flag.spelling().1);
+    }
+    line
+}
+
+/// Prints `msg` and the usage line, then exits with status 2.
+fn usage_error(accepted: &[Flag], msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!("usage: {bin} {CLI_OPTIONS}");
+    eprintln!("{}", usage_line(accepted));
     std::process::exit(2);
 }
 
 impl Cli {
-    /// Parses `--quick`, `--csv DIR`, `--out FILE`, `--json`, and
-    /// `--threads N` from `std::env::args`. An unknown flag, or a flag
-    /// without its value, prints usage and exits with status 2.
-    pub fn parse() -> Self {
+    /// Parses the `accepted` flags from `std::env::args`. Any other
+    /// flag, or a flag without its value, prints usage listing only the
+    /// accepted flags and exits with status 2.
+    pub fn parse(accepted: &[Flag]) -> Self {
         let mut cli = Cli {
             threads: 1,
             ..Cli::default()
         };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
+            if a == "--help" || a == "-h" {
+                eprintln!("{}", usage_line(accepted));
+                std::process::exit(0);
+            }
+            let flag = accepted
+                .iter()
+                .copied()
+                .find(|f| f.spelling().0 == a)
+                .unwrap_or_else(|| usage_error(accepted, &format!("unknown option {a}")));
             let mut value = || {
                 args.next()
-                    .unwrap_or_else(|| cli_usage_error(&format!("{a} needs a value")))
+                    .unwrap_or_else(|| usage_error(accepted, &format!("{a} needs a value")))
             };
-            match a.as_str() {
-                "--quick" => cli.quick = true,
-                "--csv" => cli.csv_dir = Some(value()),
-                "--out" => cli.out = Some(value()),
-                "--json" => cli.json = true,
-                "--threads" => {
+            match flag {
+                Flag::Quick => cli.quick = true,
+                Flag::Out => cli.out = Some(value()),
+                Flag::Json => cli.json = true,
+                Flag::Threads => {
                     cli.threads = value().parse().unwrap_or_else(|_| {
-                        cli_usage_error("--threads needs a non-negative integer (0 = auto)")
+                        usage_error(
+                            accepted,
+                            "--threads needs a non-negative integer (0 = auto)",
+                        )
                     });
                 }
-                "--help" | "-h" => {
-                    eprintln!("options: {CLI_OPTIONS}");
-                    std::process::exit(0);
-                }
-                other => cli_usage_error(&format!("unknown option {other}")),
             }
         }
         cli
@@ -108,18 +144,6 @@ impl Cli {
             Protocol::quick()
         } else {
             Protocol::paper()
-        }
-    }
-
-    /// Writes the dataset CSV if `--csv` was given.
-    pub fn maybe_write_csv(&self, name: &str, data: &Dataset) {
-        if let Some(dir) = &self.csv_dir {
-            let path = format!("{dir}/{name}.csv");
-            if let Err(e) = std::fs::write(&path, report::csv::dataset_csv(data)) {
-                eprintln!("failed to write {path}: {e}");
-            } else {
-                eprintln!("wrote {path}");
-            }
         }
     }
 }
@@ -149,7 +173,8 @@ pub fn machines() -> [Machine; 3] {
 }
 
 /// The six collectives of Figs. 1, 2, 4, and 5 (barrier is shown
-/// separately in Fig. 3g).
+/// separately in Fig. 3g); with the barrier they are
+/// [`OpClass::COLLECTIVES`].
 pub const SIX_OPS: [OpClass; 6] = [
     OpClass::Bcast,
     OpClass::Alltoall,

@@ -5,8 +5,9 @@
 //! executor ordering, cost tables, or measurement methodology shows up
 //! here immediately. **These values are expected to change whenever the
 //! calibration constants in `netmodel::machines` are retuned on
-//! purpose** — update them alongside, and re-check `bench --bin
-//! calibrate` before doing so.
+//! purpose** — update them alongside, and re-check the calibration grid
+//! (`results/calibrate.txt`, from `full_report --out results`) before
+//! doing so.
 
 #![allow(clippy::unwrap_used)]
 
