@@ -142,7 +142,7 @@ fn to_json(all: &[MachineHotspots]) -> Json {
 fn main() {
     let cli = Cli::parse(&[Flag::Threads, Flag::Json]);
     let machines = [Machine::sp2(), Machine::paragon(), Machine::t3d()];
-    let (all, _stats) = harness::map_indexed(
+    let all = harness::map_indexed(
         machines.len(),
         cli.threads,
         |i| analyze(&machines[i]),

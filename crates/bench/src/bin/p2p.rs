@@ -27,13 +27,13 @@ fn main() {
         "n_1/2 (B)",
         "r^2",
     ]);
-    let cli_protocol = harness::Protocol::quick();
+    let protocol = harness::Protocol::paper();
     timed("p2p sweep", || {
         for machine in machines() {
             let p = machine.spec().max_nodes.min(64);
             let comm = machine.communicator(p).expect("size");
             for (label, dst) in [("neighbour", 1usize), ("far corner", p - 1)] {
-                let measured = measure_pingpong(&comm, Rank(0), Rank(dst), &SIZES, &cli_protocol)
+                let measured = measure_pingpong(&comm, Rank(0), Rank(dst), &SIZES, &protocol)
                     .expect("pingpong");
                 let mut samples = Vec::new();
                 let mut rows = Table::new(["m (B)", "latency (us)", "MB/s"]);

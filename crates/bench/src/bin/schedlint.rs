@@ -124,7 +124,7 @@ fn sweep_specs(opts: &Opts) -> Vec<(MachineId, OpClass, usize, u32)> {
 /// serial run for any thread count.
 fn sweep(opts: &Opts, metrics: &mut MetricsRegistry) -> Vec<Point> {
     let specs = sweep_specs(opts);
-    let (reports, _) = harness::map_indexed(
+    let reports = harness::map_indexed(
         specs.len(),
         opts.threads,
         |i| {

@@ -51,8 +51,9 @@ pub enum Accept {
 /// worker count, and trace cap.
 ///
 /// `--suite` runs fixed points, so it refuses the point flags
-/// (`--machine`, `--op`, `-p`, `-m`): [`PointCli::selection_ok`] is
-/// false when both are given, in either order.
+/// (`--machine`, `--op`, `-p`, `-m`), and a single point runs on the
+/// calling thread, so it refuses `--threads`: [`PointCli::selection_ok`]
+/// is false for either mix, in any order.
 #[derive(Debug, Clone)]
 pub struct PointCli {
     /// `--machine` (required unless `--suite`, which refuses it).
@@ -67,12 +68,14 @@ pub struct PointCli {
     pub out: Option<String>,
     /// `--suite`: run the fixed 21-point grid instead of one point.
     pub suite: bool,
-    /// `--threads` (default 1).
+    /// `--threads` (default 1; `--suite` only).
     pub threads: usize,
     /// `--trace-cap`.
     pub trace_cap: Option<usize>,
     /// Whether any point flag was given, which `--suite` refuses.
     point_flag: bool,
+    /// Whether `--threads` was given, which a single point refuses.
+    threads_flag: bool,
 }
 
 impl Default for PointCli {
@@ -87,6 +90,7 @@ impl Default for PointCli {
             threads: 1,
             trace_cap: None,
             point_flag: false,
+            threads_flag: false,
         }
     }
 }
@@ -99,6 +103,7 @@ impl PointCli {
             flag,
             "--machine" | "--op" | "-p" | "--nodes" | "-m" | "--bytes"
         );
+        self.threads_flag |= flag == "--threads";
         let mut need = |out: &mut dyn FnMut(&str) -> bool| match value() {
             Some(v) if out(&v) => Accept::Consumed,
             _ => Accept::Invalid,
@@ -129,12 +134,13 @@ impl PointCli {
     }
 
     /// True when the selection is complete and unambiguous: either
-    /// `--suite` without any point flag, or both `--machine` and `--op`.
+    /// `--suite` without any point flag, or both `--machine` and `--op`
+    /// without `--threads`.
     pub fn selection_ok(&self) -> bool {
         if self.suite {
             !self.point_flag
         } else {
-            self.machine.is_some() && self.op.is_some()
+            self.machine.is_some() && self.op.is_some() && !self.threads_flag
         }
     }
 
@@ -201,7 +207,7 @@ mod tests {
             cli.accept("--threads", || Some("4".into())),
             Accept::Consumed
         );
-        assert!(cli.selection_ok());
+        assert!(!cli.selection_ok(), "a single point refuses --threads");
         assert_eq!((cli.p, cli.m, cli.threads), (16, 512, 4));
         assert_eq!(cli.accept("--demo-broken", || None), Accept::Unknown);
         assert_eq!(cli.accept("-p", || Some("lots".into())), Accept::Invalid);

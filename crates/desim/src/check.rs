@@ -85,13 +85,6 @@ impl Gen {
         let n = self.usize(min_len, max_len);
         (0..n).map(|_| self.u64(lo, hi)).collect()
     }
-
-    /// A vector of `f64` values: length in `[min_len, max_len]`, values
-    /// in `[lo, hi)`.
-    pub fn vec_f64(&mut self, min_len: usize, max_len: usize, lo: f64, hi: f64) -> Vec<f64> {
-        let n = self.usize(min_len, max_len);
-        (0..n).map(|_| self.f64(lo, hi)).collect()
-    }
 }
 
 /// Runs `prop` against `cases` deterministically seeded inputs.

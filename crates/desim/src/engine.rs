@@ -112,72 +112,6 @@ struct TieSwap {
     applied: bool,
 }
 
-/// Host-side engine self-profile, collected only when the engine was
-/// built [`Engine::with_profiling`]. Wall-clock figures come from
-/// `std::time::Instant` around [`Engine::run`]; the queue depth is
-/// sampled every [`EngineProfile::SAMPLE_EVERY`] fired events so the
-/// hot loop stays branch-plus-mask cheap.
-#[derive(Debug, Clone, Default)]
-pub struct EngineProfile {
-    /// Wall-clock nanoseconds spent inside `run()` loops.
-    wall_ns: u64,
-    /// Events fired inside timed `run()` windows.
-    events_timed: u64,
-    /// Number of queue-depth samples taken.
-    samples: u64,
-    /// Sampled pending-queue depths (pow2 buckets).
-    queue_depth: obs::Pow2Histogram,
-}
-
-impl EngineProfile {
-    /// The queue depth is sampled once per this many fired events.
-    pub const SAMPLE_EVERY: u64 = 64;
-
-    /// Wall-clock nanoseconds spent inside timed `run()` windows.
-    pub fn wall_ns(&self) -> u64 {
-        self.wall_ns
-    }
-
-    /// Events fired inside timed `run()` windows.
-    pub fn events_timed(&self) -> u64 {
-        self.events_timed
-    }
-
-    /// Events per wall-clock second over the timed windows; 0 before any
-    /// timed run completes.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.events_timed as f64 / (self.wall_ns as f64 / 1e9)
-        }
-    }
-
-    /// The sampled queue-depth distribution.
-    pub fn queue_depth(&self) -> &obs::Pow2Histogram {
-        &self.queue_depth
-    }
-
-    /// Exports the profile into `reg` under `engine.prof.*`.
-    pub fn export_metrics(&self, reg: &mut obs::MetricsRegistry) {
-        reg.counter("engine.prof.wall_ns", self.wall_ns);
-        reg.counter("engine.prof.events_timed", self.events_timed);
-        reg.counter("engine.prof.samples", self.samples);
-        reg.gauge("engine.prof.events_per_sec", self.events_per_sec());
-        if self.queue_depth.count() > 0 {
-            reg.gauge(
-                "engine.prof.queue_depth.p50",
-                self.queue_depth.quantile(0.5).unwrap_or(0) as f64,
-            );
-            reg.gauge(
-                "engine.prof.queue_depth.p99",
-                self.queue_depth.quantile(0.99).unwrap_or(0) as f64,
-            );
-            reg.gauge("engine.prof.queue_depth.mean", self.queue_depth.mean());
-        }
-    }
-}
-
 /// A deterministic discrete-event simulation engine over world state `W`.
 ///
 /// The world implements [`EventWorld`] and receives every event through
@@ -215,9 +149,6 @@ pub struct Engine<W> {
     fired: u64,
     event_limit: u64,
     queue_high_water: usize,
-    /// Self-profiling state; `None` (the default) costs one branch per
-    /// step and zero clock reads.
-    prof: Option<Box<EngineProfile>>,
     /// Canonical fired-event log; `None` (the default) costs one branch
     /// per step. See [`Engine::with_event_log`].
     elog: Option<Box<EventLog>>,
@@ -268,7 +199,6 @@ impl<W> Engine<W> {
             fired: 0,
             event_limit: Self::DEFAULT_EVENT_LIMIT,
             queue_high_water: 0,
-            prof: None,
             elog: None,
             swap: None,
             held: None,
@@ -284,23 +214,9 @@ impl<W> Engine<W> {
         self
     }
 
-    /// Enables engine self-profiling: wall-clock timing of `run()` loops
-    /// plus a sampled queue-depth histogram. Profiling never perturbs the
-    /// simulation itself — only host-side counters are touched.
-    pub fn with_profiling(mut self) -> Self {
-        self.prof = Some(Box::default());
-        self
-    }
-
-    /// The collected self-profile; `None` unless built
-    /// [`Engine::with_profiling`].
-    pub fn profile(&self) -> Option<&EngineProfile> {
-        self.prof.as_deref()
-    }
-
     /// Enables causal provenance recording: every scheduled event gets a
     /// compact parent edge (the seq of the event firing when it was
-    /// scheduled). Like profiling, this never perturbs the simulation —
+    /// scheduled). Recording never perturbs the simulation —
     /// timing, ordering, and [`EventStats`] are identical on and off.
     pub fn with_provenance(mut self) -> Self {
         self.scheduler.prov = Some(Box::default());
@@ -315,8 +231,8 @@ impl<W> Engine<W> {
 
     /// Enables canonical event logging: every *fired* event is recorded
     /// as a compact `(seq, at, kind, a, b)` tuple in firing order — the
-    /// stream `obs::diff` aligns when comparing two runs. Like profiling
-    /// and provenance, recording never perturbs the simulation.
+    /// stream `obs::diff` aligns when comparing two runs. Like
+    /// provenance, recording never perturbs the simulation.
     pub fn with_event_log(mut self) -> Self {
         self.elog = Some(Box::default());
         self
@@ -429,15 +345,6 @@ impl<W: EventWorld> Engine<W> {
             self.event_limit
         );
         self.fired += 1;
-        // Sample queue depth right after the pop, before dispatch: the
-        // fired event is no longer pending, and its follow-ups aren't
-        // scheduled yet, so the sample reflects true residual depth.
-        if let Some(prof) = &mut self.prof {
-            if self.fired & (EngineProfile::SAMPLE_EVERY - 1) == 0 {
-                prof.samples += 1;
-                prof.queue_depth.record(self.scheduler.queue.len() as u64);
-            }
-        }
         self.scheduler.now = ev.at;
         if let Some(p) = &mut self.scheduler.prov {
             p.mark_fired(ev.seq);
@@ -521,22 +428,8 @@ impl<W: EventWorld> Engine<W> {
     }
 
     /// Runs until no events remain. Returns the final clock value.
-    ///
-    /// With profiling enabled the loop is wrapped in a wall-clock timer,
-    /// accumulating into the profile's `wall_ns` / `events_timed` (from
-    /// which events-per-second falls out).
     pub fn run(&mut self, world: &mut W) -> SimTime {
-        if self.prof.is_none() {
-            while self.step(world) {}
-            return self.now();
-        }
-        let fired_before = self.fired;
-        let start = std::time::Instant::now();
         while self.step(world) {}
-        let elapsed = start.elapsed();
-        let prof = self.prof.as_mut().expect("profiling enabled");
-        prof.wall_ns += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        prof.events_timed += self.fired - fired_before;
         self.now()
     }
 
@@ -756,47 +649,6 @@ mod tests {
         e.run(&mut w);
         assert_eq!(e.queue_high_water(), 5, "high water survives the drain");
         assert_eq!(e.events_fired(), 5);
-    }
-
-    #[test]
-    fn profiling_observes_without_perturbing() {
-        fn chain(e: &mut Engine<Log>) -> (SimTime, Vec<(u64, u64)>) {
-            let mut w = Log::default();
-            for t in 1..=1000u64 {
-                timer(e, t * 3, 0);
-            }
-            let end = e.run(&mut w);
-            (end, w.timers())
-        }
-        let (plain_end, plain_w) = chain(&mut Engine::new());
-        let mut profiled = Engine::new().with_profiling();
-        let (prof_end, prof_w) = chain(&mut profiled);
-        assert_eq!(plain_end, prof_end, "profiling must not change results");
-        assert_eq!(plain_w, prof_w);
-        assert_eq!(profiled.event_stats().typed, 1000);
-
-        let prof = profiled.profile().expect("profile collected");
-        assert!(prof.wall_ns() > 0);
-        assert_eq!(prof.events_timed(), 1000);
-        assert!(prof.events_per_sec() > 0.0);
-        assert!(prof.queue_depth().count() > 0, "depth sampled every 64");
-
-        let mut reg = obs::MetricsRegistry::new();
-        prof.export_metrics(&mut reg);
-        assert!(reg.get("engine.prof.wall_ns").unwrap().as_f64().unwrap() > 0.0);
-        assert_eq!(
-            reg.get("engine.prof.events_timed").unwrap().as_f64(),
-            Some(1000.0)
-        );
-    }
-
-    #[test]
-    fn profiling_is_off_by_default() {
-        let mut e = Engine::new();
-        let mut w = Log::default();
-        timer(&mut e, 1, 0);
-        e.run(&mut w);
-        assert!(e.profile().is_none());
     }
 
     #[test]

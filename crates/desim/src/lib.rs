@@ -12,9 +12,7 @@
 //!   [`event::EventWorld::dispatch`] match;
 //! * [`resource::FifoResource`] — serializing servers used for links, NIC
 //!   ports and DMA engines;
-//! * [`rng::SplitMix64`] — seeded randomness for clock skew and noise;
-//! * [`stats`] — summary statistics matching the paper's min/max/mean
-//!   aggregation.
+//! * [`rng::SplitMix64`] — seeded randomness for clock skew and noise.
 //!
 //! # Examples
 //!
@@ -57,15 +55,13 @@ pub mod footprint;
 pub mod provenance;
 pub mod resource;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, EngineProfile, Scheduler};
+pub use engine::{Engine, Scheduler};
 pub use event::{EventStats, EventWorld, TypedEvent};
 pub use eventlog::{EventKind, EventLog, LoggedEvent};
 pub use footprint::{Footprint, Resource};
 pub use provenance::{ProvRecord, Provenance};
 pub use resource::{FifoResource, Grant, ResourcePool};
 pub use rng::SplitMix64;
-pub use stats::{Counter, LogHistogram, Summary};
 pub use time::{SimDuration, SimTime};

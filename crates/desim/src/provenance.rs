@@ -9,12 +9,10 @@
 //! (typically the last one fired) to reconstruct the causal chain that
 //! produced it — the raw material of critical-path analysis.
 //!
-//! The hook follows the same gating pattern as [`Engine::with_profiling`]:
-//! an `Option<Box<Provenance>>` that costs one branch per push and zero
-//! allocations when disabled.
+//! The hook is an `Option<Box<Provenance>>` that costs one branch per
+//! push and zero allocations when disabled.
 //!
 //! [`Engine::with_provenance`]: crate::Engine::with_provenance
-//! [`Engine::with_profiling`]: crate::Engine::with_profiling
 //!
 //! # Examples
 //!

@@ -1,13 +1,12 @@
 //! Property-based tests of the simulation kernel: event ordering,
-//! resource FIFO invariants, statistics correctness. Runs on the
+//! resource FIFO invariants. Runs on the
 //! in-repo deterministic harness ([`desim::check`]).
 
 #![allow(clippy::unwrap_used)]
 
 use desim::check::{forall, Gen};
 use desim::{
-    Engine, EventWorld, FifoResource, Scheduler, SimDuration, SimTime, SplitMix64, Summary,
-    TypedEvent,
+    Engine, EventWorld, FifoResource, Scheduler, SimDuration, SimTime, SplitMix64, TypedEvent,
 };
 
 /// `children[id]`: the `(delay_ns, child_id)` posts timer `id` makes
@@ -172,42 +171,6 @@ fn resource_grants_never_overlap() {
         assert_eq!(r.busy_time(), total);
         assert_eq!(r.grants(), reqs.len() as u64);
         assert!(r.utilization(prev_end) <= 1.0 + f64::EPSILON);
-    });
-}
-
-/// Welford summary matches naive two-pass statistics.
-#[test]
-fn summary_matches_naive() {
-    forall("summary matches naive", 64, |g| {
-        let xs = g.vec_f64(1, 500, -1e6, 1e6);
-        let s: Summary = xs.iter().copied().collect();
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        assert_eq!(s.count(), xs.len() as u64);
-        assert!((s.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
-        assert!((s.variance() - var).abs() <= 1e-4 * (1.0 + var.abs()));
-        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(s.min(), min);
-        assert_eq!(s.max(), max);
-    });
-}
-
-/// Merged summaries equal bulk summaries.
-#[test]
-fn summary_merge_associative() {
-    forall("summary merge associative", 64, |g| {
-        let xs = g.vec_f64(0, 100, -1e3, 1e3);
-        let ys = g.vec_f64(0, 100, -1e3, 1e3);
-        let bulk: Summary = xs.iter().chain(&ys).copied().collect();
-        let mut merged: Summary = xs.iter().copied().collect();
-        merged.merge(&ys.iter().copied().collect());
-        assert_eq!(merged.count(), bulk.count());
-        if bulk.count() > 0 {
-            assert!((merged.mean() - bulk.mean()).abs() < 1e-9 * (1.0 + bulk.mean().abs()));
-            assert!((merged.variance() - bulk.variance()).abs() < 1e-6 * (1.0 + bulk.variance()));
-        }
     });
 }
 

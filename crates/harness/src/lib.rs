@@ -39,7 +39,7 @@ pub mod sweep;
 
 pub use dataset::{Dataset, ParseDatasetError, CSV_HEADER};
 pub use measure::{measure, Measurement};
-pub use par::{map_indexed, resolve_threads, run_indexed, ParStats, WorkerStats};
+pub use par::{map_indexed, resolve_threads, run_indexed};
 pub use pingpong::{measure_pingpong, PingPongSample};
 pub use protocol::Protocol;
 pub use sweep::{SweepBuilder, PAPER_MESSAGE_SIZES, PAPER_NODE_COUNTS};

@@ -14,7 +14,7 @@
 
 use crate::dataset::Dataset;
 use crate::measure::measure;
-use crate::par::{self, ParStats};
+use crate::par;
 use crate::protocol::Protocol;
 use mpisim::{Machine, OpClass, SimMpiError};
 
@@ -161,26 +161,6 @@ impl SweepBuilder {
         self.point_specs().len()
     }
 
-    /// Runs the sweep and returns the dataset plus the executor's
-    /// wall-clock/utilization statistics.
-    fn run_collect(
-        &self,
-        progress: &(impl Fn(usize, usize) + Sync),
-    ) -> Result<(Dataset, ParStats), SimMpiError> {
-        let specs = self.point_specs();
-        let (res, stats) = par::run_indexed(
-            specs.len(),
-            self.threads,
-            |i| {
-                let s = &specs[i];
-                let comm = s.machine.communicator(s.nodes)?;
-                measure(&comm, s.op, s.bytes, &self.protocol)
-            },
-            progress,
-        );
-        res.map(|points| (points.into_iter().collect(), stats))
-    }
-
     /// Runs the sweep, invoking `progress(done, total)` once per
     /// completed `(machine, op, p, m)` point — per-point granularity,
     /// so long points (e.g. a 64-node alltoall) advance the count as
@@ -200,7 +180,18 @@ impl SweepBuilder {
         &self,
         progress: impl Fn(usize, usize) + Send + Sync,
     ) -> Result<Dataset, SimMpiError> {
-        self.run_collect(&progress).map(|(data, _)| data)
+        let specs = self.point_specs();
+        let points = par::run_indexed(
+            specs.len(),
+            self.threads,
+            |i| {
+                let s = &specs[i];
+                let comm = s.machine.communicator(s.nodes)?;
+                measure(&comm, s.op, s.bytes, &self.protocol)
+            },
+            &progress,
+        )?;
+        Ok(points.into_iter().collect())
     }
 
     /// Runs the sweep silently.
@@ -210,90 +201,6 @@ impl SweepBuilder {
     /// Propagates the first measurement failure.
     pub fn run(&self) -> Result<Dataset, SimMpiError> {
         self.run_with_progress(|_, _| {})
-    }
-
-    /// A provenance manifest for this sweep: the grid, the machine list,
-    /// and every protocol knob, so an exported dataset is reproducible
-    /// from its own header.
-    pub fn manifest(&self) -> obs::RunManifest {
-        let names: Vec<&str> = self.machines.iter().map(Machine::name).collect();
-        let ops: Vec<&str> = self.ops.iter().map(|o| o.paper_name()).collect();
-        obs::RunManifest::new(names.join(", "))
-            .param("ops", ops.join(", "))
-            .param(
-                "m_bytes",
-                self.sizes
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            )
-            .param(
-                "p",
-                self.nodes
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            )
-            .param("warmup", self.protocol.warmup)
-            .param("iterations", self.protocol.iterations)
-            .param("repetitions", self.protocol.repetitions)
-            .param("max_skew_us", self.protocol.max_skew.as_micros_f64())
-            .param(
-                "timer_resolution_us",
-                self.protocol.timer_resolution.as_micros_f64(),
-            )
-            .param("os_noise", self.protocol.os_noise)
-            .param("seed", format!("{:#x}", self.protocol.seed))
-    }
-
-    /// Runs the sweep and exports coverage metrics into `reg`: points
-    /// measured per machine and per operation, the distribution of
-    /// measured times, and host wall-clock metering — per-point
-    /// wall-clock histogram plus quantiles (`sweep.wall_ns` /
-    /// `sweep.wall.*`), total wall time, measured points per second,
-    /// and the parallel executor's worker-utilization statistics
-    /// (`sweep.par.*`: thread count, busy time, utilization, per-worker
-    /// point/busy distributions). Per-worker wall numbers aggregate
-    /// exactly once regardless of thread count; only the `sweep.par.*`
-    /// and wall-clock values vary with threading — the dataset and the
-    /// coverage counters never do.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first measurement failure.
-    pub fn run_metered(&self, reg: &mut obs::MetricsRegistry) -> Result<Dataset, SimMpiError> {
-        let (data, stats) = self.run_collect(&|_, _| {})?;
-        let mut wall = obs::QuantileSketch::new();
-        for &point_ns in &stats.point_ns {
-            reg.observe("sweep.wall_ns", point_ns);
-            wall.record(point_ns as f64);
-        }
-        let total_ns = stats.wall_ns as f64;
-        reg.counter("sweep.points", data.len() as u64);
-        reg.gauge("sweep.wall.total_ns", total_ns);
-        if !data.is_empty() && total_ns > 0.0 {
-            reg.gauge(
-                "sweep.wall.points_per_sec",
-                data.len() as f64 / (total_ns / 1e9),
-            );
-        }
-        if !wall.is_empty() {
-            reg.gauge("sweep.wall.point_p50_ns", wall.quantile(0.5).unwrap_or(0.0));
-            reg.gauge(
-                "sweep.wall.point_p99_ns",
-                wall.quantile(0.99).unwrap_or(0.0),
-            );
-            reg.gauge("sweep.wall.point_max_ns", wall.max().unwrap_or(0.0));
-        }
-        stats.export_metrics(reg);
-        for m in data.iter() {
-            reg.counter(format!("sweep.points.{}", m.machine), 1);
-            reg.counter(format!("sweep.points.op.{}", m.op.paper_name()), 1);
-            reg.observe("sweep.time_ns", (m.time_us * 1e3).max(0.0) as u64);
-        }
-        Ok(data)
     }
 }
 
@@ -364,42 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn metered_sweep_exports_coverage_and_manifest() {
-        let mut reg = obs::MetricsRegistry::new();
-        let b = SweepBuilder::new()
-            .machines([Machine::t3d()])
-            .ops([OpClass::Bcast])
-            .message_sizes([16, 64])
-            .node_counts([2])
-            .protocol(Protocol::quick());
-        let data = b.run_metered(&mut reg).unwrap();
-        assert_eq!(data.len(), 2);
-        assert_eq!(reg.get("sweep.points").unwrap().as_f64(), Some(2.0));
-        assert!(reg.get("sweep.wall.total_ns").unwrap().as_f64().unwrap() > 0.0);
-        assert!(
-            reg.get("sweep.wall.points_per_sec")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
-        assert!(reg.get("sweep.wall.point_p50_ns").is_some());
-        assert_eq!(reg.get("sweep.par.threads").unwrap().as_f64(), Some(1.0));
-        assert!(reg.get("sweep.par.utilization").is_some());
-        assert!(reg.get("sweep.points.Cray T3D").is_some());
-        assert!(
-            reg.get("sweep.points.op.broadcast").is_some() || {
-                // Accept whichever paper name bcast carries.
-                reg.iter().any(|(k, _)| k.starts_with("sweep.points.op."))
-            }
-        );
-        let man = b.manifest();
-        assert_eq!(man.machine(), "Cray T3D");
-        assert_eq!(man.get("p"), Some("2"));
-        assert_eq!(man.get("seed"), Some("0x7"));
-    }
-
-    #[test]
     fn progress_reported() {
         let calls = AtomicUsize::new(0);
         SweepBuilder::new()
@@ -452,24 +323,5 @@ mod tests {
             assert_eq!(done, k + 1, "strictly monotonic completed-count");
             assert_eq!(t, total);
         }
-    }
-
-    #[test]
-    fn metered_parallel_sweep_reports_worker_stats() {
-        let mut reg = obs::MetricsRegistry::new();
-        let data = SweepBuilder::new()
-            .machines([Machine::paragon()])
-            .ops([OpClass::Scatter])
-            .message_sizes([16, 64, 256, 1024])
-            .node_counts([2, 4])
-            .protocol(Protocol::quick())
-            .threads(2)
-            .run_metered(&mut reg)
-            .unwrap();
-        assert_eq!(data.len(), 8);
-        assert_eq!(reg.get("sweep.par.threads").unwrap().as_f64(), Some(2.0));
-        let util = reg.get("sweep.par.utilization").unwrap().as_f64().unwrap();
-        assert!(util > 0.0, "workers did measurable work: {util}");
-        assert_eq!(reg.get("sweep.points").unwrap().as_f64(), Some(8.0));
     }
 }

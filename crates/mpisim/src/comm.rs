@@ -18,10 +18,6 @@ pub struct RunOptions {
     pub cpu_noise: Option<CpuNoise>,
     /// Record message traces and link loads.
     pub record_trace: bool,
-    /// Collect an engine self-profile (wall-clock, events/sec, sampled
-    /// queue depth); surfaced via [`crate::exec::Observed`] on observed
-    /// runs. Zero cost when off.
-    pub profile: bool,
     /// Record causal event provenance; surfaced via
     /// [`crate::exec::Observed::provenance`] on observed runs. Zero cost
     /// when off.
@@ -344,7 +340,6 @@ impl Communicator {
             trace_limit: options.trace_limit,
             placement: self.machine.placement(),
             cpu_noise: options.cpu_noise,
-            profile: options.profile,
             provenance: options.provenance,
             event_log: options.event_log,
             tie_break: crate::exec::TieBreakPolicy::InsertionOrder,

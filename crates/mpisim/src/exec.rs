@@ -60,11 +60,6 @@ pub struct ExecConfig {
     /// size of the full machine partition the topology is built for.
     /// Overrides `placement` when set.
     pub group: Option<(ExplicitPlacement, usize)>,
-    /// Enable engine self-profiling (host wall-clock, events/sec, sampled
-    /// queue depth). Zero cost when off; the collected
-    /// [`desim::EngineProfile`] is returned via [`Observed`] on observed
-    /// runs.
-    pub profile: bool,
     /// Record causal event provenance ([`desim::Engine::with_provenance`]):
     /// one compact parent edge per event, returned via
     /// [`Observed::provenance`] on observed runs. Zero cost when off.
@@ -250,8 +245,6 @@ pub struct Observed {
     /// Batched watermark commits actually applied — one per
     /// (message, resource).
     pub fifo_commits: u64,
-    /// Engine self-profile, when [`ExecConfig::profile`] was set.
-    pub engine_profile: Option<desim::EngineProfile>,
     /// Causal event-parent log, when [`ExecConfig::provenance`] was set.
     pub provenance: Option<desim::Provenance>,
     /// Canonical fired-event stream, when [`ExecConfig::event_log`] was
@@ -546,9 +539,6 @@ fn execute_inner(
         world.net.enable_instrumentation();
     }
     let mut engine: Engine<World> = Engine::new();
-    if cfg.profile {
-        engine = engine.with_profiling();
-    }
     if cfg.provenance {
         engine = engine.with_provenance();
     }
@@ -600,7 +590,6 @@ fn execute_inner(
         event_stats: engine.event_stats(),
         fifo_updates,
         fifo_commits,
-        engine_profile: engine.profile().cloned(),
         provenance: engine.provenance().cloned(),
         event_log: engine.event_log().cloned(),
         tie_swap_applied: engine.tie_swap_applied(),
@@ -1129,29 +1118,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_run_collects_engine_profile_without_perturbing() {
-        let spec = t3d();
-        let s = collectives::alltoall::pairwise(16, 2048);
-        let plain = run(&spec, &s);
-        let (out, obs) = execute_observed(
-            &spec,
-            &[&s],
-            &ExecConfig {
-                profile: true,
-                ..ExecConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.finish, plain.finish, "profiling must not change timing");
-        let prof = obs.engine_profile.expect("profile collected");
-        assert!(prof.wall_ns() > 0);
-        assert_eq!(prof.events_timed(), out.events);
-        // Unprofiled observed runs carry no profile.
-        let (_, obs2) = execute_observed(&spec, &[&s], &ExecConfig::default()).unwrap();
-        assert!(obs2.engine_profile.is_none());
-    }
-
-    #[test]
     fn provenance_run_collects_chain_without_perturbing() {
         let spec = t3d();
         let s = collectives::alltoall::pairwise(16, 2048);
@@ -1194,80 +1160,6 @@ mod tests {
         let on = observe(true);
         assert!(off.provenance.is_none());
         assert_eq!(off.event_stats, on.event_stats);
-    }
-
-    /// Spot-check of the self-profiling, provenance, and event-log
-    /// overhead claims (run manually):
-    ///
-    /// ```text
-    /// cargo test -p mpisim --release -- --ignored --nocapture profiling_overhead
-    /// ```
-    ///
-    /// Times a 64-node alltoall repeatedly with instrumentation off and
-    /// on and prints the wall-clock ratios; each enabled path should stay
-    /// within a couple percent of the disabled one, and the off path pays
-    /// only one predictable branch per gated feature.
-    #[test]
-    #[ignore = "wall-clock measurement; run manually in release mode"]
-    fn profiling_overhead_spotcheck() {
-        let spec = t3d();
-        let s = collectives::alltoall::pairwise(64, 4096);
-        let time = |profile: bool, provenance: bool, event_log: bool| {
-            let cfg = ExecConfig {
-                profile,
-                provenance,
-                event_log,
-                ..ExecConfig::default()
-            };
-            // Warmup, then best-of-5 timing batches to shed scheduler noise.
-            for _ in 0..5 {
-                execute_observed(&spec, &[&s], &cfg).unwrap();
-            }
-            let reps = 30;
-            (0..5)
-                .map(|_| {
-                    let t0 = std::time::Instant::now();
-                    for _ in 0..reps {
-                        execute_observed(&spec, &[&s], &cfg).unwrap();
-                    }
-                    t0.elapsed().as_secs_f64() / reps as f64
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        let off = time(false, false, false);
-        let prof = time(true, false, false);
-        let prov = time(false, true, false);
-        let elog = time(false, false, true);
-        println!(
-            "instrumentation off {:.3} ms/run; profiling on {:.3} ms/run ({:+.2}%); \
-             provenance on {:.3} ms/run ({:+.2}%); event log on {:.3} ms/run ({:+.2}%)",
-            off * 1e3,
-            prof * 1e3,
-            (prof / off - 1.0) * 100.0,
-            prov * 1e3,
-            (prov / off - 1.0) * 100.0,
-            elog * 1e3,
-            (elog / off - 1.0) * 100.0
-        );
-        assert!(
-            prof / off < 1.10,
-            "profiling overhead {:.1}% >= 10%",
-            (prof / off - 1.0) * 100.0
-        );
-        assert!(
-            prov / off < 1.15,
-            "provenance overhead {:.1}% >= 15%",
-            (prov / off - 1.0) * 100.0
-        );
-        // Recording every fired event is real work (one slab push per
-        // event), so the enabled path gets a looser budget; the
-        // disabled path is the zero-cost claim and is covered by `off`
-        // being the baseline all ratios compare against.
-        assert!(
-            elog / off < 1.25,
-            "event-log overhead {:.1}% >= 25%",
-            (elog / off - 1.0) * 100.0
-        );
     }
 
     #[test]

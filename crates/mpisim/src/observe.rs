@@ -147,9 +147,6 @@ pub fn export_metrics(out: &ExecOutcome, observed: &Observed, reg: &mut MetricsR
     reg.counter("net.fifo.updates", observed.fifo_updates);
     reg.counter("net.fifo.commits", observed.fifo_commits);
     observed.net.export_metrics(reg);
-    if let Some(prof) = &observed.engine_profile {
-        prof.export_metrics(reg);
-    }
 }
 
 /// The full snapshot document written next to a trace: the run manifest

@@ -12,11 +12,11 @@
 //! Paragon. They were calibrated so that the full simulation pipeline
 //! (collective schedules → discrete-event execution → the paper's
 //! measurement methodology → least-squares fitting) reproduces the
-//! shapes and magnitudes of the paper's Table 3; see the
-//! `bench --bin calibrate` report and `EXPERIMENTS.md`. Starting points
-//! were derived analytically from Table 3 coefficients, e.g. the SP2's
-//! 5.8 µs/message scatter startup slope is charged as the root's
-//! per-send overhead.
+//! shapes and magnitudes of the paper's Table 3; see
+//! `results/calibrate.txt` (written by `full_report --out results`) and
+//! `EXPERIMENTS.md`. Starting points were derived analytically from
+//! Table 3 coefficients, e.g. the SP2's 5.8 µs/message scatter startup
+//! slope is charged as the root's per-send overhead.
 //!
 //! Architectural features follow the paper's narrative (§4, §5): the
 //! T3D's hardwired barrier (≈3 µs regardless of size) and block-transfer

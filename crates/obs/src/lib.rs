@@ -16,8 +16,6 @@
 //!   per MPI rank, async arrows for messages.
 //! * [`RunManifest`] — provenance header (machine, p, m, seed, config
 //!   ablations) attached to every exported artifact.
-//! * [`QuantileSketch`] — streaming mergeable quantile summary for
-//!   host-side wall-clock latencies where pow2 buckets are too coarse.
 //! * [`prom`] — Prometheus text-exposition export of a registry.
 //! * [`critpath`] — causal critical-path reconstruction: walks blame
 //!   spans backward from completion and decomposes end-to-end latency
@@ -34,7 +32,6 @@ pub mod diff;
 pub mod json;
 pub mod manifest;
 pub mod prom;
-pub mod quantile;
 pub mod record;
 pub mod registry;
 pub mod trace;
@@ -42,7 +39,6 @@ pub mod trace;
 pub use diff::{DiffReport, Verdict};
 pub use json::{validate, Json};
 pub use manifest::RunManifest;
-pub use quantile::QuantileSketch;
 pub use record::RunRecord;
 pub use registry::{Metric, MetricsRegistry, Pow2Histogram};
 pub use trace::ChromeTrace;

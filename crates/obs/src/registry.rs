@@ -24,9 +24,9 @@ use std::collections::BTreeMap;
 use crate::json::Json;
 
 /// A power-of-two histogram: bucket `i` counts samples in
-/// `[2^(i-1), 2^i)` (bucket 0 holds zeros and ones). Mirrors
-/// `desim::stats::LogHistogram` but lives here so non-desim layers can
-/// record into snapshots without a dependency cycle.
+/// `[2^(i-1), 2^i)` (bucket 0 holds zeros and ones). It lives here, in
+/// the dependency-free crate, so every layer can record into snapshots
+/// without a dependency cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pow2Histogram {
     buckets: [u64; 64],

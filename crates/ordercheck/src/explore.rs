@@ -325,18 +325,14 @@ pub fn analyze_point(spec: &PointSpec, opts: &ExploreOptions) -> PointCensus {
 /// Analyzes a list of points with `threads` workers and merges the
 /// censuses in canonical (input) order — byte-identical output for any
 /// thread count.
-pub fn suite_census(
-    points: &[PointSpec],
-    threads: usize,
-    opts: &ExploreOptions,
-) -> (SuiteCensus, harness::ParStats) {
-    let (censuses, stats) = harness::map_indexed(
+pub fn suite_census(points: &[PointSpec], threads: usize, opts: &ExploreOptions) -> SuiteCensus {
+    let censuses = harness::map_indexed(
         points.len(),
         threads,
         |i| analyze_point(&points[i], opts),
         &|_, _| {},
     );
-    (SuiteCensus { points: censuses }, stats)
+    SuiteCensus { points: censuses }
 }
 
 #[cfg(test)]

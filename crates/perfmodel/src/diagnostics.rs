@@ -6,8 +6,7 @@
 //! published Table 3). This module quantifies fit quality as plain
 //! numbers — pseudo-R², relative residuals, and the accuracy of the
 //! fitted formula against both the dataset it was fitted on and the
-//! paper's oracle — and can export them as gauges for a pipeline that
-//! alarms on drift between runs.
+//! paper's oracle — rendered into `results/report.md`'s scorecard.
 
 use crate::accuracy::{score, Accuracy};
 use crate::formula::TimingFormula;
@@ -47,24 +46,6 @@ pub fn machine_id_of(name: &str) -> Option<MachineId> {
     MachineId::ALL
         .into_iter()
         .find(|&id| Machine::from_id(id).name() == name)
-}
-
-/// Short metric-key segment for a machine: `sp2` / `t3d` / `paragon`
-/// for the paper's machines, a lowercased slug otherwise.
-fn machine_key(name: &str) -> String {
-    match machine_id_of(name) {
-        Some(id) => id.name().to_ascii_lowercase(),
-        None => name
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '_'
-                }
-            })
-            .collect(),
-    }
 }
 
 /// Fits `(machine, op)` from `data` and computes its diagnostics.
@@ -135,25 +116,6 @@ pub fn diagnose_all(data: &Dataset) -> Vec<FitDiagnostics> {
     out
 }
 
-impl FitDiagnostics {
-    /// Exports the diagnostics as gauges under
-    /// `fit.<machine>.<op>.*` — the drift signals perfgate snapshots
-    /// alongside wall-clock numbers.
-    pub fn export_metrics(&self, reg: &mut obs::MetricsRegistry) {
-        let k = format!("fit.{}.{}", machine_key(&self.machine), self.op.key());
-        reg.gauge(format!("{k}.points"), self.points as f64);
-        reg.gauge(format!("{k}.r2"), self.r2);
-        reg.gauge(format!("{k}.mean_rel_residual"), self.mean_rel_residual);
-        reg.gauge(format!("{k}.max_rel_residual"), self.max_rel_residual);
-        reg.gauge(format!("{k}.mape"), self.self_accuracy.mape);
-        reg.gauge(format!("{k}.bias"), self.self_accuracy.bias);
-        if let Some(p) = &self.paper_accuracy {
-            reg.gauge(format!("{k}.paper_mape"), p.mape);
-            reg.gauge(format!("{k}.paper_bias"), p.bias);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,20 +166,6 @@ mod tests {
         assert_eq!(machine_id_of("Cray T3D"), Some(MachineId::T3d));
         assert_eq!(machine_id_of("Intel Paragon"), Some(MachineId::Paragon));
         assert_eq!(machine_id_of("VAX"), None);
-        assert_eq!(machine_key("IBM SP2"), "sp2");
-        assert_eq!(machine_key("My Machine-2"), "my_machine_2");
-    }
-
-    #[test]
-    fn exports_fit_gauges() {
-        let d = synthetic("X", 0.0);
-        let diag = diagnose(&d, "X", OpClass::Scatter).unwrap();
-        let mut reg = obs::MetricsRegistry::new();
-        diag.export_metrics(&mut reg);
-        assert!(reg.get("fit.x.scatter.r2").unwrap().as_f64().unwrap() > 0.999);
-        assert!(reg.get("fit.x.scatter.points").is_some());
-        assert!(reg.get("fit.x.scatter.mape").is_some());
-        assert!(reg.get("fit.x.scatter.paper_mape").is_none());
     }
 
     #[test]

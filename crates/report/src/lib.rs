@@ -7,7 +7,6 @@
 //!   headline comparisons);
 //! * [`chart::LogChart`] — log-log ASCII charts (Figs. 1–3, 5);
 //! * [`csv`] — dataset export for external plotting;
-//! * [`perf`] — the perfgate wall-clock summary table;
 //! * [`timeline::Timeline`] — per-rank message timelines from executor
 //!   traces.
 
@@ -18,7 +17,6 @@ pub mod csv;
 pub mod diff;
 pub mod gnuplot;
 pub mod metrics;
-pub mod perf;
 pub mod table;
 pub mod timeline;
 

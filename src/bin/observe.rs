@@ -12,11 +12,8 @@
 //! cargo run --release --bin observe -- --machine t3d --op bcast -p 64 -m 4096
 //! ```
 //!
-//! `--profile` additionally enables the desim engine's self-profiling
-//! (wall-clock, events/sec, sampled queue-depth quantiles), which then
-//! appears in the metrics snapshot under `engine.prof.*`. It applies to
-//! one point only: `--suite` refuses it, as it refuses the point flags
-//! (`--machine`, `--op`, `-p`, `-m`), with usage and exit status 2.
+//! `--suite` refuses the point flags (`--machine`, `--op`, `-p`, `-m`),
+//! and a single point refuses `--threads`, with usage and exit status 2.
 //!
 //! `--suite` is the one suite run: it executes each of the fixed 21
 //! points of `bench::suite` (all seven collectives × three machines at
@@ -57,15 +54,14 @@ use bench::suite::{
 
 fn usage() -> ! {
     eprintln!(
-        "usage: observe {} [--out DIR] [--profile] [--trace-cap N]\n       observe --suite [--threads N] [--out DIR] [--trace-cap N]",
+        "usage: observe {} [--out DIR] [--trace-cap N]\n       observe --suite [--threads N] [--out DIR] [--trace-cap N]",
         bench::cli::POINT_USAGE
     );
     std::process::exit(2);
 }
 
-fn parse_args() -> (PointCli, bool) {
+fn parse_args() -> PointCli {
     let mut cli = PointCli::default();
-    let mut profile = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match cli.accept(&a, || args.next()) {
@@ -74,7 +70,6 @@ fn parse_args() -> (PointCli, bool) {
             Accept::Unknown => {}
         }
         match a.as_str() {
-            "--profile" => profile = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown option {other}");
@@ -82,14 +77,14 @@ fn parse_args() -> (PointCli, bool) {
             }
         }
     }
-    if !cli.selection_ok() || (cli.suite && profile) {
+    if !cli.selection_ok() {
         usage();
     }
     if let Err(e) = cli.check_point() {
         eprintln!("{e}");
         usage();
     }
-    (cli, profile)
+    cli
 }
 
 /// One shade per link, busy time normalized against the hottest link.
@@ -158,7 +153,7 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>) {
     let suite = default_suite();
     std::fs::create_dir_all(out_dir).expect("create output directory");
 
-    let (rendered, stats) = harness::map_indexed(
+    let rendered = harness::map_indexed(
         suite.len(),
         threads,
         |i| {
@@ -234,16 +229,11 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>) {
         .run()
         .expect("suite sweep");
     std::fs::write(format!("{out_dir}/dataset.csv"), data.to_csv()).expect("write dataset");
-    println!(
-        "wrote {out_dir}/dataset.csv ({} points, {} workers, {:.0}% utilization)",
-        data.len(),
-        stats.threads,
-        100.0 * stats.utilization()
-    );
+    println!("wrote {out_dir}/dataset.csv ({} points)", data.len());
 }
 
 fn main() {
-    let (cli, profile) = parse_args();
+    let cli = parse_args();
     if cli.suite {
         run_suite(cli.out_dir(), cli.threads, cli.trace_cap);
         return;
@@ -255,7 +245,6 @@ fn main() {
         .schedule(pt.op, Rank(0), pt.bytes)
         .expect("schedule build");
     let options = RunOptions {
-        profile,
         trace_limit: cli.trace_cap,
         ..RunOptions::default()
     };

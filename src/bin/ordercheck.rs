@@ -24,7 +24,9 @@
 //! `--demo-broken` seeds the known failure mode instead (invert *all*
 //! ties) and reports the minimal divergent pair with provenance
 //! context, plus the canonical oracle's verdict on whether the reorder
-//! changed the execution or only the bookkeeping.
+//! changed the execution or only the bookkeeping. It judges one point
+//! by whether the pair is caught, so it refuses `--suite` and `--deny`
+//! with usage and exit status 2.
 //!
 //! `--per-class N` / `--max-explore N` bound how many inversions are
 //! re-executed per event-class pair and per point.
@@ -73,7 +75,7 @@ fn parse_args() -> Args {
             }
         }
     }
-    if !cli.selection_ok() {
+    if !cli.selection_ok() || (demo && (cli.suite || deny)) {
         usage();
     }
     if let Err(e) = cli.check_point() {
@@ -160,7 +162,7 @@ fn run_suite(args: &Args) {
             m: pt.bytes,
         })
         .collect();
-    let (census, stats) = ordercheck::suite_census(&points, args.cli.threads, &args.opts);
+    let census = ordercheck::suite_census(&points, args.cli.threads, &args.opts);
 
     println!(
         "same-instant commutability census ({} points):",
@@ -177,11 +179,7 @@ fn run_suite(args: &Args) {
     census.export_metrics(&mut reg);
     let prom_path = format!("{out_dir}/ordercheck.prom");
     std::fs::write(&prom_path, obs::prom::text(&reg)).expect("write prom");
-    println!(
-        "wrote {json_path} and {prom_path} ({} workers, {:.0}% utilization)",
-        stats.threads,
-        100.0 * stats.utilization()
-    );
+    println!("wrote {json_path} and {prom_path}");
 
     if args.deny && !census.clean() {
         for c in census.points.iter().filter(|c| !c.clean()) {

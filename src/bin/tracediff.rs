@@ -238,7 +238,7 @@ fn run_suite(args: &Args) -> Result<bool, String> {
     if let Some(dir) = &args.out {
         std::fs::create_dir_all(dir).map_err(|e| io_error("create", Path::new(dir), e))?;
     }
-    let (results, stats) = harness::map_indexed(
+    let results = harness::map_indexed(
         suite.len(),
         args.threads.unwrap_or(1),
         |i| {
@@ -279,14 +279,7 @@ fn run_suite(args: &Args) -> Result<bool, String> {
             }
         }
     }
-    // Worker accounting goes to stderr so stdout stays byte-identical
-    // at any --threads value.
     println!("{identical}/{} certified byte-identical", results.len());
-    eprintln!(
-        "({} workers, {:.0}% utilization)",
-        stats.threads,
-        100.0 * stats.utilization()
-    );
     Ok(identical == results.len())
 }
 

@@ -5,20 +5,24 @@
 //! * `tracediff` reports a path it cannot read as an I/O error naming
 //!   the path, not as a divergence (exit 1 keeps that meaning);
 //! * `tracediff <A> <B>` refuses the `--suite`-only flags;
-//! * `observe --suite` refuses `--profile`, and `observe --suite` and
-//!   `ordercheck --suite` refuse the point flags.
+//! * `observe --suite` and `ordercheck --suite` refuse the point flags,
+//!   and a single point refuses `--threads` in `observe`, `critpath`
+//!   and `ordercheck`;
+//! * `ordercheck --demo-broken` refuses `--suite` and `--deny`;
+//! * `observe` has no `--profile`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const TRACEDIFF: &str = env!("CARGO_BIN_EXE_tracediff");
 const OBSERVE: &str = env!("CARGO_BIN_EXE_observe");
+const CRITPATH: &str = env!("CARGO_BIN_EXE_critpath");
 const ORDERCHECK: &str = env!("CARGO_BIN_EXE_ordercheck");
 
 /// `(binary, arguments, what stderr must contain)`. The upper-case
 /// words stand for paths under the test's scratch directory: `A` and
 /// `B` are identical files, `DIR` a directory, `MISSING_*` absent.
-const CASES: [(&str, &str, &str); 12] = [
+const CASES: [(&str, &str, &str); 18] = [
     (TRACEDIFF, "MISSING_A MISSING_B", "MISSING_A"),
     (TRACEDIFF, "DIR MISSING_B", "MISSING_B"),
     (TRACEDIFF, "MISSING_A DIR", "MISSING_A"),
@@ -39,6 +43,32 @@ const CASES: [(&str, &str, &str); 12] = [
         "usage:",
     ),
     (ORDERCHECK, "-m 64 --suite --out OUT", "usage:"),
+    (
+        OBSERVE,
+        "--machine t3d --op bcast -p 8 -m 64 --threads 4 --out OUT",
+        "usage:",
+    ),
+    (
+        CRITPATH,
+        "--machine t3d --op bcast -p 8 -m 64 --threads 4 --out OUT",
+        "usage:",
+    ),
+    (
+        ORDERCHECK,
+        "--machine t3d --op bcast -p 8 -m 64 --threads 4 --out OUT",
+        "usage:",
+    ),
+    (ORDERCHECK, "--suite --demo-broken --out OUT", "usage:"),
+    (
+        ORDERCHECK,
+        "--machine t3d --op bcast -p 8 --demo-broken --deny",
+        "usage:",
+    ),
+    (
+        OBSERVE,
+        "--machine t3d --op bcast -p 8 -m 64 --profile --out OUT",
+        "usage:",
+    ),
 ];
 
 #[test]

@@ -105,9 +105,8 @@ fn suite_census_is_identical_serial_vs_parallel() {
             max_explore: 3,
             ..ExploreOptions::default()
         };
-        let (serial, _) = suite_census(&points, 1, &opts);
-        let (parallel, stats) = suite_census(&points, 4, &opts);
-        assert!(stats.threads > 1, "parallel run must actually fan out");
+        let serial = suite_census(&points, 1, &opts);
+        let parallel = suite_census(&points, 4, &opts);
         assert_eq!(
             serial.to_json_string(),
             parallel.to_json_string(),
