@@ -248,9 +248,10 @@ impl Schedule {
     /// depth 1 (all messages leave the root directly).
     ///
     /// Computed by abstract execution with zero-cost local steps and
-    /// unit-cost messages.
+    /// unit-cost messages. A schedule that fails [`Schedule::check`]
+    /// has depth 0.
     pub fn message_depth(&self) -> usize {
-        self.abstract_run().map(|(depth, _)| depth).unwrap_or(0)
+        self.abstract_run().unwrap_or(0)
     }
 
     /// Validates the schedule by abstract execution: checks rank ranges,
@@ -264,28 +265,15 @@ impl Schedule {
     /// here before layering on its interleaving-independent analyses
     /// (match ambiguity, volume conservation, depth bounds).
     ///
+    /// Memory is O(p + steps) in a fixed number of flat arrays, never one
+    /// allocation per channel. Time is O(p + steps) plus, per round of
+    /// the abstract execution, a scan of the 64-rank bitset words between
+    /// the lowest and the highest runnable rank.
+    ///
     /// # Errors
     ///
     /// Returns the first [`ScheduleError`] encountered.
     pub fn check(&self) -> Result<(), ScheduleError> {
-        let p = self.ranks();
-        for (r, prog) in self.iter() {
-            for step in prog {
-                let named = match step {
-                    Step::Send { to, .. } => Some(*to),
-                    Step::Recv { from, .. } => Some(*from),
-                    _ => None,
-                };
-                if let Some(n) = named {
-                    if n.0 >= p {
-                        return Err(ScheduleError::RankOutOfRange {
-                            rank: n,
-                            in_program: r,
-                        });
-                    }
-                }
-            }
-        }
         self.abstract_run().map(|_| ())
     }
 
@@ -347,62 +335,200 @@ impl Schedule {
         }
     }
 
-    /// Abstract eager execution. Returns `(message_depth, steps_run)`.
-    fn abstract_run(&self) -> Result<(usize, usize), ScheduleError> {
+    /// Abstract eager execution; returns the message depth.
+    ///
+    /// Every named peer is range-checked first, in program order, so the
+    /// run below indexes only in-range ranks. Messages live in flat
+    /// arrays of *slots*, one per `Send`, laid out channel by channel: a
+    /// stable counting sort of the sends (numbered in program order) by
+    /// destination, which groups each destination's sends by source.
+    /// Under FIFO matching the k-th `Recv` on a channel takes the
+    /// channel's k-th send, so each `Recv` is resolved to its slot before
+    /// the run starts, and the run only asks whether that slot was sent.
+    ///
+    /// Ranks run in rounds, each in ascending rank order and as far as
+    /// it can, so the first error found is the same one a round-robin
+    /// over all ranks would find. Only runnable ranks are visited: a send
+    /// that fills the slot its receiver waits on wakes the receiver later
+    /// in the same round when its rank is higher, else in the next round.
+    fn abstract_run(&self) -> Result<usize, ScheduleError> {
+        /// A `Recv` no send matches, or a step that is not a message.
+        const NONE: u32 = u32::MAX;
         let p = self.ranks();
+        let total = self.total_steps();
+        // Slot and step indices are u32: a schedule with 2^32 steps would
+        // need over 64 GiB for its steps alone.
+        assert!(
+            u32::try_from(total).is_ok_and(|n| n < NONE),
+            "schedule of {total} steps exceeds the u32 slot space"
+        );
+
+        // Range check, and sends per destination (shifted by one, so the
+        // prefix sum below leaves each destination's first slot).
+        let mut dst_start = vec![0u32; p + 1];
+        for (r, prog) in self.programs.iter().enumerate() {
+            for step in prog {
+                let named = match *step {
+                    Step::Send { to, .. } => to,
+                    Step::Recv { from, .. } => from,
+                    Step::Compute { .. } | Step::HwBarrier => continue,
+                };
+                if named.0 >= p {
+                    return Err(ScheduleError::RankOutOfRange {
+                        rank: named,
+                        in_program: Rank(r),
+                    });
+                }
+                if let Step::Send { to, .. } = *step {
+                    dst_start[to.0 + 1] += 1;
+                }
+            }
+        }
+        for d in 0..p {
+            dst_start[d + 1] += dst_start[d];
+        }
+        let sends = dst_start[p] as usize;
+
+        // Place each send in its destination's bucket, in program order,
+        // so each bucket is sorted by source.
+        let mut fill = dst_start.clone();
+        let mut step_base = Vec::with_capacity(p + 1);
+        let mut step_slot = vec![NONE; total];
+        let mut slot_src = vec![0usize; sends];
+        let mut slot_bytes = vec![0u32; sends];
+        let mut flat = 0usize;
+        for (r, prog) in self.programs.iter().enumerate() {
+            step_base.push(flat);
+            for step in prog {
+                if let Step::Send { to, bytes } = *step {
+                    let slot = fill[to.0];
+                    fill[to.0] += 1;
+                    step_slot[flat] = slot;
+                    slot_src[slot as usize] = r;
+                    slot_bytes[slot as usize] = bytes;
+                }
+                flat += 1;
+            }
+        }
+        step_base.push(flat);
+
+        // Resolve every Recv to its slot, one destination at a time:
+        // `chan[2s]` and `chan[2s + 1]` are the next unclaimed and the end
+        // slot of channel s -> d. The entries are reset after each
+        // destination, so one 2p-entry array serves all p of them.
+        let mut chan = vec![0u32; 2 * p];
+        for d in 0..p {
+            let bucket = dst_start[d]..dst_start[d + 1];
+            for slot in bucket.clone() {
+                let s = slot_src[slot as usize];
+                if chan[2 * s + 1] == 0 {
+                    chan[2 * s] = slot;
+                }
+                chan[2 * s + 1] = slot + 1;
+            }
+            for (i, step) in self.programs[d].iter().enumerate() {
+                if let Step::Recv { from, .. } = *step {
+                    let (next, end) = (chan[2 * from.0], chan[2 * from.0 + 1]);
+                    if next < end {
+                        step_slot[step_base[d] + i] = next;
+                        chan[2 * from.0] = next + 1;
+                    }
+                }
+            }
+            for slot in bucket {
+                let s = slot_src[slot as usize];
+                chan[2 * s] = 0;
+                chan[2 * s + 1] = 0;
+            }
+        }
+
+        // The run. `sent_depth[slot]` is the message's depth once sent
+        // (at least 1), 0 before.
+        let mut sent_depth = vec![0u32; sends];
+        let mut rank_depth = vec![0u32; p];
+        let mut max_depth = 0u32;
+        let mut received = 0usize;
         let mut pc = vec![0usize; p];
-        // In-flight messages per (from, to): FIFO of (bytes, depth).
-        let mut inflight: HashMap<(usize, usize), VecDeque<(u32, usize)>> = HashMap::new();
-        // Depth watermark per rank: the longest message chain feeding its
-        // current state.
-        let mut rank_depth = vec![0usize; p];
-        let mut steps_run = 0usize;
-        let mut max_depth = 0usize;
+        let mut unfinished = self.programs.iter().filter(|prog| !prog.is_empty()).count();
+        // Runnable ranks of this round and of the next, as bitsets, with
+        // the word range that may hold set bits.
+        let words = p.div_ceil(64);
+        let mut now = vec![u64::MAX; words];
+        let mut next = vec![0u64; words];
+        let (mut lo, mut hi) = (0, words);
         loop {
+            let (mut next_lo, mut next_hi) = (words, 0);
             let mut progressed = false;
-            for r in 0..p {
-                while pc[r] < self.programs[r].len() {
-                    match self.programs[r][pc[r]] {
-                        Step::Send { to, bytes } => {
+            let mut wi = lo;
+            while wi < hi {
+                let w = now[wi];
+                if w == 0 {
+                    wi += 1;
+                    continue;
+                }
+                now[wi] = w & (w - 1);
+                let r = wi * 64 + w.trailing_zeros() as usize;
+                if r >= p {
+                    continue;
+                }
+                let prog = &self.programs[r];
+                let was = pc[r];
+                while let Some(&step) = prog.get(pc[r]) {
+                    let slot = step_slot[step_base[r] + pc[r]];
+                    match step {
+                        Step::Send { to, .. } => {
                             let d = rank_depth[r] + 1;
-                            inflight.entry((r, to.0)).or_default().push_back((bytes, d));
+                            sent_depth[slot as usize] = d;
                             max_depth = max_depth.max(d);
+                            let t = to.0;
+                            let waiting = pc[t] < self.programs[t].len()
+                                && step_slot[step_base[t] + pc[t]] == slot;
+                            if t != r && waiting {
+                                let bit = 1u64 << (t % 64);
+                                if t > r {
+                                    now[t / 64] |= bit;
+                                    hi = hi.max(t / 64 + 1);
+                                } else {
+                                    next[t / 64] |= bit;
+                                    next_lo = next_lo.min(t / 64);
+                                    next_hi = next_hi.max(t / 64 + 1);
+                                }
+                            }
                         }
                         Step::Recv { from, bytes } => {
-                            let q = inflight.entry((from.0, r)).or_default();
-                            match q.front().copied() {
-                                Some((sent, d)) => {
-                                    if sent != bytes {
-                                        return Err(ScheduleError::SizeMismatch {
-                                            from,
-                                            to: Rank(r),
-                                            sent,
-                                            expected: bytes,
-                                        });
-                                    }
-                                    q.pop_front();
-                                    rank_depth[r] = rank_depth[r].max(d);
-                                }
-                                None => break, // blocked
+                            let Some(&d) = sent_depth.get(slot as usize).filter(|&&d| d > 0) else {
+                                break; // blocked
+                            };
+                            let sent = slot_bytes[slot as usize];
+                            if sent != bytes {
+                                return Err(ScheduleError::SizeMismatch {
+                                    from,
+                                    to: Rank(r),
+                                    sent,
+                                    expected: bytes,
+                                });
                             }
+                            rank_depth[r] = rank_depth[r].max(d);
+                            received += 1;
                         }
                         Step::Compute { .. } | Step::HwBarrier => {}
                     }
                     pc[r] += 1;
-                    steps_run += 1;
+                }
+                if pc[r] > was {
                     progressed = true;
+                    if pc[r] == prog.len() {
+                        unfinished -= 1;
+                    }
                 }
             }
-            if pc
-                .iter()
-                .enumerate()
-                .all(|(r, &c)| c == self.programs[r].len())
-            {
-                let leftovers: usize = inflight.values().map(VecDeque::len).sum();
-                if leftovers > 0 {
-                    return Err(ScheduleError::UnconsumedMessages { count: leftovers });
+            if unfinished == 0 {
+                if received < sends {
+                    return Err(ScheduleError::UnconsumedMessages {
+                        count: sends - received,
+                    });
                 }
-                return Ok((max_depth, steps_run));
+                return Ok(max_depth as usize);
             }
             if !progressed {
                 if let Some(cycle) = self.wait_cycle(&pc) {
@@ -414,6 +540,8 @@ impl Schedule {
                     .collect();
                 return Err(ScheduleError::Stuck { waiting });
             }
+            std::mem::swap(&mut now, &mut next);
+            (lo, hi) = (next_lo, next_hi);
         }
     }
 
@@ -620,6 +748,22 @@ mod tests {
             s.check(),
             Err(ScheduleError::RankOutOfRange { rank: Rank(5), .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_peer_has_depth_zero() {
+        // A receive from a rank that does not exist is rejected before
+        // the abstract run, so the wait-for walk never indexes it.
+        let mut s = Schedule::new(OpClass::PointToPoint, 2);
+        s.push(Rank(0), recv(5, 4));
+        assert_eq!(s.message_depth(), 0);
+        assert_eq!(
+            s.check(),
+            Err(ScheduleError::RankOutOfRange {
+                rank: Rank(5),
+                in_program: Rank(0),
+            })
+        );
     }
 
     #[test]

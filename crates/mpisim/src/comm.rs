@@ -102,11 +102,13 @@ impl CollectiveOutcome {
 /// A group of `p` simulated processes, one per node, on one machine.
 ///
 /// Each collective call executes the machine's algorithm for that
-/// operation on a *fresh* network state (a quiet machine in dedicated
-/// mode, as the paper's runs were), returning per-rank timings. Rank
-/// stepping runs entirely on the engine's typed-event path
-/// ([`desim::TypedEvent`]) — no per-event allocation in the execution
-/// hot loop. For the paper's full measurement methodology (warm-up,
+/// operation on *fresh* occupancy watermarks (a quiet machine in
+/// dedicated mode, as the paper's runs were), returning per-rank
+/// timings. The topology and route table are not rebuilt: every
+/// execution shares the one built per process for the machine's
+/// topology and partition size. Rank stepping runs entirely on the
+/// engine's typed-event path ([`desim::TypedEvent`]) — no per-event
+/// allocation in the execution hot loop. For the paper's full measurement methodology (warm-up,
 /// k-iteration loops, max-reduction) use the `harness` crate, which
 /// drives [`Communicator::run_sequence`].
 #[derive(Debug, Clone)]

@@ -23,7 +23,6 @@ use crate::placement::{ExplicitPlacement, Placement};
 use collectives::{Schedule, Step};
 use desim::{Engine, EventWorld, Scheduler, SimDuration, SimTime, SplitMix64, TypedEvent};
 use netmodel::{MachineSpec, NetInstr, NetState, OpClass, WireConfig};
-use std::collections::VecDeque;
 use topo::NodeId;
 
 /// Default cap on recorded [`MessageTrace`] entries (~1M): a 128-node
@@ -335,9 +334,6 @@ struct RankState {
     tape: Vec<Tape>,
     pc: usize,
     blocked_on: Option<usize>,
-    /// Arrived-but-unconsumed payload timestamps, indexed by source rank
-    /// (dense — every rank pair can exchange in an alltoall anyway).
-    mailbox: Vec<VecDeque<SimTime>>,
     /// CPU slowdown factor (1.0 = quiet node).
     slowdown: f64,
     /// Physical node this rank runs on.
@@ -364,6 +360,12 @@ struct World {
     spec: MachineSpec,
     net: NetState,
     ranks: Vec<RankState>,
+    /// Arrived-but-unconsumed messages per channel, indexed
+    /// `dst * p + src`. A count suffices: an arrival is delivered by an
+    /// event that fired no later than the receive consuming it (the
+    /// engine never posts into the past), so that receive starts at its
+    /// own instant and never reads an arrival time.
+    arrivals: Vec<u32>,
     barrier: HwBarrierState,
     finish: Vec<Vec<SimTime>>,
     trace: Option<Vec<MessageTrace>>,
@@ -390,7 +392,9 @@ impl EventWorld for World {
     }
 }
 
-/// Executes `segments` back to back on a fresh network state.
+/// Executes `segments` back to back on a fresh network state: the
+/// occupancy watermarks start empty, while the topology and route table
+/// are the process-wide ones for the machine's topology and size.
 ///
 /// # Errors
 ///
@@ -502,7 +506,6 @@ fn execute_inner(
             tape: Vec::with_capacity(tape_cap[r]),
             pc: 0,
             blocked_on: None,
-            mailbox: vec![VecDeque::new(); p],
             slowdown: match &mut noise_rng {
                 Some((amp, rng)) => 1.0 + *amp * rng.next_f64(),
                 None => 1.0,
@@ -527,6 +530,7 @@ fn execute_inner(
         spec: spec.clone(),
         net: NetState::with_config(spec, machine_nodes, cfg.wire),
         ranks,
+        arrivals: vec![0; p * p],
         barrier: HwBarrierState::default(),
         finish: vec![vec![SimTime::ZERO; p]; segments.len()],
         trace: (cfg.record_trace || observe).then(Vec::new),
@@ -713,29 +717,17 @@ fn advance(s: &mut Scheduler<World>, w: &mut World, r: usize) {
                     return;
                 }
                 Step::Recv { from, bytes } => {
-                    let queued = w.ranks[r].mailbox[from.0].pop_front();
-                    match queued {
-                        Some(arrived) => {
-                            w.ranks[r].pc += 1;
-                            let o = cpu_charge(w, r, w.spec.recv_overhead(class, bytes));
-                            let begin = now.max(arrived);
-                            w.ranks[r].blocked += begin.since(now);
-                            w.ranks[r].sw += o;
-                            push_span_woke(
-                                w,
-                                r,
-                                PhaseKind::RecvWait,
-                                now,
-                                begin,
-                                Some(from.0 as u32),
-                            );
-                            push_span(w, r, PhaseKind::RecvOverhead, begin, begin + o);
-                            s.post_at(begin + o, resume(r));
-                        }
-                        None => {
-                            w.ranks[r].blocked_on = Some(from.0);
-                            w.ranks[r].wait_since = Some((now, PhaseKind::RecvWait));
-                        }
+                    let channel = r * w.ranks.len() + from.0;
+                    if w.arrivals[channel] > 0 {
+                        w.arrivals[channel] -= 1;
+                        w.ranks[r].pc += 1;
+                        let o = cpu_charge(w, r, w.spec.recv_overhead(class, bytes));
+                        w.ranks[r].sw += o;
+                        push_span(w, r, PhaseKind::RecvOverhead, now, now + o);
+                        s.post_at(now + o, resume(r));
+                    } else {
+                        w.ranks[r].blocked_on = Some(from.0);
+                        w.ranks[r].wait_since = Some((now, PhaseKind::RecvWait));
                     }
                     return;
                 }
@@ -830,8 +822,7 @@ fn post_send(s: &mut Scheduler<World>, w: &mut World, r: usize, step: usize) {
 
 /// Handles a payload arrival at `dst` from `src` at the current instant.
 fn deliver(s: &mut Scheduler<World>, w: &mut World, src: usize, dst: usize) {
-    let now = s.now();
-    w.ranks[dst].mailbox[src].push_back(now);
+    w.arrivals[dst * w.ranks.len() + src] += 1;
     if w.ranks[dst].blocked_on == Some(src) {
         w.ranks[dst].blocked_on = None;
         w.ranks[dst].wake_cause = Some(src as u32);

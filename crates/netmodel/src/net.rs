@@ -3,7 +3,9 @@
 //! [`NetState`] owns the contention bookkeeping for one partition of one
 //! machine: a FIFO resource per unidirectional link plus a per-node
 //! injection engine (the CPU copy loop, the Paragon co-processor, or the
-//! T3D block-transfer engine, per [`SendEngine`]).
+//! T3D block-transfer engine, per [`SendEngine`]). The immutable part —
+//! topology, routes and link capacities — is built once per process for
+//! each `(TopologyKind, p)` and shared by every state of that shape.
 //!
 //! # Wire model
 //!
@@ -16,8 +18,10 @@
 //! the SP2's blocking Omega stages.
 
 use crate::class::OpClass;
-use crate::spec::{MachineSpec, SendEngine};
+use crate::spec::{MachineSpec, SendEngine, TopologyKind};
 use desim::{FifoResource, ResourcePool, SimDuration, SimTime, TypedEvent};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use topo::{NodeId, Topology};
 
 /// Timing outcome of pushing one message into the network.
@@ -171,9 +175,83 @@ struct EngineTiming {
     engine_ns_per_byte: f64,
 }
 
+/// The immutable network of one `p`-node partition: its topology, every
+/// route, and the link capacities. Routes and capacities depend only on
+/// the topology kind and `p` — not on the wire config, the placement or
+/// the cost table — so [`Network::shared`] builds one per `(kind, p)`
+/// per process and keeps it until the process exits.
+struct Network {
+    topo: Box<dyn Topology + Send + Sync>,
+    nodes: usize,
+    /// The links of route `src -> dst` are
+    /// `route_links[route_start[i]..route_start[i + 1]]` with
+    /// `i = src * nodes + dst`.
+    route_start: Vec<u32>,
+    route_links: Vec<u32>,
+    /// Relative link capacities, floored at 1 and indexed by link id, so
+    /// the per-segment wire loop avoids a virtual topology call per hop.
+    link_cap: Vec<f64>,
+}
+
+impl Network {
+    fn build(kind: TopologyKind, p: usize) -> Self {
+        let topo = kind.build(p);
+        let nodes = topo.nodes();
+        let mut route_start = Vec::with_capacity(nodes * nodes + 1);
+        let mut route_links = Vec::new();
+        route_start.push(0);
+        for src in 0..nodes {
+            for dst in 0..nodes {
+                let route = topo.route(NodeId(src), NodeId(dst));
+                route_links.extend(
+                    route
+                        .links()
+                        .iter()
+                        .map(|l| u32::try_from(l.0).expect("link ids fit u32")),
+                );
+                route_start
+                    .push(u32::try_from(route_links.len()).expect("route table offsets fit u32"));
+            }
+        }
+        let link_cap = (0..topo.links())
+            .map(|l| topo.link_capacity(topo::LinkId(l)).max(1.0))
+            .collect();
+        Network {
+            topo,
+            nodes,
+            route_start,
+            route_links,
+            link_cap,
+        }
+    }
+
+    /// The process-wide network for `(kind, p)`, built on first use.
+    fn shared(kind: TopologyKind, p: usize) -> Arc<Network> {
+        type Memo = Mutex<HashMap<(TopologyKind, usize), Arc<Network>>>;
+        static NETWORKS: OnceLock<Memo> = OnceLock::new();
+        // A build that panics leaves the map untouched (the entry is
+        // inserted only after `build` returns), so a poisoned lock still
+        // guards a valid map.
+        let mut memo = NETWORKS
+            .get_or_init(Memo::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(
+            memo.entry((kind, p))
+                .or_insert_with(|| Arc::new(Network::build(kind, p))),
+        )
+    }
+
+    /// The link ids of the route `src -> dst`, in traversal order.
+    fn route(&self, src: NodeId, dst: NodeId) -> &[u32] {
+        let i = src.0 * self.nodes + dst.0;
+        &self.route_links[self.route_start[i] as usize..self.route_start[i + 1] as usize]
+    }
+}
+
 /// Mutable network state for one `p`-node partition of a machine.
 pub struct NetState {
-    topo: Box<dyn Topology>,
+    network: Arc<Network>,
     links: ResourcePool,
     inject: Vec<FifoResource>,
     config: WireConfig,
@@ -189,24 +267,14 @@ pub struct NetState {
     /// Per-link/per-class accounting; `None` (the default) keeps the
     /// send hot path free of per-link bookkeeping.
     instr: Option<Box<NetInstr>>,
-    /// Lazily filled per-pair route cache (routing is deterministic, and
-    /// measurement loops re-send along the same pairs thousands of
-    /// times). Indexed `src * nodes + dst`.
-    route_cache: Vec<Option<topo::Route>>,
-    /// Scratch buffer holding the current route's links, so the send hot
-    /// path does not re-borrow the cache while acquiring link resources.
-    scratch: Vec<topo::LinkId>,
-    /// Relative link capacities, precomputed once (indexed by link id) so
-    /// the per-segment wire loop avoids a virtual topology call per hop.
-    link_cap: Vec<f64>,
-    /// Scratch per-link accumulators, parallel to `scratch`.
+    /// Scratch per-link accumulators, parallel to the current route.
     link_acc: Vec<LinkAcc>,
 }
 
 impl std::fmt::Debug for NetState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetState")
-            .field("topology", &self.topo.describe())
+            .field("topology", &self.network.topo.describe())
             .field("messages", &self.messages)
             .field("bytes", &self.bytes)
             .finish()
@@ -224,7 +292,9 @@ impl NetState {
         Self::with_config(spec, p, WireConfig::default())
     }
 
-    /// Builds with explicit ablation switches.
+    /// Builds with explicit ablation switches. The occupancy watermarks
+    /// start fresh; the topology and route table are the process-wide
+    /// ones for `(spec.topology, p)`, built on first use.
     pub fn with_config(spec: &MachineSpec, p: usize, config: WireConfig) -> Self {
         assert!(p > 0, "partition must have at least one node");
         assert!(
@@ -233,24 +303,17 @@ impl NetState {
             spec.name,
             spec.max_nodes
         );
-        let topo = spec.topology.build(p);
-        let links = ResourcePool::new(topo.links());
-        let link_cap = (0..topo.links())
-            .map(|l| topo.link_capacity(topo::LinkId(l)).max(1.0))
-            .collect();
+        let network = Network::shared(spec.topology, p);
         NetState {
-            links,
+            links: ResourcePool::new(network.link_cap.len()),
             inject: vec![FifoResource::new(); p],
-            topo,
+            network,
             config,
             messages: 0,
             bytes: 0,
             fifo_updates: 0,
             fifo_commits: 0,
             instr: None,
-            route_cache: vec![None; p * p],
-            scratch: Vec::new(),
-            link_cap,
             link_acc: Vec::new(),
         }
     }
@@ -294,12 +357,12 @@ impl NetState {
 
     /// The topology in use.
     pub fn topology(&self) -> &dyn Topology {
-        self.topo.as_ref()
+        &*self.network.topo
     }
 
     /// Number of nodes in the partition.
     pub fn nodes(&self) -> usize {
-        self.topo.nodes()
+        self.network.nodes
     }
 
     /// Messages sent through this state so far.
@@ -390,11 +453,7 @@ impl NetState {
 
         // Wire traversal, optionally packetized: each segment reserves
         // injection and link occupancy independently, so competing
-        // traffic interleaves at segment granularity. Routes are looked
-        // up through the per-pair cache (routing is deterministic and
-        // measurement loops re-send along the same pairs thousands of
-        // times); the link ids are copied into the scratch buffer so the
-        // loop below can borrow the resource pools mutably.
+        // traffic interleaves at segment granularity.
         let stream_ns_per_byte = spec.link_ns_per_byte.max(engine_ns_per_byte);
         let total_bytes = bytes.max(spec.min_packet_bytes);
         let seg_size = self
@@ -403,18 +462,13 @@ impl NetState {
             .map(|s| s.max(spec.min_packet_bytes))
             .unwrap_or(total_bytes)
             .min(total_bytes);
-        let cache_idx = src.0 * self.nodes() + dst.0;
-        if self.route_cache[cache_idx].is_none() {
-            self.route_cache[cache_idx] = Some(self.topo.route(src, dst));
-        }
-        self.scratch.clear();
-        let cached = self.route_cache[cache_idx].as_ref().expect("filled above");
-        self.scratch.extend_from_slice(cached.links());
+        let network = &*self.network;
+        let route = network.route(src, dst);
         let hop = SimDuration::from_nanos_f64(spec.hop_ns);
         if let Some(instr) = &mut self.instr {
-            for link in &self.scratch {
-                instr.link_bytes[link.0] += u64::from(bytes);
-                instr.link_msgs[link.0] += 1;
+            for &link in route {
+                instr.link_bytes[link as usize] += u64::from(bytes);
+                instr.link_msgs[link as usize] += 1;
             }
         }
 
@@ -428,9 +482,9 @@ impl NetState {
         let mut inject_service = SimDuration::ZERO;
         let mut inject_grants = 0u64;
         self.link_acc.clear();
-        for link in &self.scratch {
+        for &link in route {
             self.link_acc.push(LinkAcc {
-                free: self.links.free_at(link.0),
+                free: self.links.free_at(link as usize),
                 service: SimDuration::ZERO,
                 grants: 0,
             });
@@ -471,8 +525,8 @@ impl NetState {
             // Store-and-forward re-serializes the full payload per hop.
             let hop_extra = if wormhole { hop } else { hop + serialize };
             let mut t_hdr = inject_at;
-            for li in 0..self.scratch.len() {
-                let capacity = self.link_cap[self.scratch[li].0];
+            for (li, &link) in route.iter().enumerate() {
+                let capacity = network.link_cap[link as usize];
                 let occupancy = if capacity > 1.0 {
                     SimDuration::from_nanos_f64(chunk_bytes * stream_ns_per_byte / capacity)
                 } else {
@@ -506,10 +560,10 @@ impl NetState {
             self.fifo_updates += inject_grants;
             self.fifo_commits += 1;
         }
-        for (li, acc) in self.link_acc.iter().enumerate() {
+        for (&link, acc) in route.iter().zip(&self.link_acc) {
             if acc.grants > 0 {
                 self.links
-                    .commit(self.scratch[li].0, acc.free, acc.service, acc.grants);
+                    .commit(link as usize, acc.free, acc.service, acc.grants);
                 self.fifo_updates += acc.grants;
                 self.fifo_commits += 1;
             }
@@ -1044,6 +1098,57 @@ mod tests {
         let mut net = NetState::new(&s, 2);
         net.send(&s, OpClass::Bcast, NodeId(0), NodeId(1), 100, T0);
         assert!(net.instrumentation().is_none());
+    }
+
+    #[test]
+    fn flat_routes_match_the_topology_and_are_shared() {
+        for spec in [crate::sp2(), crate::t3d(), crate::paragon()] {
+            for p in [2, 64, 128].into_iter().filter(|&p| p <= spec.max_nodes) {
+                let net = NetState::new(&spec, p);
+                for s in 0..p {
+                    for d in 0..p {
+                        let (s, d) = (NodeId(s), NodeId(d));
+                        let want: Vec<u32> = net
+                            .topology()
+                            .route(s, d)
+                            .links()
+                            .iter()
+                            .map(|l| l.0 as u32)
+                            .collect();
+                        assert_eq!(
+                            net.network.route(s, d),
+                            want,
+                            "{} p={p} {s}->{d}",
+                            spec.name
+                        );
+                    }
+                }
+                let other = NetState::with_config(
+                    &spec,
+                    p,
+                    WireConfig {
+                        wormhole: false,
+                        ..WireConfig::default()
+                    },
+                );
+                assert!(
+                    Arc::ptr_eq(&net.network, &other.network),
+                    "{} p={p}",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hypercube_below_a_power_of_two_routes_every_pair() {
+        // A 48-node partition sits in a 64-node cube: the route table
+        // must cover the cube's nodes, not the partition's 48 x 48 pairs.
+        let mut s = spec(SendEngine::Cpu);
+        s.topology = TopologyKind::Hypercube;
+        let mut net = NetState::new(&s, 48);
+        let t = net.send(&s, OpClass::PointToPoint, NodeId(47), NodeId(46), 64, T0);
+        assert!(t.delivered > t.cpu_release);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub enum TopologyKind {
 
 impl TopologyKind {
     /// Builds the concrete topology for a `p`-node partition.
-    pub fn build(self, p: usize) -> Box<dyn Topology> {
+    pub fn build(self, p: usize) -> Box<dyn Topology + Send + Sync> {
         match self {
             TopologyKind::Torus3d => Box::new(Torus3d::for_nodes(p)),
             TopologyKind::Mesh2d => Box::new(Mesh2d::for_nodes(p)),

@@ -5,7 +5,7 @@
 //!
 //! * a verdict — [`Verdict::ByteIdentical`] (canonical serializations
 //!   are equal), [`Verdict::SemanticallyIdentical`] (the executions are
-//!   equal; only meta / host-side metrics differ), or
+//!   equal; only meta / metrics differ), or
 //!   [`Verdict::Divergent`];
 //! * on divergence, the **first divergent event** in firing order with
 //!   a causal context window: the last N ancestor events reached by
@@ -39,7 +39,8 @@ pub enum Verdict {
     /// Canonical serializations are byte-equal.
     ByteIdentical,
     /// The executions are identical (events, transfers, spans, finish,
-    /// elapsed); only meta / host-side metrics differ.
+    /// elapsed); only meta (run labels) or metrics (summaries of the
+    /// execution, whose set depends on the exporters run) differ.
     SemanticallyIdentical,
     /// The executions differ.
     Divergent,
@@ -409,7 +410,7 @@ mod tests {
         let a = base();
         let mut b = base();
         b.meta.insert("date".into(), "2026-08-09".into());
-        b.metrics.insert("engine.prof.wall_ns".into(), 5.0);
+        b.metrics.insert("engine.queue.high_water".into(), 5.0);
         let report = diff(&a, &b);
         assert_eq!(report.verdict, Verdict::SemanticallyIdentical);
         assert!(report.certified);

@@ -152,8 +152,9 @@ pub struct RunRecord {
 impl RunRecord {
     /// True when the two records describe the *same execution*: equal
     /// event streams, transfers, spans, finish matrices, elapsed time,
-    /// and drop counts. Meta and metrics may differ (they carry host
-    /// wall-clock noise and run labels).
+    /// and drop counts. Meta and metrics may differ: meta carries run
+    /// labels, and the metrics are summaries of the execution whose set
+    /// depends on which exporters the producing tool ran.
     pub fn same_execution(&self, other: &RunRecord) -> bool {
         self.elapsed_ns == other.elapsed_ns
             && self.dropped_messages == other.dropped_messages
@@ -174,8 +175,9 @@ impl RunRecord {
     /// transfers' timings, the span timeline, and the finish matrix.
     /// This method projects the record onto exactly that: seqs and
     /// parent edges are cleared, events/transfers/spans are sorted by
-    /// their payload-and-time keys, and the host-side `meta`/`metrics`
-    /// maps (which carry run labels and wall-clock noise) are dropped.
+    /// their payload-and-time keys, and the `meta`/`metrics` maps are
+    /// dropped: meta carries run labels, and the metrics are summaries
+    /// of the execution whose set depends on which exporters ran.
     /// Two runs whose canonicalized records serialize to identical
     /// bytes are semantically the same execution up to tie order.
     ///
@@ -650,7 +652,7 @@ mod tests {
         let a = sample();
         let mut b = sample();
         b.meta.insert("host".into(), "elsewhere".into());
-        b.metrics.insert("engine.prof.wall_ns".into(), 99.0);
+        b.metrics.insert("engine.queue.high_water".into(), 99.0);
         assert!(a.same_execution(&b));
         assert_ne!(a.to_json_string(), b.to_json_string());
         b.events[1].at_ns += 1;
@@ -669,7 +671,7 @@ mod tests {
             e.parent = e.parent.map(|_| 99);
         }
         b.meta.insert("perturb".into(), "invert_pair".into());
-        b.metrics.insert("engine.prof.wall_ns".into(), 1.0);
+        b.metrics.insert("engine.queue.high_water".into(), 1.0);
         assert_ne!(a.to_json_string(), b.to_json_string());
         assert_eq!(
             a.canonicalized().to_json_string(),

@@ -227,6 +227,27 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_peer_is_a_finding_not_a_panic() {
+        let mut s = Schedule::new(OpClass::PointToPoint, 2);
+        s.push(
+            Rank(0),
+            Step::Recv {
+                from: Rank(5),
+                bytes: 4,
+            },
+        );
+        let r = verify(&s);
+        assert_eq!(
+            r.findings,
+            vec![Finding::Invalid(ScheduleError::RankOutOfRange {
+                rank: Rank(5),
+                in_program: Rank(0),
+            })]
+        );
+        assert_eq!(r.stats.crit.depth, 0);
+    }
+
+    #[test]
     fn seeded_volume_bug_reported() {
         // Halving one message's payload conserves FIFO matching but
         // breaks the family's exact volume.

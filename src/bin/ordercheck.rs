@@ -25,8 +25,9 @@
 //! ties) and reports the minimal divergent pair with provenance
 //! context, plus the canonical oracle's verdict on whether the reorder
 //! changed the execution or only the bookkeeping. It judges one point
-//! by whether the pair is caught, so it refuses `--suite` and `--deny`
-//! with usage and exit status 2.
+//! by whether the pair is caught and writes no file, so it refuses
+//! `--suite`, `--deny`, `--out`, `--per-class` and `--max-explore` with
+//! usage and exit status 2.
 //!
 //! `--per-class N` / `--max-explore N` bound how many inversions are
 //! re-executed per event-class pair and per point.
@@ -44,7 +45,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ordercheck {} [--out DIR] [--per-class N] [--max-explore N] [--trace-cap N] [--demo-broken]\n       ordercheck --suite [--threads N] [--deny] [--out DIR] [--per-class N] [--max-explore N]",
+        "usage: ordercheck {0} [--out DIR] [--per-class N] [--max-explore N] [--trace-cap N]\n       ordercheck {0} --demo-broken [--trace-cap N]\n       ordercheck --suite [--threads N] [--deny] [--out DIR] [--per-class N] [--max-explore N]",
         bench::cli::POINT_USAGE
     );
     std::process::exit(2);
@@ -54,6 +55,7 @@ fn parse_args() -> Args {
     let mut cli = PointCli::default();
     let mut deny = false;
     let mut demo = false;
+    let mut explore_flag = false;
     let mut opts = ExploreOptions::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -66,8 +68,14 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--deny" => deny = true,
             "--demo-broken" => demo = true,
-            "--per-class" => opts.per_class = value().parse().unwrap_or_else(|_| usage()),
-            "--max-explore" => opts.max_explore = value().parse().unwrap_or_else(|_| usage()),
+            "--per-class" => {
+                opts.per_class = value().parse().unwrap_or_else(|_| usage());
+                explore_flag = true;
+            }
+            "--max-explore" => {
+                opts.max_explore = value().parse().unwrap_or_else(|_| usage());
+                explore_flag = true;
+            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown option {other}");
@@ -75,7 +83,8 @@ fn parse_args() -> Args {
             }
         }
     }
-    if !cli.selection_ok() || (demo && (cli.suite || deny)) {
+    let demo_refused = cli.suite || deny || cli.out.is_some() || explore_flag;
+    if !cli.selection_ok() || (demo && demo_refused) {
         usage();
     }
     if let Err(e) = cli.check_point() {

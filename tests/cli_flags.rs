@@ -8,7 +8,8 @@
 //! * `observe --suite` and `ordercheck --suite` refuse the point flags,
 //!   and a single point refuses `--threads` in `observe`, `critpath`
 //!   and `ordercheck`;
-//! * `ordercheck --demo-broken` refuses `--suite` and `--deny`;
+//! * `ordercheck --demo-broken` refuses `--suite`, `--deny`, `--out`,
+//!   `--per-class` and `--max-explore`, none of which it reads;
 //! * `observe` has no `--profile`.
 
 use std::path::{Path, PathBuf};
@@ -22,7 +23,7 @@ const ORDERCHECK: &str = env!("CARGO_BIN_EXE_ordercheck");
 /// `(binary, arguments, what stderr must contain)`. The upper-case
 /// words stand for paths under the test's scratch directory: `A` and
 /// `B` are identical files, `DIR` a directory, `MISSING_*` absent.
-const CASES: [(&str, &str, &str); 18] = [
+const CASES: [(&str, &str, &str); 21] = [
     (TRACEDIFF, "MISSING_A MISSING_B", "MISSING_A"),
     (TRACEDIFF, "DIR MISSING_B", "MISSING_B"),
     (TRACEDIFF, "MISSING_A DIR", "MISSING_A"),
@@ -62,6 +63,21 @@ const CASES: [(&str, &str, &str); 18] = [
     (
         ORDERCHECK,
         "--machine t3d --op bcast -p 8 --demo-broken --deny",
+        "usage:",
+    ),
+    (
+        ORDERCHECK,
+        "--machine t3d --op bcast -p 8 --demo-broken --out OUT",
+        "usage:",
+    ),
+    (
+        ORDERCHECK,
+        "--machine t3d --op bcast -p 8 --demo-broken --per-class 3",
+        "usage:",
+    ),
+    (
+        ORDERCHECK,
+        "--machine t3d --op bcast -p 8 --demo-broken --max-explore 2",
         "usage:",
     ),
     (
