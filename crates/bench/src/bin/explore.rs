@@ -1,104 +1,81 @@
 //! Interactive query tool: time one collective configuration and show
 //! everything the library knows about it — the measured value, the
 //! paper's Table-3 prediction, the startup/transmission split, traffic
-//! counters, and the message timeline.
+//! counters, and, with `--timeline`, the per-rank message flow.
 //!
 //! ```sh
 //! cargo run -p bench --release --bin explore -- \
-//!     --machine t3d --op alltoall --nodes 64 --bytes 65536
+//!     --machine t3d --op alltoall -p 64 -m 65536
 //! ```
+//!
+//! The timeline makes an algorithm's structure visible. A gallery:
+//!
+//! ```sh
+//! explore --machine t3d --op bcast -p 16 -m 4096 --timeline    # binomial tree cascade
+//! explore --machine sp2 --op scatter -p 12 -m 4096 --timeline  # root serialization
+//! explore --machine sp2 --op barrier -p 8 --timeline           # dissemination rounds
+//! explore --machine t3d --op alltoall -p 8 -m 1024 --timeline
+//! explore --machine t3d --op scan -p 12 -m 1024 --timeline
+//! ```
+//!
+//! The point flags are the shared [`bench::cli::PointCli`] ones;
+//! `--suite`, `--threads`, `--out` and `--trace-cap` do not apply to a
+//! single query and exit 2 with usage.
 
+use bench::cli::{Accept, PointCli};
 use bench::machine_id;
+use bench::suite::SuitePoint;
 use harness::{measure, Protocol};
-use mpisim::{Machine, OpClass, Rank};
+use mpisim::Rank;
 use perfmodel::paper;
 use report::{Timeline, TimelineMessage};
 
-struct Args {
-    machine: Machine,
-    op: OpClass,
-    nodes: usize,
-    bytes: u32,
-    timeline: bool,
+fn usage() -> ! {
+    eprintln!("usage: explore {} [--timeline]", bench::cli::POINT_USAGE);
+    std::process::exit(2);
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut machine = Machine::t3d();
-    let mut op = OpClass::Alltoall;
-    let mut nodes = 16usize;
-    let mut bytes = 1_024u32;
+/// The selected point and whether to render its timeline.
+fn parse_args() -> (SuitePoint, bool) {
+    let mut cli = PointCli::default();
     let mut timeline = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut value = || args.next().ok_or(format!("{a} needs a value"));
+        match cli.accept(&a, || args.next()) {
+            Accept::Consumed => continue,
+            Accept::Invalid => usage(),
+            Accept::Unknown => {}
+        }
         match a.as_str() {
-            "--machine" => {
-                machine = match value()?.to_lowercase().as_str() {
-                    "sp2" => Machine::sp2(),
-                    "t3d" => Machine::t3d(),
-                    "paragon" => Machine::paragon(),
-                    other => return Err(format!("unknown machine {other}")),
-                }
-            }
-            "--op" => {
-                let name = value()?.to_lowercase();
-                op = match name.as_str() {
-                    "bcast" | "broadcast" => OpClass::Bcast,
-                    "alltoall" | "total-exchange" => OpClass::Alltoall,
-                    "scatter" => OpClass::Scatter,
-                    "gather" => OpClass::Gather,
-                    "scan" => OpClass::Scan,
-                    "reduce" => OpClass::Reduce,
-                    "barrier" => OpClass::Barrier,
-                    other => return Err(format!("unknown operation {other}")),
-                };
-            }
-            "--nodes" => nodes = value()?.parse().map_err(|e| format!("bad nodes: {e}"))?,
-            "--bytes" => bytes = value()?.parse().map_err(|e| format!("bad bytes: {e}"))?,
             "--timeline" => timeline = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: explore --machine sp2|t3d|paragon --op <collective> \
-                     --nodes N --bytes M [--timeline]"
-                        .into(),
-                )
+            "--help" | "-h" => usage(),
+            other => {
+                eprintln!("unknown option {other}");
+                usage();
             }
-            other => return Err(format!("unknown option {other}")),
         }
     }
-    Ok(Args {
-        machine,
-        op,
-        nodes,
-        bytes,
-        timeline,
-    })
+    if cli.suite || cli.out.is_some() || cli.trace_cap.is_some() || !cli.selection_ok() {
+        usage();
+    }
+    if let Err(e) = cli.check_point() {
+        eprintln!("{e}");
+        usage();
+    }
+    (cli.point().expect("checked above"), timeline)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let Args {
-        machine,
-        op,
-        nodes,
-        bytes,
+    let (
+        SuitePoint {
+            machine,
+            op,
+            bytes,
+            nodes,
+        },
         timeline,
-    } = args;
-    let bytes = if op == OpClass::Barrier { 0 } else { bytes };
-
-    let comm = match machine.communicator(nodes) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    ) = parse_args();
+    let comm = machine.communicator(nodes).expect("checked in parse_args");
     println!(
         "{} — {} of {} B over {} nodes ({})",
         machine.name(),

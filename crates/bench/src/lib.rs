@@ -14,9 +14,8 @@
 //! | `ablations` | `--quick` | design-choice ablations (wire model, contention, vendor algorithms, offload engines, placement, interconnect abstraction) |
 //! | `hotspots` | `--threads N`, `--json` | link-load distributions per topology |
 //! | `p2p` | | Hockney point-to-point characterization |
-//! | `trace` | | message-timeline gallery |
 //! | `stap_report` | | STAP workload per-stage breakdowns |
-//! | `explore` | its own | single-configuration query tool |
+//! | `explore` | the point flags, `--timeline` | single-configuration query tool and message timeline |
 //! | `schedlint` | its own | static verification of every vendor schedule |
 //!
 //! A binary built on [`Cli`] refuses a flag it does not read, with

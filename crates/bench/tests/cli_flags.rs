@@ -6,18 +6,22 @@
 use std::path::Path;
 use std::process::Command;
 
+const EXPLORE: &str = env!("CARGO_BIN_EXE_explore");
+
 /// `(binary, arguments)` pairs that must be refused.
-const BAD_COMMAND_LINES: [(&str, &[&str]); 10] = [
-    (env!("CARGO_BIN_EXE_schedlint"), &["--dney"]),
-    (env!("CARGO_BIN_EXE_p2p"), &["--quik"]),
-    (env!("CARGO_BIN_EXE_p2p"), &["--csv"]),
-    (env!("CARGO_BIN_EXE_p2p"), &["--threads", "4"]),
-    (env!("CARGO_BIN_EXE_trace"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_stap_report"), &["--json"]),
-    (env!("CARGO_BIN_EXE_hotspots"), &["--quick"]),
-    (env!("CARGO_BIN_EXE_ablations"), &["--threads", "2"]),
-    (env!("CARGO_BIN_EXE_full_report"), &["--csv", "DIR"]),
-    (env!("CARGO_BIN_EXE_full_report"), &["--json"]),
+const BAD_COMMAND_LINES: [(&str, &str); 12] = [
+    (env!("CARGO_BIN_EXE_schedlint"), "--dney"),
+    (env!("CARGO_BIN_EXE_p2p"), "--quik"),
+    (env!("CARGO_BIN_EXE_p2p"), "--csv"),
+    (env!("CARGO_BIN_EXE_p2p"), "--threads 4"),
+    (EXPLORE, "--machine t3d --op bcast --suite"),
+    (EXPLORE, "--machine t3d --op bcast -p 8 --threads 2"),
+    (EXPLORE, "--machine t3d --op bcast -p 8 --out DIR"),
+    (env!("CARGO_BIN_EXE_stap_report"), "--json"),
+    (env!("CARGO_BIN_EXE_hotspots"), "--quick"),
+    (env!("CARGO_BIN_EXE_ablations"), "--threads 2"),
+    (env!("CARGO_BIN_EXE_full_report"), "--csv DIR"),
+    (env!("CARGO_BIN_EXE_full_report"), "--json"),
 ];
 
 #[test]
@@ -26,10 +30,13 @@ fn unknown_flags_and_missing_values_exit_2_with_usage() {
     // were not refused, not just the first.
     let mut failures = Vec::new();
     for (exe, args) in BAD_COMMAND_LINES {
-        let out = Command::new(exe).args(args).output().expect("spawn binary");
+        let out = Command::new(exe)
+            .args(args.split_whitespace())
+            .output()
+            .expect("spawn binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
         let name = Path::new(exe).file_name().unwrap_or_default();
-        let label = format!("{} {}", name.to_string_lossy(), args.join(" "));
+        let label = format!("{} {args}", name.to_string_lossy());
         if out.status.code() != Some(2) || !stderr.contains("usage:") {
             failures.push(format!("{label}: exit {:?}: {stderr}", out.status.code()));
         }

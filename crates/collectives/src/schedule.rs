@@ -9,7 +9,6 @@
 //! within an operation.
 
 use netmodel::OpClass;
-use std::collections::{HashMap, VecDeque};
 
 /// A process rank within the collective (identical to the node index —
 /// the paper runs exactly one process per node).
@@ -159,6 +158,24 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// Every message of a schedule resolved to a *slot*, one per `Send`
+/// (see [`Schedule::resolve_slots`]).
+struct Slots {
+    /// `step_base[r]` is the flat index of rank `r`'s first step; the
+    /// last entry is the total step count.
+    step_base: Vec<usize>,
+    /// Per flat step: a `Send`'s slot, the slot a `Recv` matches, or
+    /// [`Slots::NONE`] for an unmatched `Recv` and a non-message step.
+    step_slot: Vec<u32>,
+    /// Payload bytes of each slot's send, one entry per slot.
+    slot_bytes: Vec<u32>,
+}
+
+impl Slots {
+    /// A `Recv` no send matches, or a step that is not a message.
+    const NONE: u32 = u32::MAX;
+}
+
 impl Schedule {
     /// Creates a schedule for `p` ranks of the given class, with empty
     /// programs.
@@ -290,76 +307,106 @@ impl Schedule {
     ///
     /// Computed by abstract eager execution: a message carries the
     /// sender's influence set *at posting time*; a receive unions it in.
-    /// Returns `None` if the schedule deadlocks (run [`Schedule::check`]
+    /// Message sizes are not compared. Returns `None` if the schedule
+    /// deadlocks or names an out-of-range peer (run [`Schedule::check`]
     /// first for a diagnosis).
+    ///
+    /// Receives are resolved to their sends as in `check`. Each rank's
+    /// set, and each in-flight message's snapshot, is a row of
+    /// `p.div_ceil(64)` words; a received message's row is reused by the
+    /// next send, so memory stays O(p² / 64 + in-flight messages × p / 64)
+    /// words.
     pub fn influence(&self) -> Option<Vec<Vec<bool>>> {
         let p = self.ranks();
+        let slots = self.resolve_slots().ok()?;
+        let words = p.div_ceil(64);
+        let mut sets = vec![0u64; p * words];
+        for r in 0..p {
+            sets[r * words + r / 64] |= 1 << (r % 64);
+        }
+        // `slot_row[slot]` is the arena row holding the message's
+        // snapshot once it is sent, `Slots::NONE` before.
+        let mut slot_row = vec![Slots::NONE; slots.slot_bytes.len()];
+        let mut arena: Vec<u64> = Vec::new();
+        let mut free_rows: Vec<u32> = Vec::new();
         let mut pc = vec![0usize; p];
-        let mut sets: Vec<Vec<bool>> = (0..p).map(|r| (0..p).map(|i| i == r).collect()).collect();
-        let mut inflight: HashMap<(usize, usize), VecDeque<Vec<bool>>> = HashMap::new();
-        loop {
-            let mut progressed = false;
-            for r in 0..p {
-                while pc[r] < self.programs[r].len() {
-                    match self.programs[r][pc[r]] {
+        let mut unfinished = self.programs.iter().filter(|prog| !prog.is_empty()).count();
+        // Each rank runs as far as it can; a send that fills the slot its
+        // receiver is blocked on makes the receiver runnable again. A
+        // blocked rank waits on one slot, which is sent once, so no rank
+        // is on the stack twice.
+        let mut runnable = Vec::with_capacity(p);
+        for first in 0..p {
+            runnable.push(first);
+            while let Some(r) = runnable.pop() {
+                let prog = &self.programs[r];
+                let was = pc[r];
+                while let Some(&step) = prog.get(pc[r]) {
+                    let slot = slots.step_slot[slots.step_base[r] + pc[r]];
+                    match step {
                         Step::Send { to, .. } => {
-                            let snapshot = sets[r].clone();
-                            inflight.entry((r, to.0)).or_default().push_back(snapshot);
-                        }
-                        Step::Recv { from, .. } => {
-                            match inflight.entry((from.0, r)).or_default().pop_front() {
-                                Some(carried) => {
-                                    for (dst, src) in sets[r].iter_mut().zip(&carried) {
-                                        *dst |= *src;
-                                    }
-                                }
-                                None => break,
+                            let row = free_rows.pop().unwrap_or_else(|| {
+                                arena.resize(arena.len() + words, 0);
+                                (arena.len() / words - 1) as u32
+                            });
+                            let at = row as usize * words;
+                            arena[at..at + words].copy_from_slice(&sets[r * words..][..words]);
+                            slot_row[slot as usize] = row;
+                            let t = to.0;
+                            if pc[t] < self.programs[t].len()
+                                && slots.step_slot[slots.step_base[t] + pc[t]] == slot
+                                && t != r
+                            {
+                                runnable.push(t);
                             }
+                        }
+                        Step::Recv { .. } => {
+                            let Some(&row) = slot_row
+                                .get(slot as usize)
+                                .filter(|&&row| row != Slots::NONE)
+                            else {
+                                break; // blocked
+                            };
+                            let at = row as usize * words;
+                            for (dst, src) in
+                                sets[r * words..][..words].iter_mut().zip(&arena[at..])
+                            {
+                                *dst |= *src;
+                            }
+                            free_rows.push(row);
                         }
                         Step::Compute { .. } | Step::HwBarrier => {}
                     }
                     pc[r] += 1;
-                    progressed = true;
+                }
+                if pc[r] > was && pc[r] == prog.len() {
+                    unfinished -= 1;
                 }
             }
-            if pc
-                .iter()
-                .enumerate()
-                .all(|(r, &c)| c == self.programs[r].len())
-            {
-                return Some(sets);
-            }
-            if !progressed {
-                return None;
-            }
         }
+        (unfinished == 0).then(|| {
+            (0..p)
+                .map(|r| {
+                    let row = &sets[r * words..][..words];
+                    (0..p).map(|i| (row[i / 64] >> (i % 64)) & 1 == 1).collect()
+                })
+                .collect()
+        })
     }
 
-    /// Abstract eager execution; returns the message depth.
-    ///
-    /// Every named peer is range-checked first, in program order, so the
-    /// run below indexes only in-range ranks. Messages live in flat
-    /// arrays of *slots*, one per `Send`, laid out channel by channel: a
-    /// stable counting sort of the sends (numbered in program order) by
-    /// destination, which groups each destination's sends by source.
-    /// Under FIFO matching the k-th `Recv` on a channel takes the
-    /// channel's k-th send, so each `Recv` is resolved to its slot before
-    /// the run starts, and the run only asks whether that slot was sent.
-    ///
-    /// Ranks run in rounds, each in ascending rank order and as far as
-    /// it can, so the first error found is the same one a round-robin
-    /// over all ranks would find. Only runnable ranks are visited: a send
-    /// that fills the slot its receiver waits on wakes the receiver later
-    /// in the same round when its rank is higher, else in the next round.
-    fn abstract_run(&self) -> Result<usize, ScheduleError> {
-        /// A `Recv` no send matches, or a step that is not a message.
-        const NONE: u32 = u32::MAX;
+    /// Range-checks every named peer, in program order, then resolves
+    /// each `Recv` to the send it matches. Messages get *slots*, one per
+    /// `Send`, laid out channel by channel: a stable counting sort of the
+    /// sends (numbered in program order) by destination, which groups
+    /// each destination's sends by source. Under FIFO matching the k-th
+    /// `Recv` on a channel takes the channel's k-th send.
+    fn resolve_slots(&self) -> Result<Slots, ScheduleError> {
         let p = self.ranks();
         let total = self.total_steps();
         // Slot and step indices are u32: a schedule with 2^32 steps would
         // need over 64 GiB for its steps alone.
         assert!(
-            u32::try_from(total).is_ok_and(|n| n < NONE),
+            u32::try_from(total).is_ok_and(|n| n < Slots::NONE),
             "schedule of {total} steps exceeds the u32 slot space"
         );
 
@@ -393,7 +440,7 @@ impl Schedule {
         // so each bucket is sorted by source.
         let mut fill = dst_start.clone();
         let mut step_base = Vec::with_capacity(p + 1);
-        let mut step_slot = vec![NONE; total];
+        let mut step_slot = vec![Slots::NONE; total];
         let mut slot_src = vec![0usize; sends];
         let mut slot_bytes = vec![0u32; sends];
         let mut flat = 0usize;
@@ -441,6 +488,32 @@ impl Schedule {
                 chan[2 * s + 1] = 0;
             }
         }
+        Ok(Slots {
+            step_base,
+            step_slot,
+            slot_bytes,
+        })
+    }
+
+    /// Abstract eager execution; returns the message depth.
+    ///
+    /// Every `Recv` is resolved to its slot before the run starts
+    /// ([`Schedule::resolve_slots`]), so the run only asks whether that
+    /// slot was sent.
+    ///
+    /// Ranks run in rounds, each in ascending rank order and as far as
+    /// it can, so the first error found is the same one a round-robin
+    /// over all ranks would find. Only runnable ranks are visited: a send
+    /// that fills the slot its receiver waits on wakes the receiver later
+    /// in the same round when its rank is higher, else in the next round.
+    fn abstract_run(&self) -> Result<usize, ScheduleError> {
+        let p = self.ranks();
+        let Slots {
+            step_base,
+            step_slot,
+            slot_bytes,
+        } = self.resolve_slots()?;
+        let sends = slot_bytes.len();
 
         // The run. `sent_depth[slot]` is the message's depth once sent
         // (at least 1), 0 before.

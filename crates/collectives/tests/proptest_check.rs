@@ -1,6 +1,7 @@
-//! Property tests: the flat-array `Schedule::check` and
-//! `Schedule::message_depth` agree with the hash-map abstract execution
-//! they replaced, kept here as the reference.
+//! Property tests: the flat-array `Schedule::check`,
+//! `Schedule::message_depth` and `Schedule::influence` agree with the
+//! hash-map abstract executions they replaced, kept here as the
+//! references.
 //!
 //! Inputs are every vendor and generic schedule at random `p`, root and
 //! message length, plus random mutations of them (drop, duplicate,
@@ -180,6 +181,50 @@ fn reference_depth(s: &Schedule) -> Option<usize> {
     depth.ok()
 }
 
+/// The reference `influence`: round-robin over all ranks, each running as
+/// far as it can, with one FIFO of `p`-entry snapshots per channel in a
+/// hash map. It does not range-check peers: a send to an out-of-range
+/// rank is never received, and a `Recv` from one blocks forever.
+fn reference_influence(s: &Schedule) -> Option<Vec<Vec<bool>>> {
+    let p = s.ranks();
+    let programs: Vec<&[Step]> = s.iter().map(|(_, prog)| prog).collect();
+    let mut pc = vec![0usize; p];
+    let mut sets: Vec<Vec<bool>> = (0..p).map(|r| (0..p).map(|i| i == r).collect()).collect();
+    let mut inflight: HashMap<(usize, usize), VecDeque<Vec<bool>>> = HashMap::new();
+    loop {
+        let mut progressed = false;
+        for r in 0..p {
+            while pc[r] < programs[r].len() {
+                match programs[r][pc[r]] {
+                    Step::Send { to, .. } => {
+                        let snapshot = sets[r].clone();
+                        inflight.entry((r, to.0)).or_default().push_back(snapshot);
+                    }
+                    Step::Recv { from, .. } => {
+                        match inflight.entry((from.0, r)).or_default().pop_front() {
+                            Some(carried) => {
+                                for (dst, src) in sets[r].iter_mut().zip(&carried) {
+                                    *dst |= *src;
+                                }
+                            }
+                            None => break,
+                        }
+                    }
+                    Step::Compute { .. } | Step::HwBarrier => {}
+                }
+                pc[r] += 1;
+                progressed = true;
+            }
+        }
+        if pc.iter().enumerate().all(|(r, &c)| c == programs[r].len()) {
+            return Some(sets);
+        }
+        if !progressed {
+            return None;
+        }
+    }
+}
+
 /// A vendor or generic schedule at random `p`, root and length.
 fn random_schedule(g: &mut Gen) -> Schedule {
     let class = *g.pick(&OpClass::COLLECTIVES);
@@ -251,16 +296,22 @@ fn mutate(g: &mut Gen, s: &Schedule) -> Schedule {
     out
 }
 
+/// A random schedule with up to three random mutations.
+fn drawn_schedule(g: &mut Gen) -> Schedule {
+    let mut s = random_schedule(g);
+    for _ in 0..g.usize(0, 3) {
+        s = mutate(g, &s);
+    }
+    s
+}
+
 #[test]
 fn flat_check_and_depth_match_the_reference() {
     forall(
         "flat check agrees with the hash-map reference",
         1_500,
         |g| {
-            let mut s = random_schedule(g);
-            for _ in 0..g.usize(0, 3) {
-                s = mutate(g, &s);
-            }
+            let s = drawn_schedule(g);
             assert_eq!(s.check(), reference_check(&s), "check of {s:?}");
             match reference_depth(&s) {
                 Some(depth) => assert_eq!(s.message_depth(), depth, "depth of {s:?}"),
@@ -269,6 +320,46 @@ fn flat_check_and_depth_match_the_reference() {
             }
         },
     );
+}
+
+#[test]
+fn flat_influence_matches_the_reference() {
+    forall(
+        "flat influence agrees with the hash-map reference",
+        1_500,
+        |g| {
+            let s = drawn_schedule(g);
+            let p = s.ranks();
+            let in_range = s.iter().all(|(_, prog)| {
+                prog.iter().all(|step| match *step {
+                    Step::Send { to: peer, .. } | Step::Recv { from: peer, .. } => peer.0 < p,
+                    Step::Compute { .. } | Step::HwBarrier => true,
+                })
+            });
+            if in_range {
+                assert_eq!(s.influence(), reference_influence(&s), "{s:?}");
+            } else {
+                assert_eq!(s.influence(), None, "{s:?}");
+            }
+        },
+    );
+}
+
+#[test]
+fn influence_rows_past_one_word_match_the_reference() {
+    // The property draws p <= 48, so every row there is one word.
+    for p in [64, 65, 130] {
+        for class in OpClass::COLLECTIVES {
+            for machine in MachineId::ALL {
+                let s = vendor_schedule(machine, class, p, Rank(p / 3), 8).unwrap();
+                assert_eq!(
+                    s.influence(),
+                    reference_influence(&s),
+                    "{machine:?} {class} p={p}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

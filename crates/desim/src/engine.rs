@@ -3,11 +3,10 @@
 //! [`Engine`] owns a time-ordered event queue and a monotonically advancing
 //! clock over a user-supplied *world* type `W` (the mutable simulation
 //! state). Events are plain-data [`TypedEvent`]s, stored inline in a
-//! binary heap and dispatched through the world's
-//! [`EventWorld::dispatch`](crate::EventWorld::dispatch) `match`: no
-//! allocation and no indirect call per event. Firing an event may
-//! schedule further events. Ties in firing time break by insertion order,
-//! which makes every run deterministic.
+//! binary heap and dispatched through the world's [`EventWorld::dispatch`]
+//! `match`: no allocation and no indirect call per event. Firing an event
+//! may schedule further events. Ties in firing time break by insertion
+//! order, which makes every run deterministic.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -44,7 +44,7 @@ use crate::engine::Scheduler;
 /// A plain-data event payload, dispatched by the world via
 /// [`EventWorld::dispatch`]. Variants cover every event the simulator posts;
 /// their fields are opaque small integers whose meaning the world
-/// assigns (ranks, link ids, tape positions, timer cookies).
+/// assigns (ranks, tape positions, timer cookies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypedEvent {
     /// Resume a parked actor (a simulated rank un-blocking, an overhead
@@ -53,20 +53,12 @@ pub enum TypedEvent {
         /// The actor to resume.
         rank: u32,
     },
-    /// A message payload (or a coalesced segment batch) has fully
-    /// arrived at its destination.
+    /// A message payload has fully arrived at its destination.
     MessageReady {
         /// Sending actor.
         src: u32,
         /// Receiving actor.
         dst: u32,
-    },
-    /// A granted link / FIFO occupancy window has elapsed.
-    LinkGrant {
-        /// The link whose grant completed.
-        link: u32,
-        /// The actor holding the grant.
-        grantee: u32,
     },
     /// Execute the schedule step at tape position `step` on `rank` (the
     /// world owns the step tape; the event carries only the position).

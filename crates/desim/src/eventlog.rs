@@ -5,7 +5,7 @@
 //! actually executed — not what was scheduled, which includes events
 //! superseded or reordered by ties. [`EventLog`] captures, per fired
 //! event, the `(seq, at, kind, a, b)` tuple where `kind`/`a`/`b` encode
-//! the [`TypedEvent`](crate::TypedEvent) payload losslessly.
+//! the [`TypedEvent`] payload losslessly.
 //!
 //! Like profiling and provenance, the log follows the zero-cost-when-off
 //! pattern: `None` (the default) unless the engine was built
@@ -45,8 +45,6 @@ pub enum EventKind {
     RankResume,
     /// [`TypedEvent::MessageReady`] — `a` = src, `b` = dst.
     MessageReady,
-    /// [`TypedEvent::LinkGrant`] — `a` = link, `b` = grantee.
-    LinkGrant,
     /// [`TypedEvent::ScheduleStep`] — `a` = rank, `b` = step.
     ScheduleStep,
     /// [`TypedEvent::Timer`] — `a` = id.
@@ -55,10 +53,9 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in serialization-code order.
-    pub const ALL: [EventKind; 5] = [
+    pub const ALL: [EventKind; 4] = [
         EventKind::RankResume,
         EventKind::MessageReady,
-        EventKind::LinkGrant,
         EventKind::ScheduleStep,
         EventKind::Timer,
     ];
@@ -68,7 +65,6 @@ impl EventKind {
         match self {
             EventKind::RankResume => "rank_resume",
             EventKind::MessageReady => "message_ready",
-            EventKind::LinkGrant => "link_grant",
             EventKind::ScheduleStep => "schedule_step",
             EventKind::Timer => "timer",
         }
@@ -85,7 +81,6 @@ impl EventKind {
         match self {
             EventKind::RankResume => ("rank", ""),
             EventKind::MessageReady => ("src", "dst"),
-            EventKind::LinkGrant => ("link", "grantee"),
             EventKind::ScheduleStep => ("rank", "step"),
             EventKind::Timer => ("id", ""),
         }
@@ -120,10 +115,6 @@ impl LoggedEvent {
                 src: self.a as u32,
                 dst: self.b as u32,
             },
-            EventKind::LinkGrant => TypedEvent::LinkGrant {
-                link: self.a as u32,
-                grantee: self.b as u32,
-            },
             EventKind::ScheduleStep => TypedEvent::ScheduleStep {
                 rank: self.a as u32,
                 step: self.b as u32,
@@ -138,9 +129,6 @@ pub fn encode(ev: &TypedEvent) -> (EventKind, u64, u64) {
     match *ev {
         TypedEvent::RankResume { rank } => (EventKind::RankResume, rank as u64, 0),
         TypedEvent::MessageReady { src, dst } => (EventKind::MessageReady, src as u64, dst as u64),
-        TypedEvent::LinkGrant { link, grantee } => {
-            (EventKind::LinkGrant, link as u64, grantee as u64)
-        }
         TypedEvent::ScheduleStep { rank, step } => {
             (EventKind::ScheduleStep, rank as u64, step as u64)
         }
@@ -226,15 +214,6 @@ mod tests {
                 EventKind::MessageReady,
                 1,
                 2,
-            ),
-            (
-                TypedEvent::LinkGrant {
-                    link: 7,
-                    grantee: 9,
-                },
-                EventKind::LinkGrant,
-                7,
-                9,
             ),
             (
                 TypedEvent::ScheduleStep { rank: 4, step: 11 },

@@ -144,8 +144,6 @@ impl TypedEvent {
     ///   into `dst`'s mailbox and may advance `dst` inline.
     /// * `ScheduleStep { rank, .. }` — re-reads the rank's tape and
     ///   injects into the network, acquiring shared link/FIFO state.
-    /// * `LinkGrant { link, grantee }` — releases shared link state to
-    ///   `grantee`.
     /// * `Timer` — opaque payload: global.
     pub fn footprint(&self) -> Footprint {
         match *self {
@@ -155,9 +153,6 @@ impl TypedEvent {
             }
             TypedEvent::ScheduleStep { rank, .. } => {
                 Footprint::of(&[Resource::Rank(rank), Resource::Network])
-            }
-            TypedEvent::LinkGrant { grantee, .. } => {
-                Footprint::of(&[Resource::Rank(grantee), Resource::Network])
             }
             TypedEvent::Timer { .. } => Footprint::of(&[Resource::Global]),
         }

@@ -72,21 +72,6 @@ impl FifoResource {
         self.free_at
     }
 
-    /// Applies a *batched* occupancy update: one commit standing in for
-    /// `grants` consecutive [`FifoResource::acquire`] calls whose chained
-    /// arithmetic the caller performed against a local copy of the
-    /// watermark. `free_at` is the post-batch watermark, `service` the
-    /// total service time of the batch. Used by the network model to
-    /// coalesce per-segment FIFO updates into one commit per
-    /// (message, link); equivalent to the acquire sequence by
-    /// construction because a FIFO resource is a single watermark.
-    pub fn commit(&mut self, free_at: SimTime, service: SimDuration, grants: u64) {
-        debug_assert!(free_at >= self.free_at, "batch cannot rewind the watermark");
-        self.free_at = free_at;
-        self.busy += service;
-        self.grants += grants;
-    }
-
     /// Total service time granted so far (busy time).
     pub fn busy_time(&self) -> SimDuration {
         self.busy
@@ -152,45 +137,11 @@ impl ResourcePool {
         self.slots.get(id)
     }
 
-    /// Batched occupancy commit on resource `id` (see
-    /// [`FifoResource::commit`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn commit(&mut self, id: usize, free_at: SimTime, service: SimDuration, grants: u64) {
-        self.slots[id].commit(free_at, service, grants);
-    }
-
-    /// Earliest instant a new request on resource `id` would begin
-    /// service.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn free_at(&self, id: usize) -> SimTime {
-        self.slots[id].free_at()
-    }
-
     /// Returns all resources to idle.
     pub fn reset(&mut self) {
         for s in &mut self.slots {
             s.reset();
         }
-    }
-
-    /// The busiest resource: `(id, busy_time)`, or `None` for an empty pool.
-    pub fn hottest(&self) -> Option<(usize, SimDuration)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, s.busy_time()))
-            .max_by_key(|&(_, b)| b)
-    }
-
-    /// Sum of busy time across all resources.
-    pub fn total_busy(&self) -> SimDuration {
-        self.slots.iter().map(|s| s.busy_time()).sum()
     }
 }
 
@@ -241,15 +192,20 @@ mod tests {
     }
 
     #[test]
-    fn pool_tracks_hottest() {
+    fn pool_tracks_each_resource() {
         let mut p = ResourcePool::new(3);
         p.acquire(0, AT(0), NS(5));
         p.acquire(2, AT(0), NS(50));
         p.acquire(1, AT(0), NS(20));
-        assert_eq!(p.hottest(), Some((2, NS(50))));
-        assert_eq!(p.total_busy(), NS(75));
+        let busy = |p: &ResourcePool| -> Vec<SimDuration> {
+            (0..p.len())
+                .map(|i| p.get(i).unwrap().busy_time())
+                .collect()
+        };
+        assert_eq!(busy(&p), [NS(5), NS(20), NS(50)]);
+        assert_eq!(p.get(2).unwrap().free_at(), AT(50));
         p.reset();
-        assert_eq!(p.total_busy(), NS(0));
+        assert_eq!(busy(&p), [NS(0); 3]);
     }
 
     #[test]
@@ -257,28 +213,5 @@ mod tests {
     fn pool_out_of_range_panics() {
         let mut p = ResourcePool::new(1);
         p.acquire(7, AT(0), NS(1));
-    }
-
-    #[test]
-    fn commit_equals_acquire_sequence() {
-        // Per-acquire on one resource, batched commit on another: the
-        // final observable state must be identical.
-        let mut looped = FifoResource::new();
-        let mut watermark = looped.free_at();
-        let mut total = SimDuration::ZERO;
-        for (at, dur) in [(0u64, 30u64), (10, 20), (100, 5)] {
-            let g = looped.acquire(AT(at), NS(dur));
-            // Mirror the arithmetic locally, as the coalescing caller does.
-            let start = AT(at).max(watermark);
-            assert_eq!(g.start, start);
-            watermark = start + NS(dur);
-            total += NS(dur);
-        }
-        let mut batched = FifoResource::new();
-        batched.commit(watermark, total, 3);
-        assert_eq!(batched, looped);
-        assert_eq!(batched.free_at(), AT(105));
-        assert_eq!(batched.busy_time(), NS(55));
-        assert_eq!(batched.grants(), 3);
     }
 }

@@ -238,12 +238,6 @@ pub struct Observed {
     /// How many events entered the queue (the `engine.alloc.*`
     /// counter).
     pub event_stats: desim::EventStats,
-    /// Logical per-segment FIFO occupancy updates the wire model
-    /// performed.
-    pub fifo_updates: u64,
-    /// Batched watermark commits actually applied — one per
-    /// (message, resource).
-    pub fifo_commits: u64,
     /// Causal event-parent log, when [`ExecConfig::provenance`] was set.
     pub provenance: Option<desim::Provenance>,
     /// Canonical fired-event stream, when [`ExecConfig::event_log`] was
@@ -586,14 +580,11 @@ fn execute_inner(
     } else {
         Vec::new()
     };
-    let (fifo_updates, fifo_commits) = world.net.fifo_update_stats();
     let observed = observe.then(|| Observed {
         spans: world.spans.take().unwrap_or_default(),
         net: world.net.instrumentation().cloned().unwrap_or_default(),
         queue_high_water: engine.queue_high_water(),
         event_stats: engine.event_stats(),
-        fifo_updates,
-        fifo_commits,
         provenance: engine.provenance().cloned(),
         event_log: engine.event_log().cloned(),
         tie_swap_applied: engine.tie_swap_applied(),

@@ -144,8 +144,6 @@ pub fn export_metrics(out: &ExecOutcome, observed: &Observed, reg: &mut MetricsR
     reg.gauge("exec.blocked.total_us", blocked_total);
     reg.gauge("exec.blocked.max_us", blocked_max);
     observed.event_stats.export_metrics(reg);
-    reg.counter("net.fifo.updates", observed.fifo_updates);
-    reg.counter("net.fifo.commits", observed.fifo_commits);
     observed.net.export_metrics(reg);
 }
 

@@ -34,10 +34,9 @@ pub struct RecEvent {
     pub seq: u64,
     /// Firing instant, nanoseconds.
     pub at_ns: u64,
-    /// Stable kind key (`rank_resume`, `message_ready`, `link_grant`,
-    /// `schedule_step`, `timer`). Borrowed from
-    /// the executor's static vocabulary when built from a run; owned
-    /// when parsed.
+    /// Stable kind key (`rank_resume`, `message_ready`, `schedule_step`,
+    /// `timer`). Borrowed from the executor's static vocabulary when built
+    /// from a run; owned when parsed.
     pub kind: Cow<'static, str>,
     /// First payload field (see [`event_field_names`]); 0 if unused.
     pub a: u64,
@@ -54,7 +53,6 @@ pub fn event_field_names(kind: &str) -> (&'static str, &'static str) {
     match kind {
         "rank_resume" => ("rank", ""),
         "message_ready" => ("src", "dst"),
-        "link_grant" => ("link", "grantee"),
         "schedule_step" => ("rank", "step"),
         "timer" => ("id", ""),
         _ => ("", ""),
@@ -62,12 +60,11 @@ pub fn event_field_names(kind: &str) -> (&'static str, &'static str) {
 }
 
 /// The ranks an event touches, for context-window summaries. `timer`
-/// events touch none; `link_grant` touches the grantee.
+/// events touch none.
 pub fn event_ranks(ev: &RecEvent) -> Vec<u32> {
     match &*ev.kind {
         "rank_resume" | "schedule_step" => vec![ev.a as u32],
         "message_ready" => vec![ev.a as u32, ev.b as u32],
-        "link_grant" => vec![ev.b as u32],
         _ => Vec::new(),
     }
 }

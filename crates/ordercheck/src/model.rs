@@ -90,8 +90,6 @@ impl StaticModel {
             // The deferred send touches the network by construction
             // (already in the base footprint) and releases the sender.
             TypedEvent::ScheduleStep { rank, .. } => &[rank],
-            // A link grant resumes the granted rank's transfer.
-            TypedEvent::LinkGrant { grantee, .. } => &[grantee],
             TypedEvent::Timer { .. } => &[],
         };
         for &r in advanced {

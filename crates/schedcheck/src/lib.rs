@@ -20,7 +20,8 @@
 //!    for rings and pairwise exchange — the static counterpart of
 //!    Table 3's O(log p) vs O(p) startup regimes.
 //!
-//! The structural pre-checks delegate to [`Schedule::check`], the same
+//! The structural pre-checks delegate to
+//! [`Schedule::check`](collectives::Schedule::check), the same
 //! routine the dynamic executor runs, so the static and runtime passes
 //! share one implementation (and one error vocabulary,
 //! [`ScheduleError`](collectives::ScheduleError)) and cannot drift.

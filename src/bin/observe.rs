@@ -133,12 +133,7 @@ fn render_point(
         .param("start", "cold, no skew")
         .param("link_contention", wire.link_contention)
         .param("nic_serialization", wire.nic_serialization)
-        .param("wormhole", wire.wormhole)
-        .param(
-            "segment_bytes",
-            wire.segment_bytes
-                .map_or("none".to_string(), |s| s.to_string()),
-        );
+        .param("wormhole", wire.wormhole);
     let mut reg = MetricsRegistry::new();
     observe::export_metrics(out, observed, &mut reg);
     let trace = observe::chrome_trace(pt.machine.name(), out, observed);

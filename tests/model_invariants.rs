@@ -60,22 +60,6 @@ fn store_and_forward_never_beats_wormhole_uncontended() {
 }
 
 #[test]
-fn segmentation_overhead_is_bounded() {
-    // Packetizing may shuffle contention order but must stay within a
-    // modest band of the whole-message model for a quiet collective.
-    for base in Machine::all() {
-        let seg = base.clone().with_wire_config(WireConfig {
-            segment_bytes: Some(4_096),
-            ..WireConfig::default()
-        });
-        let whole = t(&base, OpClass::Bcast, 65_536, 16);
-        let packetized = t(&seg, OpClass::Bcast, 65_536, 16);
-        let ratio = packetized / whole;
-        assert!((0.7..1.3).contains(&ratio), "{}: {ratio}", base.name());
-    }
-}
-
-#[test]
 fn scattered_placement_never_helps_much_on_direct_networks() {
     // On the mesh and torus, random placement lengthens routes, so it is
     // roughly neutral or worse (small wins possible from contention

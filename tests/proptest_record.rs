@@ -208,7 +208,7 @@ fn tied(g: &mut Gen, hi: u64) -> u64 {
 }
 
 fn random_record(g: &mut Gen) -> RunRecord {
-    const EVENTS: &[&str] = &["rank_resume", "message_ready", "link_grant", "timer"];
+    const EVENTS: &[&str] = &["rank_resume", "message_ready", "timer"];
     const CLASSES: &[&str] = &["bcast", "alltoall", "scan"];
     const SPANS: &[&str] = &["send_sw", "recv_wait", "copy"];
     let mut events: Vec<RecEvent> = (0..g.usize(0, 120))
