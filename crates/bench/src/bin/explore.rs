@@ -26,7 +26,7 @@ use bench::cli::{Accept, PointCli};
 use bench::machine_id;
 use bench::suite::SuitePoint;
 use harness::{measure, Protocol};
-use mpisim::Rank;
+use mpisim::{Rank, RunOptions};
 use perfmodel::paper;
 use report::{Timeline, TimelineMessage};
 
@@ -106,7 +106,11 @@ fn main() {
 
     // Cold-start run with diagnostics.
     let schedule = comm.schedule(op, Rank(0), bytes).expect("schedule");
-    let out = comm.run_diagnosed(&schedule).expect("run");
+    let traced = RunOptions {
+        record_trace: true,
+        ..RunOptions::default()
+    };
+    let out = comm.run_with(&[&schedule], traced).expect("run");
     println!(
         "cold-start single run:        {:.1} us;  {} messages, {} payload bytes",
         out.rank_segment_time(0, (0..nodes).max_by_key(|&r| out.finish[0][r]).unwrap_or(0))

@@ -13,8 +13,8 @@
 //! binaries.
 
 use mpisim::critpath::CritPath;
-use mpisim::exec::{ExecConfig, ExecOutcome, Observed, TieBreakPolicy};
-use mpisim::{Machine, OpClass, Rank};
+use mpisim::exec::{ExecOutcome, Observed, TieBreakPolicy};
+use mpisim::{Machine, OpClass, Rank, RunOptions};
 use obs::critpath::Blame;
 use obs::{Json, MetricsRegistry, RunRecord};
 use report::Table;
@@ -121,18 +121,17 @@ pub fn record_point(
     let schedule = comm
         .schedule(pt.op, Rank(0), pt.bytes)
         .expect("schedule build");
-    let cfg = ExecConfig {
-        wire: machine.wire_config(),
-        placement: machine.placement(),
+    let options = RunOptions {
         record_trace: true,
         trace_limit,
         provenance: true,
         event_log: true,
         tie_break,
-        ..ExecConfig::default()
+        ..RunOptions::default()
     };
-    let (out, observed) =
-        mpisim::execute_observed(machine.spec(), &[&schedule], &cfg).expect("observed execution");
+    let (out, observed) = comm
+        .run_observed(&[&schedule], options)
+        .expect("observed execution");
     let cp = mpisim::critpath::analyze(&out, &observed);
     let mut reg = MetricsRegistry::new();
     mpisim::observe::export_metrics(&out, &observed, &mut reg);

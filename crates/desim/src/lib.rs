@@ -62,6 +62,6 @@ pub use event::{EventStats, EventWorld, TypedEvent};
 pub use eventlog::{EventKind, EventLog, LoggedEvent};
 pub use footprint::{Footprint, Resource};
 pub use provenance::{ProvRecord, Provenance};
-pub use resource::{FifoResource, Grant, ResourcePool};
+pub use resource::{FifoResource, ResourcePool};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

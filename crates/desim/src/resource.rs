@@ -19,32 +19,15 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// let mut link = FifoResource::new();
 /// // Two back-to-back 10 ns transmissions requested at t=0:
-/// let g1 = link.acquire(SimTime::ZERO, SimDuration::from_nanos(10));
-/// let g2 = link.acquire(SimTime::ZERO, SimDuration::from_nanos(10));
-/// assert_eq!(g1.start.as_nanos(), 0);
-/// assert_eq!(g2.start.as_nanos(), 10); // serialized behind the first
+/// let first = link.acquire(SimTime::ZERO, SimDuration::from_nanos(10));
+/// let second = link.acquire(SimTime::ZERO, SimDuration::from_nanos(10));
+/// assert_eq!(first.as_nanos(), 0);
+/// assert_eq!(second.as_nanos(), 10); // serialized behind the first
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FifoResource {
     free_at: SimTime,
     busy: SimDuration,
-    grants: u64,
-}
-
-/// The outcome of an [`FifoResource::acquire`]: when service starts and ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Grant {
-    /// Instant the resource begins serving this request.
-    pub start: SimTime,
-    /// Instant the resource becomes free again.
-    pub end: SimTime,
-}
-
-impl Grant {
-    /// Time the request spent waiting before service began.
-    pub fn queue_delay(&self, requested_at: SimTime) -> SimDuration {
-        self.start.since(requested_at)
-    }
 }
 
 impl FifoResource {
@@ -53,48 +36,22 @@ impl FifoResource {
         Self::default()
     }
 
-    /// Requests the resource at `now` for `service` time; returns the grant.
+    /// Requests the resource at `now` for `service` time; returns the
+    /// instant service starts (it ends `service` later).
     ///
     /// Requests made at an earlier `now` than a previous call are still
     /// serialized behind it (FIFO in *call* order), which is the order the
     /// deterministic engine produces.
-    pub fn acquire(&mut self, now: SimTime, service: SimDuration) -> Grant {
+    pub fn acquire(&mut self, now: SimTime, service: SimDuration) -> SimTime {
         let start = now.max(self.free_at);
-        let end = start + service;
-        self.free_at = end;
+        self.free_at = start + service;
         self.busy += service;
-        self.grants += 1;
-        Grant { start, end }
-    }
-
-    /// Earliest instant a new request would begin service.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
+        start
     }
 
     /// Total service time granted so far (busy time).
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Number of grants issued.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Utilization of the resource over `[0, horizon]`, in `[0, 1]`.
-    ///
-    /// Returns 0 for a zero horizon.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy.as_nanos() as f64 / horizon.as_nanos() as f64).min(1.0)
-    }
-
-    /// Forgets all occupancy, returning the resource to idle.
-    pub fn reset(&mut self) {
-        *self = Self::default();
     }
 }
 
@@ -123,25 +80,19 @@ impl ResourcePool {
         self.slots.is_empty()
     }
 
-    /// Acquires resource `id` at `now` for `service`.
+    /// Acquires resource `id` at `now` for `service`; returns the
+    /// instant service starts.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn acquire(&mut self, id: usize, now: SimTime, service: SimDuration) -> Grant {
+    pub fn acquire(&mut self, id: usize, now: SimTime, service: SimDuration) -> SimTime {
         self.slots[id].acquire(now, service)
     }
 
     /// Read access to resource `id`, or `None` if out of range.
     pub fn get(&self, id: usize) -> Option<&FifoResource> {
         self.slots.get(id)
-    }
-
-    /// Returns all resources to idle.
-    pub fn reset(&mut self) {
-        for s in &mut self.slots {
-            s.reset();
-        }
     }
 }
 
@@ -155,40 +106,26 @@ mod tests {
     #[test]
     fn idle_resource_serves_immediately() {
         let mut r = FifoResource::new();
-        let g = r.acquire(AT(5), NS(10));
-        assert_eq!(g.start, AT(5));
-        assert_eq!(g.end, AT(15));
-        assert_eq!(g.queue_delay(AT(5)), NS(0));
+        assert_eq!(r.acquire(AT(5), NS(10)), AT(5));
+        // The first request's service ends at 15.
+        assert_eq!(r.acquire(AT(5), NS(1)), AT(15));
     }
 
     #[test]
     fn contention_serializes() {
         let mut r = FifoResource::new();
         r.acquire(AT(0), NS(100));
-        let g = r.acquire(AT(30), NS(50));
-        assert_eq!(g.start, AT(100));
-        assert_eq!(g.end, AT(150));
-        assert_eq!(g.queue_delay(AT(30)), NS(70));
+        assert_eq!(r.acquire(AT(30), NS(50)), AT(100));
+        assert_eq!(r.acquire(AT(30), NS(1)), AT(150));
     }
 
     #[test]
     fn gap_leaves_resource_idle() {
         let mut r = FifoResource::new();
         r.acquire(AT(0), NS(10));
-        let g = r.acquire(AT(100), NS(10));
-        assert_eq!(g.start, AT(100), "no queueing after the resource drained");
+        let start = r.acquire(AT(100), NS(10));
+        assert_eq!(start, AT(100), "no queueing after the resource drained");
         assert_eq!(r.busy_time(), NS(20));
-        assert_eq!(r.grants(), 2);
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let mut r = FifoResource::new();
-        r.acquire(AT(0), NS(50));
-        assert!((r.utilization(AT(100)) - 0.5).abs() < 1e-12);
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-        r.acquire(AT(0), NS(500));
-        assert_eq!(r.utilization(AT(100)), 1.0, "clamped to 1");
     }
 
     #[test]
@@ -203,9 +140,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(busy(&p), [NS(5), NS(20), NS(50)]);
-        assert_eq!(p.get(2).unwrap().free_at(), AT(50));
-        p.reset();
-        assert_eq!(busy(&p), [NS(0); 3]);
+        assert_eq!(p.acquire(2, AT(0), NS(1)), AT(50));
     }
 
     #[test]

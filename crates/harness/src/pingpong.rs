@@ -7,7 +7,7 @@
 
 use crate::protocol::Protocol;
 use collectives::{Rank, Schedule, Step};
-use mpisim::{Communicator, OpClass, SimMpiError};
+use mpisim::{Communicator, OpClass, RunOptions, SimMpiError};
 
 /// One point-to-point sample: one-way latency for a message size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,7 +62,7 @@ pub fn measure_pingpong(
         let rt = round_trip(p, a, b, bytes);
         let segments: Vec<&Schedule> =
             std::iter::repeat_n(&rt, protocol.runs_per_repetition()).collect();
-        let run = comm.run_sequence(&segments, None)?;
+        let run = comm.run_with(&segments, RunOptions::default())?;
         // Rank a's local clock across the timed window, averaged per
         // round trip, halved for one-way.
         let start = run.finish[protocol.warmup][a.0];

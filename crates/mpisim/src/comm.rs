@@ -3,33 +3,59 @@
 
 use crate::datatype::Datatype;
 use crate::error::SimMpiError;
-use crate::exec::{execute, CpuNoise, ExecConfig, ExecOutcome};
+use crate::exec::{execute, CpuNoise, ExecOutcome, Observed, TieBreakPolicy};
 use crate::machine::Machine;
 use collectives::{build, extra, Rank, Schedule, Step};
 use desim::{SimDuration, SimTime};
 use netmodel::OpClass;
 
-/// Per-run execution options for [`Communicator::run_with`].
+/// Per-run execution settings for [`Communicator::run_with`] and
+/// [`Communicator::run_observed`]. The machine spec, wire config and
+/// rank-to-node table come from the communicator; everything else an
+/// execution can vary is here.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Per-rank start instants (skewed clocks); default all-zero.
+    /// Per-rank start instants (models unsynchronized node clocks /
+    /// skewed arrival). Default: everyone starts at time zero.
     pub start_times: Option<Vec<SimTime>>,
-    /// Background-interference CPU noise.
+    /// Multiplicative per-rank CPU slowdown modeling interference from
+    /// other users and OS daemons (§9 accuracy factor). Each rank draws
+    /// a factor uniformly from `[1, 1 + amplitude]`.
     pub cpu_noise: Option<CpuNoise>,
-    /// Record message traces and link loads.
+    /// Record a per-message trace ([`crate::exec::MessageTrace`]) and
+    /// the link-load distribution. Off by default: tracing a 128-node
+    /// alltoall allocates one record per message. Observed runs always
+    /// trace.
     pub record_trace: bool,
-    /// Record causal event provenance; surfaced via
-    /// [`crate::exec::Observed::provenance`] on observed runs. Zero cost
-    /// when off.
-    pub provenance: bool,
-    /// Record the canonical fired-event stream; surfaced via
-    /// [`crate::exec::Observed::event_log`] on observed runs. Zero cost
-    /// when off.
-    pub event_log: bool,
-    /// Cap on recorded [`crate::exec::MessageTrace`] entries (the
-    /// `--trace-cap` CLI flag); `None` uses
-    /// [`crate::exec::DEFAULT_TRACE_LIMIT`].
+    /// Maximum [`crate::exec::MessageTrace`] entries kept when tracing
+    /// (the `--trace-cap` CLI flag); further messages are counted in
+    /// [`ExecOutcome::dropped_messages`] instead of allocated. `None`
+    /// uses [`crate::exec::DEFAULT_TRACE_LIMIT`].
     pub trace_limit: Option<usize>,
+    /// Record causal event provenance
+    /// ([`desim::Engine::with_provenance`]): one compact parent edge per
+    /// event, surfaced via [`crate::exec::Observed::provenance`] on
+    /// observed runs. Zero cost when off.
+    pub provenance: bool,
+    /// Record the canonical fired-event stream
+    /// ([`desim::Engine::with_event_log`]), surfaced via
+    /// [`crate::exec::Observed::event_log`] on observed runs — the input
+    /// to run-record serialization and `obs::diff`. Zero cost when off.
+    pub event_log: bool,
+    /// How same-instant event ties are broken. The default
+    /// ([`TieBreakPolicy::InsertionOrder`]) is the committed
+    /// deterministic order; the other policies exist solely so
+    /// differential tests, `tracediff --perturb` and the `ordercheck`
+    /// commutativity explorer can produce controlled perturbations.
+    pub tie_break: TieBreakPolicy,
+    /// Run without checking the schedules first. Only the tests that
+    /// compare the executor with the static analyzer set this
+    /// (`crates/schedcheck/tests/proptest_schedcheck.rs` and the
+    /// executor's `unvalidated_deadlock_returns_typed_stall`): a
+    /// schedule that deadlocks then surfaces as
+    /// [`SimMpiError::RankStalled`] instead of a
+    /// [`SimMpiError::BadSchedule`].
+    pub skip_validation: bool,
 }
 
 /// How a communicator's ranks map onto the machine.
@@ -108,9 +134,14 @@ impl CollectiveOutcome {
 /// execution shares the one built per process for the machine's
 /// topology and partition size. Rank stepping runs entirely on the
 /// engine's typed-event path ([`desim::TypedEvent`]) — no per-event
-/// allocation in the execution hot loop. For the paper's full measurement methodology (warm-up,
-/// k-iteration loops, max-reduction) use the `harness` crate, which
-/// drives [`Communicator::run_sequence`].
+/// allocation in the execution hot loop.
+///
+/// [`Communicator::run`], [`Communicator::run_with`] and
+/// [`Communicator::run_observed`] are the only way to execute a
+/// schedule, and each refuses one whose rank count is not
+/// [`Communicator::size`]. For the paper's full measurement methodology
+/// (warm-up, k-iteration loops, max-reduction) use the `harness` crate,
+/// which drives [`Communicator::run_with`].
 #[derive(Debug, Clone)]
 pub struct Communicator {
     machine: Machine,
@@ -238,120 +269,84 @@ impl Communicator {
     ///
     /// # Errors
     ///
-    /// Propagates validation failures from the executor.
+    /// Same conditions as [`Communicator::run_with`].
     pub fn run(&self, schedule: &Schedule) -> Result<CollectiveOutcome, SimMpiError> {
-        let out = self.run_sequence(&[schedule], None)?;
+        let out = self.run_with(&[schedule], RunOptions::default())?;
         Ok(self.outcome_from(&out, 0))
     }
 
-    /// Like [`Communicator::run`], but also records every message's
-    /// posting and delivery instants (for timeline rendering and
-    /// debugging).
+    /// Runs `segments` back to back (no implicit sync between them) under
+    /// per-run options: skewed start times, interference noise, tracing,
+    /// a tie-break perturbation.
     ///
     /// # Errors
     ///
-    /// Propagates validation failures from the executor.
-    pub fn run_traced(
-        &self,
-        schedule: &Schedule,
-    ) -> Result<(CollectiveOutcome, Vec<crate::exec::MessageTrace>), SimMpiError> {
-        let out = self.run_with(
-            &[schedule],
-            RunOptions {
-                record_trace: true,
-                ..RunOptions::default()
-            },
-        )?;
-        Ok((self.outcome_from(&out, 0), out.trace))
-    }
-
-    /// Runs one schedule with full diagnostics: per-rank timings, the
-    /// message trace, and the link-load distribution (hottest first).
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation failures from the executor.
-    pub fn run_diagnosed(&self, schedule: &Schedule) -> Result<ExecOutcome, SimMpiError> {
-        self.run_with(
-            &[schedule],
-            RunOptions {
-                record_trace: true,
-                ..RunOptions::default()
-            },
-        )
-    }
-
-    /// Runs several schedules back to back (no implicit sync between
-    /// them), optionally with skewed per-rank start times. This is the
-    /// harness entry point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation failures from the executor.
-    pub fn run_sequence(
-        &self,
-        segments: &[&Schedule],
-        start_times: Option<Vec<SimTime>>,
-    ) -> Result<ExecOutcome, SimMpiError> {
-        self.run_with(
-            segments,
-            RunOptions {
-                start_times,
-                ..RunOptions::default()
-            },
-        )
-    }
-
-    /// Runs segments with full per-run options (skew, interference noise,
-    /// tracing). The most general execution entry point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation failures from the executor.
+    /// Returns [`SimMpiError::EmptySequence`] for no segments,
+    /// [`SimMpiError::SizeMismatch`] when a segment's rank count is not
+    /// this communicator's size, and propagates validation failures
+    /// from the executor.
     pub fn run_with(
         &self,
         segments: &[&Schedule],
         options: RunOptions,
     ) -> Result<ExecOutcome, SimMpiError> {
-        let cfg = self.exec_config(options);
-        execute(self.machine.spec(), segments, &cfg)
+        self.execute(segments, options, false).map(|(out, _)| out)
     }
 
-    /// Runs segments under full observability: message trace, per-rank
-    /// phase spans, per-link/per-class network instrumentation, and
-    /// engine queue statistics (see [`crate::exec::execute_observed`]).
+    /// Runs segments like [`Communicator::run_with`] under full
+    /// observability: message trace, per-rank phase spans,
+    /// per-link/per-class network instrumentation, and engine queue
+    /// statistics. Costs one allocation per span and message.
     ///
     /// # Errors
     ///
-    /// Propagates validation failures from the executor.
+    /// Same conditions as [`Communicator::run_with`].
     pub fn run_observed(
         &self,
         segments: &[&Schedule],
         options: RunOptions,
-    ) -> Result<(ExecOutcome, crate::exec::Observed), SimMpiError> {
-        let cfg = self.exec_config(options);
-        crate::exec::execute_observed(self.machine.spec(), segments, &cfg)
+    ) -> Result<(ExecOutcome, Observed), SimMpiError> {
+        self.execute(segments, options, true)
+            .map(|(out, obs)| (out, obs.expect("observed run collects instrumentation")))
     }
 
-    fn exec_config(&self, options: RunOptions) -> ExecConfig {
-        ExecConfig {
-            wire: self.machine.wire_config(),
-            start_times: options.start_times,
-            skip_validation: false,
-            record_trace: options.record_trace,
-            trace_limit: options.trace_limit,
-            placement: self.machine.placement(),
-            cpu_noise: options.cpu_noise,
-            provenance: options.provenance,
-            event_log: options.event_log,
-            tie_break: crate::exec::TieBreakPolicy::InsertionOrder,
-            group: match &self.scope {
-                CommScope::Whole => None,
-                CommScope::Group {
-                    placement,
-                    machine_nodes,
-                } => Some((placement.clone(), *machine_nodes)),
-            },
+    /// Checks the call's shape, then resolves this communicator's ranks
+    /// to nodes of the machine partition and hands both to the executor.
+    fn execute(
+        &self,
+        segments: &[&Schedule],
+        options: RunOptions,
+        observe: bool,
+    ) -> Result<(ExecOutcome, Option<Observed>), SimMpiError> {
+        if segments.is_empty() {
+            return Err(SimMpiError::EmptySequence);
+        }
+        if let Some(seg) = segments.iter().find(|seg| seg.ranks() != self.size) {
+            return Err(SimMpiError::SizeMismatch {
+                schedule: seg.ranks(),
+                communicator: self.size,
+            });
+        }
+        match &self.scope {
+            CommScope::Whole => {
+                let nodes = self
+                    .machine
+                    .placement()
+                    .table(self.size)
+                    .map_err(SimMpiError::InvalidSpec)?;
+                execute(&self.machine, &nodes, self.size, segments, options, observe)
+            }
+            CommScope::Group {
+                placement,
+                machine_nodes,
+            } => execute(
+                &self.machine,
+                placement.table(),
+                *machine_nodes,
+                segments,
+                options,
+                observe,
+            ),
         }
     }
 
@@ -605,6 +600,36 @@ mod tests {
             Err(SimMpiError::InvalidRank { rank: 8, size: 8 })
         ));
         assert!(comm.ping(Rank(0), Rank(9), 4).is_err());
+        Ok(())
+    }
+
+    #[test]
+    fn wrong_size_schedules_are_refused() -> Result<(), SimMpiError> {
+        // Unchecked, a larger schedule would run on a partition of its
+        // own size and a smaller one would index past its rank table.
+        let refused = |comm: &Communicator, s: &Schedule| {
+            let want = Some(SimMpiError::SizeMismatch {
+                schedule: s.ranks(),
+                communicator: comm.size(),
+            });
+            let options = RunOptions::default;
+            assert_eq!(comm.run(s).err(), want, "run");
+            assert_eq!(comm.run_with(&[s], options()).err(), want, "run_with");
+            assert_eq!(comm.run_observed(&[s], options()).err(), want);
+        };
+        for machine in Machine::all() {
+            let bcast = |p: usize| {
+                machine
+                    .communicator(p)?
+                    .schedule(OpClass::Bcast, Rank(0), 1024)
+            };
+            let comm = machine.communicator(8)?;
+            refused(&comm, &bcast(4)?);
+            refused(&comm, &bcast(16)?);
+            let group = comm.group(&[1, 3, 5, 7])?;
+            refused(&group, &bcast(2)?);
+            refused(&group, &bcast(8)?);
+        }
         Ok(())
     }
 

@@ -40,7 +40,7 @@ pub struct CritPath {
     /// rank when several tie).
     pub end_rank: usize,
     /// Causal chain depth from the engine's provenance log, when the run
-    /// recorded one ([`crate::exec::ExecConfig::provenance`]).
+    /// recorded one ([`crate::RunOptions::provenance`]).
     pub chain_depth: Option<usize>,
 }
 
@@ -147,9 +147,9 @@ fn build_graph(out: &ExecOutcome, observed: &Observed) -> (Vec<Span>, Vec<Transf
 ///
 /// The walk runs from the completion instant of the last-finishing rank
 /// back to the earliest rank start. Requires an [`Observed`] from
-/// [`crate::exec::execute_observed`] (which implies message tracing); a
-/// trace truncated by the cap degrades the affected stretches to
-/// [`Blame::Idle`] instead of failing.
+/// [`crate::Communicator::run_observed`] (which implies message
+/// tracing); a trace truncated by the cap degrades the affected stretches
+/// to [`Blame::Idle`] instead of failing.
 pub fn analyze(out: &ExecOutcome, observed: &Observed) -> CritPath {
     let end = out.completed();
     let last_seg = out.finish.last().expect("at least one segment");
@@ -191,7 +191,6 @@ pub fn is_remote(m: &MessageTrace) -> bool {
 mod tests {
     use super::*;
     use crate::comm::RunOptions;
-    use crate::exec::{execute_observed, ExecConfig};
     use crate::machine::Machine;
     use collectives::Rank;
     use desim::SimTime;
@@ -269,21 +268,19 @@ mod tests {
 
     #[test]
     fn truncated_trace_degrades_to_idle_not_panic() {
-        let machine = Machine::sp2();
-        let comm = machine.communicator(8).expect("communicator");
+        let comm = Machine::sp2().communicator(8).expect("communicator");
         let s = comm
             .schedule(OpClass::Alltoall, Rank(0), 1024)
             .expect("schedule");
-        let (out, obs) = execute_observed(
-            machine.spec(),
-            &[&s],
-            &ExecConfig {
-                wire: machine.wire_config(),
-                trace_limit: Some(3),
-                ..ExecConfig::default()
-            },
-        )
-        .expect("observed run");
+        let (out, obs) = comm
+            .run_observed(
+                &[&s],
+                RunOptions {
+                    trace_limit: Some(3),
+                    ..RunOptions::default()
+                },
+            )
+            .expect("observed run");
         assert!(out.dropped_messages > 0, "cap must bite");
         let cp = analyze(&out, &obs);
         assert_eq!(

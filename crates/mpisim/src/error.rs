@@ -33,19 +33,20 @@ pub enum SimMpiError {
         /// Ranks in the communicator.
         communicator: usize,
     },
-    /// `run_sequence` was called with per-rank start times of the wrong
-    /// length.
+    /// A run was given per-rank start times
+    /// ([`crate::RunOptions::start_times`]) of the wrong length.
     BadStartTimes {
         /// Entries supplied.
         got: usize,
         /// Entries required (one per rank).
         expected: usize,
     },
-    /// `run_sequence` was called with no segments.
+    /// A run was given no segments.
     EmptySequence,
     /// A rank's tape did not run to completion even though validation
-    /// passed (or was skipped via `ExecConfig::skip_validation`): the
-    /// executor stalled waiting on a message that never arrived.
+    /// passed (or was skipped via
+    /// [`crate::RunOptions::skip_validation`]): the executor stalled
+    /// waiting on a message that never arrived.
     RankStalled {
         /// The stalled rank.
         rank: usize,

@@ -17,64 +17,23 @@
 //! Per-rank completion timestamps are recorded at every segment boundary,
 //! which is what the measurement harness needs to reconstruct the
 //! paper's per-process `MPI_Wtime` readings.
+//!
+//! [`Communicator::run_with`](crate::Communicator::run_with) and
+//! [`Communicator::run_observed`](crate::Communicator::run_observed) are
+//! the way in: the communicator supplies the machine and the rank-to-node
+//! table, and [`RunOptions`] the per-run settings.
 
+use crate::comm::RunOptions;
 use crate::error::SimMpiError;
-use crate::placement::{ExplicitPlacement, Placement};
+use crate::machine::Machine;
 use collectives::{Schedule, Step};
 use desim::{Engine, EventWorld, Scheduler, SimDuration, SimTime, SplitMix64, TypedEvent};
-use netmodel::{MachineSpec, NetInstr, NetState, OpClass, WireConfig};
+use netmodel::{MachineSpec, NetInstr, NetState, OpClass};
 use topo::NodeId;
 
 /// Default cap on recorded [`MessageTrace`] entries (~1M): a 128-node
 /// alltoall sweep would otherwise allocate without bound.
 pub const DEFAULT_TRACE_LIMIT: usize = 1 << 20;
-
-/// Execution options.
-#[derive(Debug, Clone, Default)]
-pub struct ExecConfig {
-    /// Wire-model ablation switches.
-    pub wire: WireConfig,
-    /// Per-rank start instants (models unsynchronized node clocks /
-    /// skewed arrival). Default: everyone starts at time zero.
-    pub start_times: Option<Vec<SimTime>>,
-    /// Validate every schedule before running (on by default via
-    /// [`ExecConfig::default`] — turn off only in hot measurement loops
-    /// that re-run already-validated schedules).
-    pub skip_validation: bool,
-    /// Record a per-message trace (see [`MessageTrace`]). Off by default:
-    /// tracing a 128-node alltoall allocates one record per message.
-    pub record_trace: bool,
-    /// Maximum [`MessageTrace`] entries kept when tracing; further
-    /// messages are counted in [`ExecOutcome::dropped_messages`] instead
-    /// of allocated. `None` uses [`DEFAULT_TRACE_LIMIT`].
-    pub trace_limit: Option<usize>,
-    /// Rank-to-node placement (§9 accuracy factor: "runtime node
-    /// allocation affects the … collective communication pattern").
-    pub placement: Placement,
-    /// Multiplicative per-rank CPU slowdown modeling interference from
-    /// other users and OS daemons (§9 accuracy factor). Each rank draws
-    /// a factor uniformly from `[1, 1 + amplitude]`.
-    pub cpu_noise: Option<CpuNoise>,
-    /// Subgroup execution: an explicit rank→node map together with the
-    /// size of the full machine partition the topology is built for.
-    /// Overrides `placement` when set.
-    pub group: Option<(ExplicitPlacement, usize)>,
-    /// Record causal event provenance ([`desim::Engine::with_provenance`]):
-    /// one compact parent edge per event, returned via
-    /// [`Observed::provenance`] on observed runs. Zero cost when off.
-    pub provenance: bool,
-    /// Record the canonical fired-event stream
-    /// ([`desim::Engine::with_event_log`]), returned via
-    /// [`Observed::event_log`] on observed runs — the input to run-record
-    /// serialization and `obs::diff`. Zero cost when off.
-    pub event_log: bool,
-    /// How same-instant event ties are broken — see [`TieBreakPolicy`].
-    /// The default ([`TieBreakPolicy::InsertionOrder`]) is the committed
-    /// deterministic order; the other policies exist solely so
-    /// differential tests, `tracediff --perturb`, and the `ordercheck`
-    /// commutativity explorer can produce controlled perturbations.
-    pub tie_break: TieBreakPolicy,
-}
 
 /// Same-instant tie-break policy for an execution.
 ///
@@ -194,7 +153,7 @@ impl PhaseKind {
 }
 
 /// One attributed stretch of a rank's timeline, collected when running
-/// under [`execute_observed`].
+/// under [`Communicator::run_observed`](crate::Communicator::run_observed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSpan {
     /// The rank whose time this is.
@@ -224,8 +183,9 @@ pub struct RankPhases {
     pub blocked: SimDuration,
 }
 
-/// Extra observability collected by [`execute_observed`]: the span
-/// timeline, network instrumentation, and engine queue statistics.
+/// Extra observability collected by
+/// [`Communicator::run_observed`](crate::Communicator::run_observed): the
+/// span timeline, network instrumentation, and engine queue statistics.
 #[derive(Debug, Clone, Default)]
 pub struct Observed {
     /// Every attributed phase span, in the order the executor emitted
@@ -238,9 +198,9 @@ pub struct Observed {
     /// How many events entered the queue (the `engine.alloc.*`
     /// counter).
     pub event_stats: desim::EventStats,
-    /// Causal event-parent log, when [`ExecConfig::provenance`] was set.
+    /// Causal event-parent log, when [`RunOptions::provenance`] was set.
     pub provenance: Option<desim::Provenance>,
-    /// Canonical fired-event stream, when [`ExecConfig::event_log`] was
+    /// Canonical fired-event stream, when [`RunOptions::event_log`] was
     /// set.
     pub event_log: Option<desim::EventLog>,
     /// Whether a [`TieBreakPolicy::InvertPair`] swap actually engaged:
@@ -262,13 +222,13 @@ pub struct ExecOutcome {
     pub bytes: u64,
     /// Discrete events fired.
     pub events: u64,
-    /// Message trace, when [`ExecConfig::record_trace`] was set.
+    /// Message trace, when [`RunOptions::record_trace`] was set.
     pub trace: Vec<MessageTrace>,
-    /// Messages that exceeded [`ExecConfig::trace_limit`] and were
+    /// Messages that exceeded [`RunOptions::trace_limit`] and were
     /// counted instead of traced.
     pub dropped_messages: u64,
     /// Per-link busy times (hottest first), when
-    /// [`ExecConfig::record_trace`] was set: the link-load distribution
+    /// [`RunOptions::record_trace`] was set: the link-load distribution
     /// for hotspot analysis.
     pub link_loads: Vec<(usize, SimDuration)>,
     /// Per-rank software/blocked time split (always collected — two
@@ -365,7 +325,7 @@ struct World {
     trace: Option<Vec<MessageTrace>>,
     trace_cap: usize,
     dropped: u64,
-    /// Phase-span sink, allocated only under [`execute_observed`].
+    /// Phase-span sink, allocated only on observed runs.
     spans: Option<Vec<PhaseSpan>>,
     /// See [`TieBreakPolicy::InvertAll`].
     invert_ties: bool,
@@ -386,100 +346,59 @@ impl EventWorld for World {
     }
 }
 
-/// Executes `segments` back to back on a fresh network state: the
-/// occupancy watermarks start empty, while the topology and route table
-/// are the process-wide ones for the machine's topology and size.
+/// Executes `segments` back to back on a fresh network state of a
+/// `machine_nodes`-node partition of `machine`, rank `r` running on node
+/// `nodes[r]`: the occupancy watermarks start empty, while the topology
+/// and route table are the process-wide ones for the machine's topology
+/// and partition size. `observe` adds phase spans, per-link/per-class
+/// network instrumentation and engine queue statistics, and implies
+/// message tracing.
+///
+/// [`Communicator`](crate::Communicator) is the only caller: it has
+/// checked that `segments` is non-empty and that every segment has one
+/// rank per entry of `nodes`.
 ///
 /// # Errors
 ///
-/// Returns [`SimMpiError`] if a schedule fails validation, rank counts
-/// disagree across segments, or the start-time vector has the wrong
-/// length.
+/// Returns [`SimMpiError`] if a schedule fails validation, the
+/// start-time vector has the wrong length, or a rank stalls with
+/// validation skipped.
 ///
 /// # Panics
 ///
 /// Panics if the engine's runaway-event backstop trips (indicates an
 /// executor bug, not user error).
-pub fn execute(
-    spec: &MachineSpec,
+pub(crate) fn execute(
+    machine: &Machine,
+    nodes: &[NodeId],
+    machine_nodes: usize,
     segments: &[&Schedule],
-    cfg: &ExecConfig,
-) -> Result<ExecOutcome, SimMpiError> {
-    execute_inner(spec, segments, cfg, false).map(|(out, _)| out)
-}
-
-/// Executes like [`execute`] but with full observability: phase spans
-/// for every rank, per-link/per-class network instrumentation, and
-/// engine queue statistics. Implies message tracing.
-///
-/// Costs one allocation per span/message — use [`execute`] in
-/// measurement hot loops.
-///
-/// # Errors
-///
-/// Same conditions as [`execute`].
-pub fn execute_observed(
-    spec: &MachineSpec,
-    segments: &[&Schedule],
-    cfg: &ExecConfig,
-) -> Result<(ExecOutcome, Observed), SimMpiError> {
-    execute_inner(spec, segments, cfg, true)
-        .map(|(out, obs)| (out, obs.expect("observed run collects instrumentation")))
-}
-
-fn execute_inner(
-    spec: &MachineSpec,
-    segments: &[&Schedule],
-    cfg: &ExecConfig,
+    opts: RunOptions,
     observe: bool,
 ) -> Result<(ExecOutcome, Option<Observed>), SimMpiError> {
-    let Some(first) = segments.first() else {
-        return Err(SimMpiError::EmptySequence);
-    };
-    let p = first.ranks();
+    let p = nodes.len();
     // Validate each *distinct* schedule once: measurement sequences repeat
     // the same collective 20+ times, and re-walking its steps per segment
     // would dominate small runs.
     let mut checked: Vec<*const Schedule> = Vec::new();
     for seg in segments {
-        if seg.ranks() != p {
-            return Err(SimMpiError::SizeMismatch {
-                schedule: seg.ranks(),
-                communicator: p,
-            });
-        }
         let key: *const Schedule = *seg;
-        if !cfg.skip_validation && !checked.contains(&key) {
+        if !opts.skip_validation && !checked.contains(&key) {
             seg.check()?;
             checked.push(key);
         }
     }
-    let start = match &cfg.start_times {
-        Some(v) => {
-            if v.len() != p {
-                return Err(SimMpiError::BadStartTimes {
-                    got: v.len(),
-                    expected: p,
-                });
-            }
-            v.clone()
+    let start = match opts.start_times {
+        Some(v) if v.len() != p => {
+            return Err(SimMpiError::BadStartTimes {
+                got: v.len(),
+                expected: p,
+            });
         }
+        Some(v) => v,
         None => vec![SimTime::ZERO; p],
     };
-
-    let (node_table, machine_nodes) = match &cfg.group {
-        Some((explicit, machine_nodes)) => {
-            if explicit.ranks() != p {
-                return Err(SimMpiError::SizeMismatch {
-                    schedule: p,
-                    communicator: explicit.ranks(),
-                });
-            }
-            (explicit.table().to_vec(), *machine_nodes)
-        }
-        None => (cfg.placement.table(p).map_err(SimMpiError::InvalidSpec)?, p),
-    };
-    let mut noise_rng = cfg
+    let mut noise_rng = opts
         .cpu_noise
         .map(|n| (n.amplitude, SplitMix64::new(n.seed)));
 
@@ -504,7 +423,7 @@ fn execute_inner(
                 Some((amp, rng)) => 1.0 + *amp * rng.next_f64(),
                 None => 1.0,
             },
-            node: node_table[r],
+            node: nodes[r],
             sw: SimDuration::ZERO,
             blocked: SimDuration::ZERO,
             wait_since: None,
@@ -520,34 +439,35 @@ fn execute_inner(
         }
     }
 
+    let spec = machine.spec();
     let mut world = World {
         spec: spec.clone(),
-        net: NetState::with_config(spec, machine_nodes, cfg.wire),
+        net: NetState::with_config(spec, machine_nodes, machine.wire_config()),
         ranks,
         arrivals: vec![0; p * p],
         barrier: HwBarrierState::default(),
         finish: vec![vec![SimTime::ZERO; p]; segments.len()],
-        trace: (cfg.record_trace || observe).then(Vec::new),
-        trace_cap: cfg.trace_limit.unwrap_or(DEFAULT_TRACE_LIMIT),
+        trace: (opts.record_trace || observe).then(Vec::new),
+        trace_cap: opts.trace_limit.unwrap_or(DEFAULT_TRACE_LIMIT),
         dropped: 0,
         spans: observe.then(Vec::new),
-        invert_ties: cfg.tie_break == TieBreakPolicy::InvertAll,
+        invert_ties: opts.tie_break == TieBreakPolicy::InvertAll,
     };
     if observe {
         world.net.enable_instrumentation();
     }
     let mut engine: Engine<World> = Engine::new();
-    if cfg.provenance {
+    if opts.provenance {
         engine = engine.with_provenance();
     }
-    if cfg.event_log {
+    if opts.event_log {
         engine = engine.with_event_log();
     }
     if let TieBreakPolicy::InvertPair {
         at_ns,
         first_seq,
         second_seq,
-    } = cfg.tie_break
+    } = opts.tie_break
     {
         engine = engine.with_tie_swap(SimTime::from_nanos(at_ns), first_seq, second_seq);
     }
@@ -570,7 +490,7 @@ fn execute_inner(
         }
     }
 
-    let link_loads = if cfg.record_trace || observe {
+    let link_loads = if opts.record_trace || observe {
         world
             .net
             .link_loads()
@@ -825,15 +745,33 @@ fn deliver(s: &mut Scheduler<World>, w: &mut World, src: usize, dst: usize) {
 mod tests {
     use super::*;
     use collectives::{barrier, bcast, scatter, Rank};
-    use netmodel::{sp2, t3d};
 
-    fn run(spec: &MachineSpec, s: &Schedule) -> ExecOutcome {
-        execute(spec, &[s], &ExecConfig::default()).expect("execution")
+    /// Runs `segments` on a communicator of `machine` sized to them.
+    fn run_with(
+        machine: &Machine,
+        segments: &[&Schedule],
+        options: RunOptions,
+    ) -> Result<ExecOutcome, SimMpiError> {
+        machine
+            .communicator(segments[0].ranks())?
+            .run_with(segments, options)
+    }
+
+    fn run(machine: &Machine, s: &Schedule) -> ExecOutcome {
+        run_with(machine, &[s], RunOptions::default()).expect("execution")
+    }
+
+    fn observed(machine: &Machine, s: &Schedule, options: RunOptions) -> (ExecOutcome, Observed) {
+        machine
+            .communicator(s.ranks())
+            .and_then(|comm| comm.run_observed(&[s], options))
+            .expect("observed execution")
     }
 
     #[test]
     fn empty_sequence_rejected() {
-        let e = execute(&sp2(), &[], &ExecConfig::default()).unwrap_err();
+        let comm = Machine::sp2().communicator(4).unwrap();
+        let e = comm.run_with(&[], RunOptions::default()).unwrap_err();
         assert_eq!(e, SimMpiError::EmptySequence);
     }
 
@@ -847,7 +785,7 @@ mod tests {
                 bytes: 4,
             },
         );
-        let e = execute(&sp2(), &[&s], &ExecConfig::default()).unwrap_err();
+        let e = run_with(&Machine::sp2(), &[&s], RunOptions::default()).unwrap_err();
         assert!(matches!(e, SimMpiError::BadSchedule(_)));
     }
 
@@ -870,12 +808,12 @@ mod tests {
                 bytes: 4,
             },
         );
-        let e = execute(
-            &sp2(),
+        let e = run_with(
+            &Machine::sp2(),
             &[&s],
-            &ExecConfig {
+            RunOptions {
                 skip_validation: true,
-                ..ExecConfig::default()
+                ..RunOptions::default()
             },
         )
         .unwrap_err();
@@ -891,9 +829,8 @@ mod tests {
 
     #[test]
     fn bcast_executes_and_orders_ranks() {
-        let spec = sp2();
         let s = bcast::binomial(8, Rank(0), 1024);
-        let out = run(&spec, &s);
+        let out = run(&Machine::sp2(), &s);
         // Root finishes its sends before the deepest leaf gets the data.
         assert!(out.finish[0][0] < out.finish[0][7]);
         assert_eq!(out.messages, 7);
@@ -903,25 +840,24 @@ mod tests {
 
     #[test]
     fn deeper_trees_take_longer() {
-        let spec = sp2();
-        let t8 = run(&spec, &bcast::binomial(8, Rank(0), 1024)).completed();
-        let t64 = run(&spec, &bcast::binomial(64, Rank(0), 1024)).completed();
+        let sp2 = Machine::sp2();
+        let t8 = run(&sp2, &bcast::binomial(8, Rank(0), 1024)).completed();
+        let t64 = run(&sp2, &bcast::binomial(64, Rank(0), 1024)).completed();
         assert!(t64 > t8);
     }
 
     #[test]
     fn hw_barrier_releases_all_at_once() {
-        let spec = t3d();
         let s = barrier::hardware(16);
         let skew: Vec<SimTime> = (0..16)
             .map(|i| SimTime::from_nanos(i as u64 * 500))
             .collect();
-        let out = execute(
-            &spec,
+        let out = run_with(
+            &Machine::t3d(),
             &[&s],
-            &ExecConfig {
+            RunOptions {
                 start_times: Some(skew),
-                ..ExecConfig::default()
+                ..RunOptions::default()
             },
         )
         .unwrap();
@@ -935,19 +871,18 @@ mod tests {
 
     #[test]
     fn hw_barrier_without_hardware_is_instant_sync() {
-        let spec = sp2(); // no hw barrier: latency 0, still synchronizes
+        // No hw barrier: latency 0, still synchronizes.
         let s = barrier::hardware(4);
-        let out = run(&spec, &s);
+        let out = run(&Machine::sp2(), &s);
         let f = &out.finish[0];
         assert!(f.iter().all(|&t| t == f[0]));
     }
 
     #[test]
     fn sequence_segments_flow_without_sync() {
-        let spec = sp2();
         let b = barrier::dissemination(4);
         let c = bcast::binomial(4, Rank(0), 64);
-        let out = execute(&spec, &[&b, &c, &c], &ExecConfig::default()).unwrap();
+        let out = run_with(&Machine::sp2(), &[&b, &c, &c], RunOptions::default()).unwrap();
         assert_eq!(out.finish.len(), 3);
         for r in 0..4 {
             assert!(out.finish[0][r] <= out.finish[1][r]);
@@ -958,14 +893,13 @@ mod tests {
 
     #[test]
     fn start_time_length_checked() {
-        let spec = sp2();
         let s = bcast::binomial(4, Rank(0), 64);
-        let e = execute(
-            &spec,
+        let e = run_with(
+            &Machine::sp2(),
             &[&s],
-            &ExecConfig {
+            RunOptions {
                 start_times: Some(vec![SimTime::ZERO; 3]),
-                ..ExecConfig::default()
+                ..RunOptions::default()
             },
         )
         .unwrap_err();
@@ -980,30 +914,33 @@ mod tests {
 
     #[test]
     fn mismatched_segment_sizes_rejected() {
-        let spec = sp2();
         let a = bcast::binomial(4, Rank(0), 64);
         let b = bcast::binomial(8, Rank(0), 64);
-        let e = execute(&spec, &[&a, &b], &ExecConfig::default()).unwrap_err();
-        assert!(matches!(e, SimMpiError::SizeMismatch { .. }));
+        let e = run_with(&Machine::sp2(), &[&a, &b], RunOptions::default()).unwrap_err();
+        let want = SimMpiError::SizeMismatch {
+            schedule: 8,
+            communicator: 4,
+        };
+        assert_eq!(e, want, "the later segment is checked too");
     }
 
     #[test]
     fn scatter_root_serializes_sends() {
         // Root-side O(p) behaviour: doubling p roughly doubles the
         // scatter time for fixed m.
-        let spec = sp2();
-        let t16 = run(&spec, &scatter::linear(16, Rank(0), 4096)).completed();
-        let t32 = run(&spec, &scatter::linear(32, Rank(0), 4096)).completed();
+        let sp2 = Machine::sp2();
+        let t16 = run(&sp2, &scatter::linear(16, Rank(0), 4096)).completed();
+        let t32 = run(&sp2, &scatter::linear(32, Rank(0), 4096)).completed();
         let ratio = t32.as_micros_f64() / t16.as_micros_f64();
         assert!((1.5..=2.6).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
     fn execution_is_deterministic() {
-        let spec = t3d();
+        let t3d = Machine::t3d();
         let s = collectives::alltoall::pairwise(16, 2048);
-        let a = run(&spec, &s);
-        let b = run(&spec, &s);
+        let a = run(&t3d, &s);
+        let b = run(&t3d, &s);
         assert_eq!(a.finish, b.finish);
         assert_eq!(a.events, b.events);
     }
@@ -1017,14 +954,14 @@ mod tests {
 
     #[test]
     fn phase_split_partitions_rank_time() {
-        for spec in [sp2(), t3d()] {
+        for machine in [Machine::sp2(), Machine::t3d()] {
             for s in [
                 bcast::binomial(16, Rank(0), 4096),
                 collectives::alltoall::pairwise(8, 1024),
                 barrier::dissemination(8),
                 scatter::linear(8, Rank(0), 2048),
             ] {
-                let out = run(&spec, &s);
+                let out = run(&machine, &s);
                 for r in 0..s.ranks() {
                     assert_eq!(
                         out.phases[r].sw + out.phases[r].blocked,
@@ -1038,15 +975,14 @@ mod tests {
 
     #[test]
     fn phase_split_covers_barrier_waits() {
-        let spec = t3d();
         let s = barrier::hardware(8);
         let skew: Vec<SimTime> = (0..8).map(SimTime::from_micros).collect();
-        let out = execute(
-            &spec,
+        let out = run_with(
+            &Machine::t3d(),
             &[&s],
-            &ExecConfig {
+            RunOptions {
                 start_times: Some(skew),
-                ..ExecConfig::default()
+                ..RunOptions::default()
             },
         )
         .unwrap();
@@ -1062,31 +998,31 @@ mod tests {
 
     #[test]
     fn trace_cap_drops_and_counts() {
-        let spec = sp2();
+        let sp2 = Machine::sp2();
         let s = collectives::alltoall::pairwise(8, 64);
-        let out = execute(
-            &spec,
+        let out = run_with(
+            &sp2,
             &[&s],
-            &ExecConfig {
+            RunOptions {
                 record_trace: true,
                 trace_limit: Some(5),
-                ..ExecConfig::default()
+                ..RunOptions::default()
             },
         )
         .unwrap();
         assert_eq!(out.trace.len(), 5);
         assert_eq!(out.dropped_messages, out.messages - 5);
-        let untraced = run(&spec, &s);
+        let untraced = run(&sp2, &s);
         assert!(untraced.trace.is_empty());
         assert_eq!(untraced.dropped_messages, 0);
     }
 
     #[test]
     fn observed_run_matches_plain_and_spans_sum_to_phases() {
-        let spec = t3d();
+        let t3d = Machine::t3d();
         let s = bcast::binomial(16, Rank(0), 4096);
-        let plain = run(&spec, &s);
-        let (out, obs) = execute_observed(&spec, &[&s], &ExecConfig::default()).unwrap();
+        let plain = run(&t3d, &s);
+        let (out, obs) = observed(&t3d, &s, RunOptions::default());
         // Observation must not perturb timing.
         assert_eq!(out.finish, plain.finish);
         assert_eq!(out.phases, plain.phases);
@@ -1101,18 +1037,17 @@ mod tests {
 
     #[test]
     fn provenance_run_collects_chain_without_perturbing() {
-        let spec = t3d();
+        let t3d = Machine::t3d();
         let s = collectives::alltoall::pairwise(16, 2048);
-        let plain = run(&spec, &s);
-        let (out, obs) = execute_observed(
-            &spec,
-            &[&s],
-            &ExecConfig {
+        let plain = run(&t3d, &s);
+        let (out, obs) = observed(
+            &t3d,
+            &s,
+            RunOptions {
                 provenance: true,
-                ..ExecConfig::default()
+                ..RunOptions::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(
             out.finish, plain.finish,
             "provenance must not change timing"
@@ -1129,14 +1064,13 @@ mod tests {
     fn provenance_off_allocates_nothing_extra() {
         // The disabled provenance path must leave the event-allocation
         // profile byte-identical: same EventStats.
-        let spec = t3d();
         let s = collectives::alltoall::pairwise(16, 2048);
         let observe = |provenance: bool| {
-            let cfg = ExecConfig {
+            let options = RunOptions {
                 provenance,
-                ..ExecConfig::default()
+                ..RunOptions::default()
             };
-            execute_observed(&spec, &[&s], &cfg).unwrap().1
+            observed(&Machine::t3d(), &s, options).1
         };
         let off = observe(false);
         let on = observe(true);
@@ -1146,20 +1080,20 @@ mod tests {
 
     #[test]
     fn skew_delays_completion() {
-        let spec = sp2();
+        let sp2 = Machine::sp2();
         let s = bcast::binomial(4, Rank(0), 64);
-        let base = run(&spec, &s).completed();
-        let skewed = execute(
-            &spec,
+        let base = run(&sp2, &s).completed();
+        let skewed = run_with(
+            &sp2,
             &[&s],
-            &ExecConfig {
+            RunOptions {
                 start_times: Some(vec![
                     SimTime::from_micros(100),
                     SimTime::ZERO,
                     SimTime::ZERO,
                     SimTime::ZERO,
                 ]),
-                ..ExecConfig::default()
+                ..RunOptions::default()
             },
         )
         .unwrap()

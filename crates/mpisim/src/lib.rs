@@ -19,9 +19,12 @@
 //! # Ok::<(), mpisim::SimMpiError>(())
 //! ```
 //!
-//! For the paper's exact measurement methodology (warm-up discards,
-//! k-iteration loops, max-reduction over unsynchronized clocks) see the
-//! `harness` crate, which drives [`Communicator::run_sequence`].
+//! [`Communicator::run`], [`Communicator::run_with`] and
+//! [`Communicator::run_observed`] are the only way to execute a
+//! schedule; [`RunOptions`] holds every per-run setting. For the paper's
+//! exact measurement methodology (warm-up discards, k-iteration loops,
+//! max-reduction over unsynchronized clocks) see the `harness` crate,
+//! which drives [`Communicator::run_with`].
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -42,8 +45,7 @@ pub use critpath::{analyze, CritPath};
 pub use datatype::Datatype;
 pub use error::SimMpiError;
 pub use exec::{
-    execute, execute_observed, CpuNoise, ExecConfig, ExecOutcome, MessageTrace, Observed,
-    PhaseKind, PhaseSpan, RankPhases, TieBreakPolicy,
+    CpuNoise, ExecOutcome, MessageTrace, Observed, PhaseKind, PhaseSpan, RankPhases, TieBreakPolicy,
 };
 pub use machine::{AlgorithmPolicy, Machine};
 pub use netmodel::{MachineId, OpClass, WireConfig};

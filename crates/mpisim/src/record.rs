@@ -187,27 +187,21 @@ mod tests {
 
     #[test]
     fn inverted_ties_produce_an_explained_divergence() {
-        let machine = Machine::t3d();
-        let comm = machine.communicator(16).expect("communicator");
+        let comm = Machine::t3d().communicator(16).expect("communicator");
         let s = comm
             .schedule(OpClass::Alltoall, Rank(0), 2048)
             .expect("schedule");
         let (out_a, obs_a) = comm
             .run_observed(&[&s], full_options())
             .expect("observed run");
-        let cfg = crate::exec::ExecConfig {
-            wire: machine.wire_config(),
-            placement: machine.placement(),
-            record_trace: true,
-            provenance: true,
-            event_log: true,
+        let inverted = RunOptions {
             tie_break: crate::exec::TieBreakPolicy::InvertAll,
-            ..crate::exec::ExecConfig::default()
+            ..full_options()
         };
-        let (out_b, obs_b) =
-            crate::exec::execute_observed(machine.spec(), &[&s], &cfg).expect("perturbed run");
-        let a = run_record(machine.name(), &out_a, &obs_a, None, None);
-        let b = run_record(machine.name(), &out_b, &obs_b, None, None);
+        let (out_b, obs_b) = comm.run_observed(&[&s], inverted).expect("perturbed run");
+        let name = comm.machine().name();
+        let a = run_record(name, &out_a, &obs_a, None, None);
+        let b = run_record(name, &out_b, &obs_b, None, None);
         let report = obs::diff::diff(&a, &b);
         assert_eq!(report.verdict, obs::Verdict::Divergent);
         let first = report.first.expect("first divergence located");

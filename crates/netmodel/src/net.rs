@@ -308,9 +308,10 @@ impl NetState {
         &*self.network.topo
     }
 
-    /// Number of nodes in the partition.
+    /// Number of nodes in the partition (a hypercube partition of 48
+    /// nodes routes through a 64-node cube, but has 48 nodes).
     pub fn nodes(&self) -> usize {
-        self.network.nodes
+        self.inject.len()
     }
 
     /// Messages sent through this state so far.
@@ -401,7 +402,7 @@ impl NetState {
         }
 
         let inject_at = if nic_serialization {
-            self.inject[src.0].acquire(engine_ready, serialize).start
+            self.inject[src.0].acquire(engine_ready, serialize)
         } else {
             engine_ready
         };
@@ -423,7 +424,7 @@ impl NetState {
                 serialize
             };
             let at = if link_contention {
-                self.links.acquire(link as usize, t_hdr, occupancy).start
+                self.links.acquire(link as usize, t_hdr, occupancy)
             } else {
                 t_hdr
             };
@@ -1163,10 +1164,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node out of range")]
     fn send_out_of_range_panics() {
-        let s = spec(SendEngine::Cpu);
-        let mut net = NetState::new(&s, 2);
-        net.send(&s, OpClass::PointToPoint, NodeId(0), NodeId(5), 1, T0);
+        let mut cube = spec(SendEngine::Cpu);
+        cube.topology = TopologyKind::Hypercube;
+        // (spec, partition size, src, dst): node 50 of a 48-node
+        // partition exists in the 64-node cube but not in the partition.
+        let cases = [
+            (spec(SendEngine::Cpu), 2, 0, 5),
+            (cube.clone(), 48, 50, 0),
+            (cube, 48, 0, 50),
+        ];
+        for (s, p, src, dst) in cases {
+            let mut net = NetState::new(&s, p);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                net.send(&s, OpClass::PointToPoint, NodeId(src), NodeId(dst), 1, T0)
+            }))
+            .expect_err("an out-of-range node must panic");
+            let msg = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "node out of range", "p={p} {src}->{dst}");
+        }
     }
 }

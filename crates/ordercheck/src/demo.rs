@@ -131,8 +131,8 @@ pub fn demo_broken(spec: &PointSpec, opts: &ExploreOptions) -> DemoReport {
     let schedule = comm
         .schedule(spec.op, Rank(0), spec.bytes())
         .expect("schedule build");
-    let (base, _, _) = run_once(spec, &schedule, TieBreakPolicy::InsertionOrder, opts);
-    let (broken, _, _) = run_once(spec, &schedule, TieBreakPolicy::InvertAll, opts);
+    let (base, _, _) = run_once(&comm, &schedule, TieBreakPolicy::InsertionOrder, opts);
+    let (broken, _, _) = run_once(&comm, &schedule, TieBreakPolicy::InvertAll, opts);
 
     let raw = obs::diff::diff(&base, &broken);
     let caught = !raw.verdict.identical();

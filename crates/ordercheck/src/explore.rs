@@ -16,8 +16,8 @@ use crate::census::{PointCensus, SuiteCensus};
 use crate::model::StaticModel;
 use desim::eventlog::LoggedEvent;
 use desim::{EventLog, Provenance};
-use mpisim::exec::{execute_observed, ExecConfig, Observed, TieBreakPolicy};
-use mpisim::{ExecOutcome, Machine, OpClass, Rank};
+use mpisim::exec::{Observed, TieBreakPolicy};
+use mpisim::{Communicator, ExecOutcome, Machine, OpClass, Rank, RunOptions};
 use obs::record::describe_event;
 use obs::RunRecord;
 
@@ -192,32 +192,27 @@ fn select(candidates: &[Candidate], opts: &ExploreOptions) -> Vec<Candidate> {
     picked
 }
 
-fn exec_config(spec: &PointSpec, tie_break: TieBreakPolicy, opts: &ExploreOptions) -> ExecConfig {
-    ExecConfig {
-        wire: spec.machine.wire_config(),
-        placement: spec.machine.placement(),
+/// Runs one fully instrumented execution of the point's schedule on
+/// its communicator. The critical path is deliberately skipped: the
+/// oracle compares structure, and each explored pair costs one rerun.
+pub(crate) fn run_once(
+    comm: &Communicator,
+    schedule: &collectives::Schedule,
+    tie_break: TieBreakPolicy,
+    opts: &ExploreOptions,
+) -> (RunRecord, Observed, ExecOutcome) {
+    let options = RunOptions {
         record_trace: true,
         trace_limit: opts.trace_limit,
         provenance: true,
         event_log: true,
         tie_break,
-        ..ExecConfig::default()
-    }
-}
-
-/// Runs one fully instrumented execution of the point. The critical
-/// path is deliberately skipped: the oracle compares structure, and
-/// each explored pair costs one rerun.
-pub(crate) fn run_once(
-    spec: &PointSpec,
-    schedule: &collectives::Schedule,
-    tie_break: TieBreakPolicy,
-    opts: &ExploreOptions,
-) -> (RunRecord, Observed, ExecOutcome) {
-    let cfg = exec_config(spec, tie_break, opts);
-    let (out, observed) = execute_observed(spec.machine.spec(), &[schedule], &cfg)
+        ..RunOptions::default()
+    };
+    let (out, observed) = comm
+        .run_observed(&[schedule], options)
         .expect("ordercheck point execution");
-    let rec = mpisim::record::run_record(spec.machine.name(), &out, &observed, None, None);
+    let rec = mpisim::record::run_record(comm.machine().name(), &out, &observed, None, None);
     (rec, observed, out)
 }
 
@@ -260,7 +255,7 @@ pub fn analyze_point(spec: &PointSpec, opts: &ExploreOptions) -> PointCensus {
         .schedule(spec.op, Rank(0), spec.bytes())
         .expect("schedule build");
     let model = StaticModel::build(&schedule);
-    let (base_rec, base_obs, _) = run_once(spec, &schedule, TieBreakPolicy::InsertionOrder, opts);
+    let (base_rec, base_obs, _) = run_once(&comm, &schedule, TieBreakPolicy::InsertionOrder, opts);
     let base_canon = base_rec.canonicalized();
     let base_canon_json = base_canon.to_json_string();
 
@@ -284,7 +279,7 @@ pub fn analyze_point(spec: &PointSpec, opts: &ExploreOptions) -> PointCensus {
 
     for c in select(&e.candidates, opts) {
         let (rec, observed, _) = run_once(
-            spec,
+            &comm,
             &schedule,
             TieBreakPolicy::InvertPair {
                 at_ns: c.at_ns,

@@ -42,7 +42,7 @@ pub fn render(manifest: &RunManifest, reg: &MetricsRegistry) -> String {
             out.push_str(&format!(
                 "\nWARNING: {dropped:.0} messages exceeded the trace cap and were dropped — \
                  timelines and critical-path decompositions are incomplete \
-                 (raise ExecConfig::trace_limit)\n"
+                 (raise RunOptions::trace_limit, or --trace-cap)\n"
             ));
         }
     }
@@ -86,6 +86,8 @@ mod tests {
             "{text}"
         );
         // The warning trails the table, on its own line.
-        assert!(text.trim_end().ends_with("(raise ExecConfig::trace_limit)"));
+        assert!(text
+            .trim_end()
+            .ends_with("(raise RunOptions::trace_limit, or --trace-cap)"));
     }
 }

@@ -19,18 +19,21 @@
 
 use collectives::{build, generic_algorithm, vendor_schedule, Rank, Schedule, ScheduleError, Step};
 use desim::check::{forall, Gen};
-use mpisim::{ExecConfig, SimMpiError};
-use netmodel::{sp2, MachineId, OpClass};
+use mpisim::{Machine, RunOptions, SimMpiError};
+use netmodel::{MachineId, OpClass};
 use schedcheck::{verify, verify_expected, Expectations, Finding};
 
 /// Runs `s` on the SP2 model with validation skipped, so stalls surface
 /// as typed [`SimMpiError::RankStalled`] instead of being pre-empted.
 fn run_unvalidated(s: &Schedule) -> Result<(), SimMpiError> {
-    let cfg = ExecConfig {
+    let options = RunOptions {
         skip_validation: true,
-        ..ExecConfig::default()
+        ..RunOptions::default()
     };
-    mpisim::execute(&sp2(), &[s], &cfg).map(|_| ())
+    Machine::sp2()
+        .communicator(s.ranks())?
+        .run_with(&[s], options)
+        .map(|_| ())
 }
 
 /// Structurally clean for the executor: no findings except the

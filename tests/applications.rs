@@ -6,6 +6,7 @@
 
 use collectives::patterns;
 use mpi_collectives_eval::prelude::*;
+use mpisim::{ExecOutcome, RunOptions};
 use perfmodel::ScalingCurve;
 use stap::{DataCube, StapRun, StapStage};
 
@@ -108,16 +109,28 @@ fn master_worker_bottlenecks_on_master() {
     assert_eq!(out.time(), master);
 }
 
+fn traced() -> RunOptions {
+    RunOptions {
+        record_trace: true,
+        ..RunOptions::default()
+    }
+}
+
 #[test]
 fn traced_run_matches_untraced_timing() {
     let comm = Machine::t3d().communicator(16).unwrap();
     let s = comm.schedule(OpClass::Bcast, Rank(0), 4_096).unwrap();
-    let plain = comm.run(&s).unwrap();
-    let (traced, trace) = comm.run_traced(&s).unwrap();
-    assert_eq!(plain, traced, "tracing must not perturb timing");
-    assert_eq!(trace.len(), 15);
+    let plain = comm.run_with(&[&s], RunOptions::default()).unwrap();
+    let traced = comm.run_with(&[&s], traced()).unwrap();
+    let untraced = ExecOutcome {
+        trace: Vec::new(),
+        link_loads: Vec::new(),
+        ..traced.clone()
+    };
+    assert_eq!(plain, untraced, "tracing must not perturb timing");
+    assert_eq!(traced.trace.len(), 15);
     // Trace sanity: every delivery follows its posting.
-    for m in &trace {
+    for m in &traced.trace {
         assert!(m.delivered >= m.posted);
         assert!(m.bytes == 4_096);
     }
@@ -127,7 +140,7 @@ fn traced_run_matches_untraced_timing() {
 fn diagnosed_run_reports_hot_links() {
     let comm = Machine::paragon().communicator(64).unwrap();
     let s = comm.schedule(OpClass::Alltoall, Rank(0), 1_024).unwrap();
-    let out = comm.run_diagnosed(&s).unwrap();
+    let out = comm.run_with(&[&s], traced()).unwrap();
     assert!(!out.link_loads.is_empty());
     // Sorted hottest-first.
     assert!(out.link_loads.windows(2).all(|w| w[0].1 >= w[1].1));

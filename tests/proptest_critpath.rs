@@ -131,14 +131,11 @@ fn truncated_traces_degrade_to_idle_but_conserve() {
         let (machine, op, p, bytes) = random_point(g);
         let comm = machine.communicator(p).expect("communicator");
         let s = comm.schedule(op, Rank(0), bytes).expect("schedule");
-        let cfg = mpisim::ExecConfig {
-            wire: machine.wire_config(),
-            placement: machine.placement(),
+        let options = RunOptions {
             trace_limit: Some(g.usize(0, 5)),
-            ..mpisim::ExecConfig::default()
+            ..RunOptions::default()
         };
-        let (out, obs) =
-            mpisim::execute_observed(machine.spec(), &[&s], &cfg).expect("observed run");
+        let (out, obs) = comm.run_observed(&[&s], options).expect("observed run");
         let cp = analyze(&out, &obs);
         assert_conserved(
             &cp,
