@@ -222,10 +222,12 @@ impl<W> Engine<W> {
         self
     }
 
-    /// The collected causal-parent log; `None` unless built
-    /// [`Engine::with_provenance`].
-    pub fn provenance(&self) -> Option<&Provenance> {
-        self.scheduler.prov.as_deref()
+    /// Moves the collected causal-parent log out, for a caller done
+    /// running the engine; `None` unless built
+    /// [`Engine::with_provenance`]. Recording stops, and later calls
+    /// return `None`.
+    pub fn take_provenance(&mut self) -> Option<Provenance> {
+        self.scheduler.prov.take().map(|p| *p)
     }
 
     /// Enables canonical event logging: every *fired* event is recorded
@@ -237,10 +239,12 @@ impl<W> Engine<W> {
         self
     }
 
-    /// The collected fired-event log; `None` unless built
-    /// [`Engine::with_event_log`].
-    pub fn event_log(&self) -> Option<&EventLog> {
-        self.elog.as_deref()
+    /// Moves the collected fired-event log out, for a caller done
+    /// running the engine; `None` unless built
+    /// [`Engine::with_event_log`]. Logging stops, and later calls return
+    /// `None`.
+    pub fn take_event_log(&mut self) -> Option<EventLog> {
+        self.elog.take().map(|l| *l)
     }
 
     /// Arms a targeted same-instant inversion: when the event with seq

@@ -28,7 +28,7 @@
 //! let mut e = Engine::new().with_event_log();
 //! e.post_at(SimTime::from_nanos(5), TypedEvent::Timer { id: 42 });
 //! e.run(&mut World);
-//! let log = e.event_log().expect("log enabled");
+//! let log = e.take_event_log().expect("log enabled");
 //! assert_eq!(log.len(), 1);
 //! assert_eq!(log.get(0).kind, EventKind::Timer);
 //! assert_eq!(log.get(0).a, 42);

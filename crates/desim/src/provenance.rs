@@ -33,7 +33,7 @@
 //! let mut engine = Engine::new().with_provenance();
 //! engine.post_in(SimDuration::from_nanos(5), TypedEvent::Timer { id: 0 });
 //! engine.run(&mut World);
-//! let prov = engine.provenance().expect("collected");
+//! let prov = engine.take_provenance().expect("collected");
 //! // Timer 0 -> Timer 1 -> Timer 2: a three-event causal chain.
 //! assert_eq!(prov.chain(prov.last_fired().unwrap()), vec![2, 1, 0]);
 //! ```
@@ -176,7 +176,7 @@ mod tests {
         // Timer 2 spawns two Timer 1s, each spawning one Timer 0:
         // 5 events total.
         assert_eq!(w.fired, vec![2, 1, 1, 0, 0]);
-        let prov = e.provenance().expect("enabled");
+        let prov = e.take_provenance().expect("enabled");
         assert_eq!(prov.len(), 5);
         // Root stimulus has the ROOT parent; its children point at it.
         assert_eq!(prov.get(0).unwrap().parent, ROOT);
@@ -199,7 +199,7 @@ mod tests {
         let mut w = Cascade::default();
         e.post_at(SimTime::from_nanos(1), TypedEvent::Timer { id: 2 });
         e.run(&mut w);
-        assert!(e.provenance().is_none());
+        assert!(e.take_provenance().is_none());
     }
 
     #[test]

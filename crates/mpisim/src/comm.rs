@@ -5,9 +5,11 @@ use crate::datatype::Datatype;
 use crate::error::SimMpiError;
 use crate::exec::{execute, CpuNoise, ExecOutcome, Observed, TieBreakPolicy};
 use crate::machine::Machine;
+use crate::placement::explicit_table;
 use collectives::{build, extra, Rank, Schedule, Step};
 use desim::{SimDuration, SimTime};
 use netmodel::OpClass;
+use topo::NodeId;
 
 /// Per-run execution settings for [`Communicator::run_with`] and
 /// [`Communicator::run_observed`]. The machine spec, wire config and
@@ -56,19 +58,6 @@ pub struct RunOptions {
     /// [`SimMpiError::RankStalled`] instead of a
     /// [`SimMpiError::BadSchedule`].
     pub skip_validation: bool,
-}
-
-/// How a communicator's ranks map onto the machine.
-#[derive(Debug, Clone, Default)]
-enum CommScope {
-    /// Ranks 0..p on nodes 0..p via the machine's placement policy.
-    #[default]
-    Whole,
-    /// A subgroup on explicit nodes of a larger partition.
-    Group {
-        placement: crate::placement::ExplicitPlacement,
-        machine_nodes: usize,
-    },
 }
 
 /// The outcome of one collective operation: per-rank elapsed times plus
@@ -145,31 +134,20 @@ impl CollectiveOutcome {
 #[derive(Debug, Clone)]
 pub struct Communicator {
     machine: Machine,
-    size: usize,
-    scope: CommScope,
+    /// Rank `r` runs on node `nodes[r]` of the machine partition,
+    /// resolved once when the communicator is built.
+    nodes: Vec<NodeId>,
+    /// Nodes in the machine partition: the size of a communicator from
+    /// [`Machine::communicator`], the parent's partition for a group.
+    machine_nodes: usize,
 }
 
 impl Communicator {
-    pub(crate) fn new(machine: Machine, size: usize) -> Self {
+    pub(crate) fn new(machine: Machine, nodes: Vec<NodeId>, machine_nodes: usize) -> Self {
         Communicator {
             machine,
-            size,
-            scope: CommScope::Whole,
-        }
-    }
-
-    pub(crate) fn new_group(
-        machine: Machine,
-        placement: crate::placement::ExplicitPlacement,
-        machine_nodes: usize,
-    ) -> Self {
-        Communicator {
-            machine,
-            size: placement.ranks(),
-            scope: CommScope::Group {
-                placement,
-                machine_nodes,
-            },
+            nodes,
+            machine_nodes,
         }
     }
 
@@ -186,51 +164,29 @@ impl Communicator {
         if ranks.is_empty() {
             return Err(SimMpiError::InvalidSize {
                 requested: 0,
-                max: self.size,
+                max: self.size(),
             });
         }
         // Resolve each member through this communicator's own mapping.
-        let parent_nodes: Vec<usize> = match &self.scope {
-            CommScope::Whole => {
-                let table = self
-                    .machine
-                    .placement()
-                    .table(self.size)
-                    .map_err(SimMpiError::InvalidSpec)?;
-                ranks
-                    .iter()
-                    .map(|&r| table.get(r).map(|n| n.0))
-                    .collect::<Option<Vec<usize>>>()
-                    .ok_or(SimMpiError::InvalidRank {
-                        rank: *ranks.iter().max().expect("non-empty"),
-                        size: self.size,
-                    })?
-            }
-            CommScope::Group { placement, .. } => ranks
-                .iter()
-                .map(|&r| placement.table().get(r).map(|n| n.0))
-                .collect::<Option<Vec<usize>>>()
-                .ok_or(SimMpiError::InvalidRank {
-                    rank: *ranks.iter().max().expect("non-empty"),
-                    size: self.size,
-                })?,
-        };
-        let machine_nodes = match &self.scope {
-            CommScope::Whole => self.size,
-            CommScope::Group { machine_nodes, .. } => *machine_nodes,
-        };
-        let placement = crate::placement::ExplicitPlacement::new(parent_nodes, machine_nodes)
-            .map_err(SimMpiError::InvalidSpec)?;
-        Ok(Communicator::new_group(
+        let nodes = ranks
+            .iter()
+            .map(|&r| self.nodes.get(r).copied())
+            .collect::<Option<Vec<NodeId>>>()
+            .ok_or(SimMpiError::InvalidRank {
+                rank: *ranks.iter().max().expect("non-empty"),
+                size: self.size(),
+            })?;
+        let nodes = explicit_table(nodes, self.machine_nodes).map_err(SimMpiError::InvalidSpec)?;
+        Ok(Communicator::new(
             self.machine.clone(),
-            placement,
-            machine_nodes,
+            nodes,
+            self.machine_nodes,
         ))
     }
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.size
+        self.nodes.len()
     }
 
     /// The machine this communicator lives on.
@@ -239,10 +195,10 @@ impl Communicator {
     }
 
     fn check_rank(&self, r: Rank) -> Result<(), SimMpiError> {
-        if r.0 >= self.size {
+        if r.0 >= self.size() {
             return Err(SimMpiError::InvalidRank {
                 rank: r.0,
-                size: self.size,
+                size: self.size(),
             });
         }
         Ok(())
@@ -262,7 +218,7 @@ impl Communicator {
     ) -> Result<Schedule, SimMpiError> {
         self.check_rank(root)?;
         let alg = self.machine.algorithm_for(class);
-        Ok(build(alg, class, self.size, root, bytes)?)
+        Ok(build(alg, class, self.size(), root, bytes)?)
     }
 
     /// Runs one schedule from a cold start and returns per-rank timings.
@@ -310,8 +266,8 @@ impl Communicator {
             .map(|(out, obs)| (out, obs.expect("observed run collects instrumentation")))
     }
 
-    /// Checks the call's shape, then resolves this communicator's ranks
-    /// to nodes of the machine partition and hands both to the executor.
+    /// Checks the call's shape, then hands the segments and this
+    /// communicator's node table to the executor.
     fn execute(
         &self,
         segments: &[&Schedule],
@@ -321,38 +277,25 @@ impl Communicator {
         if segments.is_empty() {
             return Err(SimMpiError::EmptySequence);
         }
-        if let Some(seg) = segments.iter().find(|seg| seg.ranks() != self.size) {
+        if let Some(seg) = segments.iter().find(|seg| seg.ranks() != self.size()) {
             return Err(SimMpiError::SizeMismatch {
                 schedule: seg.ranks(),
-                communicator: self.size,
+                communicator: self.size(),
             });
         }
-        match &self.scope {
-            CommScope::Whole => {
-                let nodes = self
-                    .machine
-                    .placement()
-                    .table(self.size)
-                    .map_err(SimMpiError::InvalidSpec)?;
-                execute(&self.machine, &nodes, self.size, segments, options, observe)
-            }
-            CommScope::Group {
-                placement,
-                machine_nodes,
-            } => execute(
-                &self.machine,
-                placement.table(),
-                *machine_nodes,
-                segments,
-                options,
-                observe,
-            ),
-        }
+        execute(
+            &self.machine,
+            &self.nodes,
+            self.machine_nodes,
+            segments,
+            options,
+            observe,
+        )
     }
 
     fn outcome_from(&self, out: &ExecOutcome, seg: usize) -> CollectiveOutcome {
         CollectiveOutcome {
-            per_rank: (0..self.size)
+            per_rank: (0..self.size())
                 .map(|r| out.rank_segment_time(seg, r))
                 .collect(),
             messages: out.messages,
@@ -439,7 +382,7 @@ impl Communicator {
     ///
     /// Propagates executor failures.
     pub fn allgather(&self, bytes: u32) -> Result<CollectiveOutcome, SimMpiError> {
-        self.run(&extra::allgather_ring(self.size, bytes))
+        self.run(&extra::allgather_ring(self.size(), bytes))
     }
 
     /// `MPI_Allreduce` via recursive doubling (extension operation).
@@ -448,7 +391,7 @@ impl Communicator {
     ///
     /// Propagates executor failures.
     pub fn allreduce(&self, bytes: u32) -> Result<CollectiveOutcome, SimMpiError> {
-        self.run(&extra::allreduce_recursive_doubling(self.size, bytes))
+        self.run(&extra::allreduce_recursive_doubling(self.size(), bytes))
     }
 
     /// `MPI_Allreduce` via Rabenseifner's reduce-scatter + allgather
@@ -458,7 +401,7 @@ impl Communicator {
     ///
     /// Propagates executor failures.
     pub fn allreduce_rabenseifner(&self, bytes: u32) -> Result<CollectiveOutcome, SimMpiError> {
-        self.run(&extra::allreduce_rabenseifner(self.size, bytes))
+        self.run(&extra::allreduce_rabenseifner(self.size(), bytes))
     }
 
     /// `MPI_Reduce_scatter` via pairwise exchange (extension operation).
@@ -467,7 +410,7 @@ impl Communicator {
     ///
     /// Propagates executor failures.
     pub fn reduce_scatter(&self, bytes: u32) -> Result<CollectiveOutcome, SimMpiError> {
-        self.run(&extra::reduce_scatter_pairwise(self.size, bytes))
+        self.run(&extra::reduce_scatter_pairwise(self.size(), bytes))
     }
 
     /// Typed collective entry point: `count` elements of `datatype` per
@@ -508,7 +451,7 @@ impl Communicator {
     pub fn ping(&self, src: Rank, dst: Rank, bytes: u32) -> Result<SimDuration, SimMpiError> {
         self.check_rank(src)?;
         self.check_rank(dst)?;
-        let mut s = Schedule::new(OpClass::PointToPoint, self.size);
+        let mut s = Schedule::new(OpClass::PointToPoint, self.size());
         s.push(src, Step::Send { to: dst, bytes });
         s.push(dst, Step::Recv { from: src, bytes });
         let out = self.run(&s)?;

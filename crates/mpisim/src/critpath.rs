@@ -27,7 +27,6 @@
 use crate::exec::{ExecOutcome, MessageTrace, Observed, PhaseKind, PhaseSpan};
 use obs::critpath::{walk, Blame, Cause, Census, Decomposition, Span, Transfer};
 use obs::MetricsRegistry;
-use std::collections::HashMap;
 
 /// The critical-path analysis of one observed run.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,20 +94,34 @@ fn build_graph(out: &ExecOutcome, observed: &Observed) -> (Vec<Span>, Vec<Transf
             link_wait_ns: m.link_wait.as_nanos(),
         })
         .collect();
-    // (src, dst) -> [(delivered_ns, trace index)], delivery-sorted, for
-    // matching a recv wait's end instant to the message that caused it.
-    let mut arrivals: HashMap<(usize, usize), Vec<(u64, u32)>> = HashMap::new();
-    for (i, m) in out.trace.iter().enumerate() {
-        arrivals
-            .entry((m.src, m.dst))
-            .or_default()
-            .push((m.delivered.as_nanos(), i as u32));
+    // Every message's `(delivered_ns, trace index)`, grouped by channel
+    // `dst * p + src` (the executor's channel rule) with one counting
+    // sort and delivery-sorted within each channel, for matching a recv
+    // wait's end instant to the message that caused it: channel `c` is
+    // `arrivals[first[c]..first[c + 1]]`.
+    let p = out.start.len();
+    let mut first = vec![0u32; p * p + 1];
+    for m in &out.trace {
+        first[m.dst * p + m.src] += 1;
     }
-    for list in arrivals.values_mut() {
-        list.sort_unstable();
+    for c in 1..first.len() {
+        first[c] += first[c - 1];
+    }
+    let mut arrivals = vec![(0u64, 0u32); out.trace.len()];
+    for (i, m) in out.trace.iter().enumerate().rev() {
+        let slot = &mut first[m.dst * p + m.src];
+        *slot -= 1;
+        arrivals[*slot as usize] = (m.delivered.as_nanos(), i as u32);
+    }
+    for c in 0..p * p {
+        arrivals[first[c] as usize..first[c + 1] as usize].sort_unstable();
     }
     let match_message = |span: &PhaseSpan, src: usize| -> Option<u32> {
-        let list = arrivals.get(&(src, span.rank))?;
+        if src >= p {
+            return None;
+        }
+        let c = span.rank * p + src;
+        let list = &arrivals[first[c] as usize..first[c + 1] as usize];
         let end = span.end.as_nanos();
         let pos = list.partition_point(|&(d, _)| d < end);
         (pos < list.len() && list[pos].0 == end).then(|| list[pos].1)

@@ -502,11 +502,11 @@ pub(crate) fn execute(
     };
     let observed = observe.then(|| Observed {
         spans: world.spans.take().unwrap_or_default(),
-        net: world.net.instrumentation().cloned().unwrap_or_default(),
+        net: world.net.take_instrumentation().unwrap_or_default(),
         queue_high_water: engine.queue_high_water(),
         event_stats: engine.event_stats(),
-        provenance: engine.provenance().cloned(),
-        event_log: engine.event_log().cloned(),
+        provenance: engine.take_provenance(),
+        event_log: engine.take_event_log(),
         tie_swap_applied: engine.tie_swap_applied(),
     });
     let phases = world

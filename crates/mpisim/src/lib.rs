@@ -49,4 +49,4 @@ pub use exec::{
 };
 pub use machine::{AlgorithmPolicy, Machine};
 pub use netmodel::{MachineId, OpClass, WireConfig};
-pub use placement::{ExplicitPlacement, Placement};
+pub use placement::Placement;

@@ -158,12 +158,16 @@ impl Machine {
     }
 
     /// Opens a `p`-rank communicator (one process per node, as in the
-    /// paper's runs).
+    /// paper's runs), placing rank `r` on node `placement().table(p)[r]`
+    /// of a `p`-node partition. The table is built here, once, and every
+    /// execution on the communicator reuses it.
     ///
     /// # Errors
     ///
     /// Returns [`SimMpiError::InvalidSize`] when `p` is zero or exceeds
-    /// the machine's measured maximum.
+    /// the machine's measured maximum, and [`SimMpiError::InvalidSpec`]
+    /// when the placement cannot map `p` ranks one to one (a stride not
+    /// coprime with `p`).
     pub fn communicator(&self, p: usize) -> Result<Communicator, SimMpiError> {
         if p == 0 || p > self.spec.max_nodes {
             return Err(SimMpiError::InvalidSize {
@@ -171,7 +175,8 @@ impl Machine {
                 max: self.spec.max_nodes,
             });
         }
-        Ok(Communicator::new(self.clone(), p))
+        let nodes = self.placement.table(p).map_err(SimMpiError::InvalidSpec)?;
+        Ok(Communicator::new(self.clone(), nodes, p))
     }
 }
 
@@ -228,6 +233,20 @@ mod tests {
         let m = Machine::t3d().with_placement(Placement::Scattered { seed: 9 });
         assert_eq!(m.placement(), Placement::Scattered { seed: 9 });
         assert_eq!(Machine::sp2().placement(), Placement::Contiguous);
+    }
+
+    #[test]
+    fn communicator_refuses_a_size_its_placement_cannot_map() {
+        let strided = Machine::sp2().with_placement(Placement::Strided { stride: 2 });
+        assert_eq!(
+            strided.communicator(8).err(),
+            Some(SimMpiError::InvalidSpec(
+                "stride 2 is not coprime with 8: not a bijection".into()
+            ))
+        );
+        let comm = strided.communicator(7).expect("stride 2 maps 7 ranks");
+        assert!(comm.bcast(collectives::Rank(0), 64).is_ok());
+        assert_eq!(comm.group(&[0, 3, 6]).expect("group").size(), 3);
     }
 
     #[test]

@@ -32,45 +32,28 @@ pub enum Placement {
     },
 }
 
-/// An explicit rank→node map onto a (possibly larger) machine partition
-/// — the mechanism behind subgroup communicators.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ExplicitPlacement {
+/// Checks an explicit rank→node table onto a (possibly larger)
+/// `machine_nodes`-node partition — the mechanism behind subgroup
+/// communicators — and returns it.
+///
+/// # Errors
+///
+/// Rejects duplicate nodes and nodes outside `0..machine_nodes`.
+pub(crate) fn explicit_table(
     nodes: Vec<NodeId>,
-}
-
-impl ExplicitPlacement {
-    /// Builds an explicit placement of `ranks.len()` ranks onto the named
-    /// nodes of a `machine_nodes`-node partition.
-    ///
-    /// # Errors
-    ///
-    /// Rejects duplicate nodes and nodes outside `0..machine_nodes`.
-    pub fn new(nodes: Vec<usize>, machine_nodes: usize) -> Result<Self, String> {
-        let mut seen = vec![false; machine_nodes];
-        for &n in &nodes {
-            if n >= machine_nodes {
-                return Err(format!("node {n} outside 0..{machine_nodes}"));
-            }
-            if seen[n] {
-                return Err(format!("node {n} assigned twice"));
-            }
-            seen[n] = true;
+    machine_nodes: usize,
+) -> Result<Vec<NodeId>, String> {
+    let mut seen = vec![false; machine_nodes];
+    for &NodeId(n) in &nodes {
+        if n >= machine_nodes {
+            return Err(format!("node {n} outside 0..{machine_nodes}"));
         }
-        Ok(ExplicitPlacement {
-            nodes: nodes.into_iter().map(NodeId).collect(),
-        })
+        if seen[n] {
+            return Err(format!("node {n} assigned twice"));
+        }
+        seen[n] = true;
     }
-
-    /// Number of ranks placed.
-    pub fn ranks(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The rank→node table.
-    pub fn table(&self) -> &[NodeId] {
-        &self.nodes
-    }
+    Ok(nodes)
 }
 
 impl Placement {
@@ -152,13 +135,15 @@ mod tests {
     }
 
     #[test]
-    fn explicit_placement_validation() {
-        let p = ExplicitPlacement::new(vec![3, 1, 5], 8).unwrap();
-        assert_eq!(p.ranks(), 3);
-        assert_eq!(p.table()[0], NodeId(3));
-        assert!(ExplicitPlacement::new(vec![1, 1], 8).is_err(), "dup");
-        assert!(ExplicitPlacement::new(vec![9], 8).is_err(), "range");
-        assert_eq!(ExplicitPlacement::new(vec![], 4).unwrap().ranks(), 0);
+    fn explicit_table_validation() {
+        let nodes = vec![NodeId(3), NodeId(1), NodeId(5)];
+        assert_eq!(explicit_table(nodes.clone(), 8), Ok(nodes));
+        assert!(
+            explicit_table(vec![NodeId(1), NodeId(1)], 8).is_err(),
+            "dup"
+        );
+        assert!(explicit_table(vec![NodeId(9)], 8).is_err(), "range");
+        assert_eq!(explicit_table(vec![], 4), Ok(vec![]));
     }
 
     #[test]

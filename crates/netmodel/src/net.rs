@@ -298,9 +298,10 @@ impl NetState {
         }));
     }
 
-    /// The collected instrumentation, if enabled.
-    pub fn instrumentation(&self) -> Option<&NetInstr> {
-        self.instr.as_deref()
+    /// Moves the collected instrumentation out, if enabled; accounting
+    /// stops, and later calls return `None`.
+    pub fn take_instrumentation(&mut self) -> Option<NetInstr> {
+        self.instr.take().map(|i| *i)
     }
 
     /// The topology in use.
@@ -1020,7 +1021,7 @@ mod tests {
         net.send(&s, OpClass::Bcast, NodeId(0), NodeId(3), 100, T0);
         net.send(&s, OpClass::Alltoall, NodeId(1), NodeId(3), 50, T0);
         net.send(&s, OpClass::Bcast, NodeId(2), NodeId(2), 10, T0); // local: no wire
-        let instr = net.instrumentation().expect("enabled");
+        let instr = net.take_instrumentation().expect("enabled");
         assert_eq!(instr.class_msgs[OpClass::Bcast.index()], 2);
         assert_eq!(instr.class_bytes[OpClass::Bcast.index()], 110);
         assert_eq!(instr.class_msgs[OpClass::Alltoall.index()], 1);
@@ -1093,7 +1094,7 @@ mod tests {
         inst.enable_instrumentation();
         let a2 = inst.send(&s, OpClass::PointToPoint, NodeId(0), NodeId(1), 100, T0);
         let b2 = inst.send(&s, OpClass::PointToPoint, NodeId(0), NodeId(2), 100, T0);
-        let instr = inst.instrumentation().expect("enabled");
+        let instr = inst.take_instrumentation().expect("enabled");
         assert_eq!(
             instr.inject_queue_ns,
             a2.inject_wait.as_nanos() + b2.inject_wait.as_nanos()
@@ -1109,7 +1110,7 @@ mod tests {
         let s = spec(SendEngine::Cpu);
         let mut net = NetState::new(&s, 2);
         net.send(&s, OpClass::Bcast, NodeId(0), NodeId(1), 100, T0);
-        assert!(net.instrumentation().is_none());
+        assert!(net.take_instrumentation().is_none());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! parser used by tests to prove emitted files are well-formed.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// A JSON value. Object keys are kept sorted (`BTreeMap`) so output is
 /// deterministic across runs — important for diffable artifacts.
@@ -80,37 +80,37 @@ impl Json {
 
     /// Serializes compactly (no whitespace).
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out, None, 0);
-        out
+        into_string(out)
     }
 
     /// Serializes with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out, Some(2), 0);
-        out
+        into_string(out)
     }
 
-    /// Appends the compact serialization to `out` — what
-    /// [`Json::to_string_compact`] returns, without a fresh buffer.
-    pub(crate) fn write_compact(&self, out: &mut String) {
+    /// Appends the compact serialization to `out` — the bytes of
+    /// [`Json::to_string_compact`], without a fresh buffer.
+    pub(crate) fn write_compact(&self, out: &mut Vec<u8>) {
         self.write(out, None, 0);
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write(&self, out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             Json::Int(i) => write_i64(out, *i),
             Json::UInt(u) => write_u64(out, *u),
             Json::Float(f) => write_f64(out, *f),
             Json::Str(s) => write_str(out, s),
             Json::Array(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     newline_indent(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
@@ -118,38 +118,43 @@ impl Json {
                 if !items.is_empty() {
                     newline_indent(out, indent, depth);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Object(members) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     newline_indent(out, indent, depth + 1);
                     write_str(out, k);
-                    out.push(':');
+                    out.push(b':');
                     if indent.is_some() {
-                        out.push(' ');
+                        out.push(b' ');
                     }
                     v.write(out, indent, depth + 1);
                 }
                 if !members.is_empty() {
                     newline_indent(out, indent, depth);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+fn newline_indent(out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
     if let Some(w) = indent {
-        out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
-        }
+        out.push(b'\n');
+        out.resize(out.len() + w * depth, b' ');
     }
+}
+
+/// The finished document. The helpers below append only ASCII, whole
+/// `&str` slices and whole characters, so the bytes are always UTF-8
+/// and this never fails.
+pub(crate) fn into_string(out: Vec<u8>) -> String {
+    String::from_utf8(out).expect("the JSON writers emit only ASCII and whole strings")
 }
 
 /// `"00" "01" … "99"`: two decimal digits per table entry, so
@@ -169,9 +174,9 @@ const DIGIT_PAIRS: [u8; 200] = {
 };
 
 /// Appends the decimal digits of `v`. The scalar helpers below are the
-/// one formatting rule shared by [`Json`] and the streaming run-record
-/// writer, so the two outputs cannot drift.
-pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+/// one formatting rule shared by [`Json`], the Chrome trace and the
+/// streaming run-record writer, so the outputs cannot drift.
+pub(crate) fn write_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
     while v >= 100 {
@@ -188,14 +193,13 @@ pub(crate) fn write_u64(out: &mut String, mut v: u64) {
         i -= 1;
         buf[i] = b'0' + v as u8;
     }
-    // Only ASCII digits were written, so the conversion cannot fail.
-    out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or_default());
+    out.extend_from_slice(&buf[i..]);
 }
 
 /// Appends the decimal digits of `v`, with a leading `-` when negative.
-fn write_i64(out: &mut String, v: i64) {
+fn write_i64(out: &mut Vec<u8>, v: i64) {
     if v < 0 {
-        out.push('-');
+        out.push(b'-');
     }
     write_u64(out, v.unsigned_abs());
 }
@@ -203,9 +207,9 @@ fn write_i64(out: &mut String, v: i64) {
 /// Appends `f` in shortest round-trip form. Whole values below 1e15
 /// keep a `.0` so readers see a float; non-finite values become
 /// `null`, matching what browsers' `JSON.stringify` does.
-pub(crate) fn write_f64(out: &mut String, f: f64) {
+pub(crate) fn write_f64(out: &mut Vec<u8>, f: f64) {
     if !f.is_finite() {
-        out.push_str("null");
+        out.extend_from_slice(b"null");
     } else if f.fract() == 0.0 && f.abs() < 1e15 {
         let _ = write!(out, "{f:.1}");
     } else {
@@ -215,26 +219,26 @@ pub(crate) fn write_f64(out: &mut String, f: f64) {
 
 /// Appends `s` as a quoted JSON string. Strings with nothing to escape
 /// (every label and key the simulator emits) are copied in one piece.
-pub(crate) fn write_str(out: &mut String, s: &str) {
-    out.push('"');
+pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
     if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-        out.push_str(s);
+        out.extend_from_slice(s.as_bytes());
     } else {
         for c in s.chars() {
             match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
+                '"' => out.extend_from_slice(b"\\\""),
+                '\\' => out.extend_from_slice(b"\\\\"),
+                '\n' => out.extend_from_slice(b"\\n"),
+                '\r' => out.extend_from_slice(b"\\r"),
+                '\t' => out.extend_from_slice(b"\\t"),
                 c if (c as u32) < 0x20 => {
                     let _ = write!(out, "\\u{:04x}", c as u32);
                 }
-                c => out.push(c),
+                c => out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes()),
             }
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 /// Parses `text` as a single JSON document, returning the value tree.
@@ -510,9 +514,9 @@ mod tests {
     #[test]
     fn scalar_helpers_match_std_formatting() {
         for v in [0, 7, 10, 99, 100, 12345, u64::from(u32::MAX) + 1, u64::MAX] {
-            let mut out = String::new();
+            let mut out = Vec::new();
             write_u64(&mut out, v);
-            assert_eq!(out, v.to_string());
+            assert_eq!(into_string(out), v.to_string());
         }
         for v in [i64::MIN, -100, -1, 0, 42, i64::MAX] {
             assert_eq!(Json::Int(v).to_string_compact(), v.to_string());
@@ -521,6 +525,24 @@ mod tests {
         assert_eq!(Json::Float(1e15).to_string_compact(), "1000000000000000");
         assert_eq!(Json::Float(0.25).to_string_compact(), "0.25");
         assert_eq!(Json::str("é\"\\").to_string_compact(), "\"é\\\"\\\\\"");
+    }
+
+    #[test]
+    fn compact_bytes_are_pinned() {
+        // One literal for every scalar rule: escapes (quote, backslash,
+        // newline, tab, a control character, multi-byte UTF-8), a
+        // negative integer, a whole float, a non-finite float, `null`.
+        let v = Json::object([
+            ("text", Json::str("say \"hi\"\\\n\t\u{1}é")),
+            ("neg", Json::Int(-42)),
+            ("whole", Json::Float(3.0)),
+            ("inf", Json::Float(f64::NEG_INFINITY)),
+            ("none", Json::Null),
+        ]);
+        assert_eq!(
+            v.to_string_compact(),
+            r#"{"inf":null,"neg":-42,"none":null,"text":"say \"hi\"\\\n\t\u0001é","whole":3.0}"#
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use crate::json::{validate, write_f64, write_str, write_u64, Json};
+use crate::json::{into_string, validate, write_f64, write_str, write_u64, Json};
 
 /// Bump when the record layout changes incompatibly. Readers refuse
 /// records from a different schema rather than mis-parse them.
@@ -170,29 +170,33 @@ impl RunRecord {
     /// explored inversion as divergent. What a commuting swap *cannot*
     /// change is the multiset of fired events and their instants, the
     /// transfers' timings, the span timeline, and the finish matrix.
-    /// This method projects the record onto exactly that: seqs and
-    /// parent edges are cleared, events/transfers/spans are sorted by
-    /// their payload-and-time keys, and the `meta`/`metrics` maps are
-    /// dropped: meta carries run labels, and the metrics are summaries
-    /// of the execution whose set depends on which exporters ran.
-    /// Two runs whose canonicalized records serialize to identical
-    /// bytes are semantically the same execution up to tie order.
+    /// The canonical form projects the record onto exactly that: seqs
+    /// and parent edges are cleared, events/transfers/spans are put in
+    /// order by their payload-and-time keys, and the `meta`/`metrics`
+    /// maps are dropped: meta carries run labels, and the metrics are
+    /// summaries of the execution whose set depends on which exporters
+    /// ran. Two runs whose canonical forms serialize to identical bytes
+    /// are semantically the same execution up to tie order.
     ///
-    /// Each sort is a stable sort by the documented key, done as an
-    /// integer sort on the primary field (events and transfers already
-    /// arrive in time order; spans group by rank) followed by small
-    /// sorts within groups of equal primary field.
-    pub fn canonicalized(&self) -> RunRecord {
-        let mut events = sort_by_primary(
+    /// The form is an order over this record, not a copy of it: the
+    /// returned view borrows the rows and holds one row-index order per
+    /// table, each a stable sort by its key:
+    ///
+    /// * events by `(at_ns, kind, a, b)`,
+    /// * transfers by `(posted_ns, src, dst, wire_start_ns,
+    ///   delivered_ns, bytes)`,
+    /// * spans by `(rank, start_ns, end_ns, kind)`.
+    ///
+    /// Each order is a comparison sort of row indices, so its cost
+    /// depends on the row count alone and never on a field's value (a
+    /// loaded file may name rank `u32::MAX`).
+    pub fn canonicalized(&self) -> CanonicalRecord<'_> {
+        let events = order_by(
             &self.events,
             |e| e.at_ns,
             |x, y| (&x.kind, x.a, x.b).cmp(&(&y.kind, y.a, y.b)),
         );
-        for e in &mut events {
-            e.seq = 0;
-            e.parent = None;
-        }
-        let transfers = sort_by_primary(
+        let transfers = order_by(
             &self.transfers,
             |t| t.posted_ns,
             |x, y| {
@@ -205,109 +209,136 @@ impl RunRecord {
                 ))
             },
         );
-        let spans = sort_by_primary(
+        let spans = order_by(
             &self.spans,
             |s| u64::from(s.rank),
             |x, y| (x.start_ns, x.end_ns, &x.kind).cmp(&(y.start_ns, y.end_ns, &y.kind)),
         );
-        RunRecord {
-            meta: BTreeMap::new(),
-            elapsed_ns: self.elapsed_ns,
-            dropped_messages: self.dropped_messages,
-            events,
-            transfers,
-            spans,
-            finish_ns: self.finish_ns.clone(),
-            blame_ns: self.blame_ns.clone(),
-            census: self.census,
-            metrics: BTreeMap::new(),
+        CanonicalRecord {
+            rec: self,
+            order: RowOrder {
+                events,
+                transfers,
+                spans,
+            },
         }
     }
 
     /// Canonical compact serialization: byte equality of two outputs is
     /// the `ByteIdentical` verdict.
-    ///
-    /// Streams the record into one pre-sized buffer: members in sorted
-    /// key order (the order a [`Json`] object uses), rows as compact
-    /// arrays, and every scalar through the shared `obs::json` helpers,
-    /// so the bytes are exactly what the equivalent [`Json`] tree
-    /// serializes to.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(self.json_size_hint());
-        out.push_str("{\"blame_ns\":");
+        self.write_json(None)
+    }
+
+    /// The one record writer, for the raw form (`order` is `None`: rows
+    /// in firing order, every field) and the canonical form (rows in
+    /// `order`, `seq` written as 0, `parent` as `null`, `meta` and
+    /// `metrics` as `{}`).
+    ///
+    /// Streams into one pre-sized buffer: members in sorted key order
+    /// (the order a [`Json`] object uses), rows as compact arrays, and
+    /// every scalar through the shared `obs::json` helpers, so the bytes
+    /// are exactly what the equivalent [`Json`] tree serializes to.
+    fn write_json(&self, order: Option<&RowOrder>) -> String {
+        let raw = order.is_none();
+        let mut out = Vec::with_capacity(self.json_size_hint());
+        out.extend_from_slice(b"{\"blame_ns\":");
         write_object(&mut out, &self.blame_ns, |out, &v| write_u64(out, v));
         if let Some((transfers, uncontended)) = self.census {
-            out.push_str(",\"census\":{\"transfers\":");
+            out.extend_from_slice(b",\"census\":{\"transfers\":");
             write_u64(&mut out, transfers);
-            out.push_str(",\"uncontended\":");
+            out.extend_from_slice(b",\"uncontended\":");
             write_u64(&mut out, uncontended);
-            out.push('}');
+            out.push(b'}');
         }
-        out.push_str(",\"dropped_messages\":");
+        out.extend_from_slice(b",\"dropped_messages\":");
         write_u64(&mut out, self.dropped_messages);
-        out.push_str(",\"elapsed_ns\":");
+        out.extend_from_slice(b",\"elapsed_ns\":");
         write_u64(&mut out, self.elapsed_ns);
-        out.push_str(",\"events\":");
-        write_rows(&mut out, &self.events, |out, e| {
-            write_u64(out, e.seq);
-            out.push(',');
-            write_u64(out, e.at_ns);
-            out.push(',');
-            write_str(out, &e.kind);
-            out.push(',');
-            write_u64(out, e.a);
-            out.push(',');
-            write_u64(out, e.b);
-            out.push(',');
-            write_opt(out, e.parent);
-        });
-        out.push_str(",\"finish_ns\":");
-        write_rows(&mut out, &self.finish_ns, |out, seg| {
+        out.extend_from_slice(b",\"events\":");
+        write_rows(
+            &mut out,
+            &self.events,
+            order.map(|o| &o.events[..]),
+            |out, e| {
+                write_u64(out, if raw { e.seq } else { 0 });
+                out.push(b',');
+                write_u64(out, e.at_ns);
+                out.push(b',');
+                write_str(out, &e.kind);
+                out.push(b',');
+                write_u64(out, e.a);
+                out.push(b',');
+                write_u64(out, e.b);
+                out.push(b',');
+                write_opt(out, e.parent.filter(|_| raw));
+            },
+        );
+        out.extend_from_slice(b",\"finish_ns\":");
+        write_rows(&mut out, &self.finish_ns, None, |out, seg| {
             for (i, &t) in seg.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 write_u64(out, t);
             }
         });
-        out.push_str(",\"meta\":");
-        write_object(&mut out, &self.meta, |out, v| write_str(out, v));
-        out.push_str(",\"metrics\":");
-        write_object(&mut out, &self.metrics, |out, &v| write_f64(out, v));
-        out.push_str(",\"schema_version\":");
+        out.extend_from_slice(b",\"meta\":");
+        if raw {
+            write_object(&mut out, &self.meta, |out, v| write_str(out, v));
+        } else {
+            out.extend_from_slice(b"{}");
+        }
+        out.extend_from_slice(b",\"metrics\":");
+        if raw {
+            write_object(&mut out, &self.metrics, |out, &v| write_f64(out, v));
+        } else {
+            out.extend_from_slice(b"{}");
+        }
+        out.extend_from_slice(b",\"schema_version\":");
         write_u64(&mut out, SCHEMA_VERSION);
-        out.push_str(",\"spans\":");
-        write_rows(&mut out, &self.spans, |out, s| {
-            write_u64(out, u64::from(s.rank));
-            out.push(',');
-            write_str(out, &s.kind);
-            out.push(',');
-            write_u64(out, s.start_ns);
-            out.push(',');
-            write_u64(out, s.end_ns);
-            out.push(',');
-            write_opt(out, s.woke_by.map(u64::from));
-        });
-        out.push_str(",\"transfers\":");
-        write_rows(&mut out, &self.transfers, |out, t| {
-            for v in [u64::from(t.src), u64::from(t.dst), t.bytes] {
-                write_u64(out, v);
-                out.push(',');
-            }
-            write_str(out, &t.class);
-            for v in [
-                t.posted_ns,
-                t.wire_start_ns,
-                t.delivered_ns,
-                t.inject_wait_ns,
-                t.link_wait_ns,
-            ] {
-                out.push(',');
-                write_u64(out, v);
-            }
-        });
-        out.push('}');
-        out
+        out.extend_from_slice(b",\"spans\":");
+        write_rows(
+            &mut out,
+            &self.spans,
+            order.map(|o| &o.spans[..]),
+            |out, s| {
+                write_u64(out, u64::from(s.rank));
+                out.push(b',');
+                write_str(out, &s.kind);
+                out.push(b',');
+                write_u64(out, s.start_ns);
+                out.push(b',');
+                write_u64(out, s.end_ns);
+                out.push(b',');
+                write_opt(out, s.woke_by.map(u64::from));
+            },
+        );
+        out.extend_from_slice(b",\"transfers\":");
+        write_rows(
+            &mut out,
+            &self.transfers,
+            order.map(|o| &o.transfers[..]),
+            |out, t| {
+                for v in [u64::from(t.src), u64::from(t.dst), t.bytes] {
+                    write_u64(out, v);
+                    out.push(b',');
+                }
+                write_str(out, &t.class);
+                for v in [
+                    t.posted_ns,
+                    t.wire_start_ns,
+                    t.delivered_ns,
+                    t.inject_wait_ns,
+                    t.link_wait_ns,
+                ] {
+                    out.push(b',');
+                    write_u64(out, v);
+                }
+            },
+        );
+        out.push(b'}');
+        into_string(out)
     }
 
     /// A generous estimate of the serialized length, so
@@ -460,24 +491,51 @@ fn as_u64(j: &Json) -> Option<u64> {
     }
 }
 
-/// Clones of `rows`, stable-sorted by `primary` and then `rest`.
+/// The canonical form of a [`RunRecord`] (see
+/// [`RunRecord::canonicalized`]): the record itself, borrowed, plus the
+/// order its rows serialize in.
+#[derive(Debug, Clone)]
+pub struct CanonicalRecord<'a> {
+    rec: &'a RunRecord,
+    order: RowOrder,
+}
+
+impl CanonicalRecord<'_> {
+    /// The canonical compact serialization: rows in canonical order,
+    /// seqs as 0, parent edges as `null`, `meta` and `metrics` empty.
+    pub fn to_json_string(&self) -> String {
+        self.rec.write_json(Some(&self.order))
+    }
+}
+
+/// Row indices of each table in canonical order.
+#[derive(Debug, Clone)]
+struct RowOrder {
+    events: Vec<u32>,
+    transfers: Vec<u32>,
+    spans: Vec<u32>,
+}
+
+/// The indices of `rows` in stable order by `primary`, then `rest`.
 ///
 /// Stable-sorting by `primary` and then stable-sorting each group of
 /// equal `primary` by `rest` is the same permutation as one stable sort
 /// by the pair. The first sort compares integers only, and it finds
 /// input that already runs in `primary` order (events and transfers
 /// arrive in time order) as one run in a single pass.
-fn sort_by_primary<T: Clone>(
+fn order_by<T>(
     rows: &[T],
     primary: impl Fn(&T) -> u64,
     rest: impl Fn(&T, &T) -> Ordering,
-) -> Vec<T> {
-    let mut out = rows.to_vec();
-    out.sort_by_key(&primary);
-    for group in out.chunk_by_mut(|x, y| primary(x) == primary(y)) {
-        group.sort_by(&rest);
+) -> Vec<u32> {
+    let n = u32::try_from(rows.len()).expect("a record holds fewer than 2^32 rows per table");
+    let mut order: Vec<u32> = (0..n).collect();
+    let key = |i: &u32| primary(&rows[*i as usize]);
+    order.sort_by_key(key);
+    for group in order.chunk_by_mut(|x, y| key(x) == key(y)) {
+        group.sort_by(|&x, &y| rest(&rows[x as usize], &rows[y as usize]));
     }
-    out
+    order
 }
 
 /// A rank field: an integer that fits `u32`. A wider value is an error
@@ -488,38 +546,43 @@ fn as_u32(j: &Json, field: impl Fn() -> String) -> Result<u32, String> {
 }
 
 /// Writes `[row,row,…]`, each row a compact array whose inner elements
-/// `row` writes.
-fn write_rows<T>(out: &mut String, rows: &[T], row: impl Fn(&mut String, &T)) {
-    out.push('[');
-    for (i, r) in rows.iter().enumerate() {
+/// `row` writes, in `order` (row indices) or else in slice order.
+fn write_rows<T>(
+    out: &mut Vec<u8>,
+    rows: &[T],
+    order: Option<&[u32]>,
+    row: impl Fn(&mut Vec<u8>, &T),
+) {
+    out.push(b'[');
+    for i in 0..rows.len() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        out.push('[');
-        row(out, r);
-        out.push(']');
+        out.push(b'[');
+        row(out, &rows[order.map_or(i, |o| o[i] as usize)]);
+        out.push(b']');
     }
-    out.push(']');
+    out.push(b']');
 }
 
 /// Writes a sorted-key object whose values `value` writes.
-fn write_object<V>(out: &mut String, map: &BTreeMap<String, V>, value: impl Fn(&mut String, &V)) {
-    out.push('{');
+fn write_object<V>(out: &mut Vec<u8>, map: &BTreeMap<String, V>, value: impl Fn(&mut Vec<u8>, &V)) {
+    out.push(b'{');
     for (i, (k, v)) in map.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         write_str(out, k);
-        out.push(':');
+        out.push(b':');
         value(out, v);
     }
-    out.push('}');
+    out.push(b'}');
 }
 
-fn write_opt(out: &mut String, v: Option<u64>) {
+fn write_opt(out: &mut Vec<u8>, v: Option<u64>) {
     match v {
         Some(v) => write_u64(out, v),
-        None => out.push_str("null"),
+        None => out.extend_from_slice(b"null"),
     }
 }
 
@@ -596,6 +659,28 @@ mod tests {
         let back = RunRecord::from_json(&text).expect("parse");
         assert_eq!(back, rec);
         assert_eq!(back.to_json_string(), text, "canonical form is stable");
+    }
+
+    #[test]
+    fn serialized_bytes_are_pinned() {
+        let raw = concat!(
+            r#"{"blame_ns":{"entry":2000,"wire":3000},"census":{"transfers":1,"uncontended":0},"#,
+            r#""dropped_messages":0,"elapsed_ns":5000,"events":[[0,0,"rank_resume",0,0,null],"#,
+            r#"[2,1200,"message_ready",0,1,0]],"finish_ns":[[4000,5000]],"#,
+            r#""meta":{"machine":"t3d","op":"bcast"},"metrics":{"exec.messages":1.0},"#,
+            r#""schema_version":1,"spans":[[1,"recv_wait",0,1200,0]],"#,
+            r#""transfers":[[0,1,4096,"bcast",100,150,1200,0,50]]}"#
+        );
+        let canonical = concat!(
+            r#"{"blame_ns":{"entry":2000,"wire":3000},"census":{"transfers":1,"uncontended":0},"#,
+            r#""dropped_messages":0,"elapsed_ns":5000,"events":[[0,0,"rank_resume",0,0,null],"#,
+            r#"[0,1200,"message_ready",0,1,null]],"finish_ns":[[4000,5000]],"#,
+            r#""meta":{},"metrics":{},"#,
+            r#""schema_version":1,"spans":[[1,"recv_wait",0,1200,0]],"#,
+            r#""transfers":[[0,1,4096,"bcast",100,150,1200,0,50]]}"#
+        );
+        assert_eq!(sample().to_json_string(), raw);
+        assert_eq!(sample().canonicalized().to_json_string(), canonical);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! assert!(json.starts_with('['));
 //! ```
 
-use crate::json::Json;
+use crate::json::{into_string, Json};
 
 /// Builder for a Chrome Trace Event array.
 #[derive(Debug, Clone, Default)]
@@ -178,15 +178,15 @@ impl ChromeTrace {
     /// Writes the recorded events in place; the bytes are those of
     /// `Json::Array(events).to_string_compact()`.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::from("[");
+        let mut out = vec![b'['];
         for (i, ev) in self.events.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
             ev.write_compact(&mut out);
         }
-        out.push(']');
-        out
+        out.push(b']');
+        into_string(out)
     }
 }
 

@@ -256,8 +256,7 @@ pub fn analyze_point(spec: &PointSpec, opts: &ExploreOptions) -> PointCensus {
         .expect("schedule build");
     let model = StaticModel::build(&schedule);
     let (base_rec, base_obs, _) = run_once(&comm, &schedule, TieBreakPolicy::InsertionOrder, opts);
-    let base_canon = base_rec.canonicalized();
-    let base_canon_json = base_canon.to_json_string();
+    let base_canon_json = base_rec.canonicalized().to_json_string();
 
     let log = base_obs.event_log.as_ref().expect("event log enabled");
     let e = enumerate(&model, log, base_obs.provenance.as_ref());
