@@ -158,22 +158,40 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Every message of a schedule resolved to a *slot*, one per `Send`
-/// (see [`Schedule::resolve_slots`]).
-struct Slots {
-    /// `step_base[r]` is the flat index of rank `r`'s first step; the
-    /// last entry is the total step count.
+/// Every message of a schedule resolved to a *slot*, one per `Send`:
+/// the send-to-receive match that [`Schedule::resolve`] computes.
+///
+/// Steps are numbered flat: rank `r`'s step `i` is step
+/// `step_base()[r] + i`. Slots are numbered by receiver, then sender,
+/// then the sender's program order, so each (sender, receiver)
+/// channel's messages are a run of consecutive slots in FIFO order.
+#[derive(Debug)]
+pub struct Slots {
     step_base: Vec<usize>,
-    /// Per flat step: a `Send`'s slot, the slot a `Recv` matches, or
-    /// [`Slots::NONE`] for an unmatched `Recv` and a non-message step.
     step_slot: Vec<u32>,
-    /// Payload bytes of each slot's send, one entry per slot.
     slot_bytes: Vec<u32>,
 }
 
 impl Slots {
     /// A `Recv` no send matches, or a step that is not a message.
-    const NONE: u32 = u32::MAX;
+    pub const NONE: u32 = u32::MAX;
+
+    /// Each rank's first flat step id; the last entry is the total step
+    /// count.
+    pub fn step_base(&self) -> &[usize] {
+        &self.step_base
+    }
+
+    /// Per flat step: a `Send`'s slot, the slot a `Recv` matches, or
+    /// [`Slots::NONE`] for an unmatched `Recv` and a non-message step.
+    pub fn step_slot(&self) -> &[u32] {
+        &self.step_slot
+    }
+
+    /// Payload bytes of each slot's send, one entry per slot.
+    pub fn slot_bytes(&self) -> &[u32] {
+        &self.slot_bytes
+    }
 }
 
 impl Schedule {
@@ -280,7 +298,10 @@ impl Schedule {
     /// executor (`mpisim::exec`) and the static analyzer (`schedcheck`),
     /// so the two passes cannot drift: `schedcheck::verify` delegates
     /// here before layering on its interleaving-independent analyses
-    /// (match ambiguity, volume conservation, depth bounds).
+    /// (match ambiguity, volume conservation, depth bounds). Receives
+    /// are matched to sends by [`Schedule::resolve`], the one matching
+    /// rule that `message_depth`, `influence` and `schedcheck`'s
+    /// happens-before graph share.
     ///
     /// Memory is O(p + steps) in a fixed number of flat arrays, never one
     /// allocation per channel. Time is O(p + steps) plus, per round of
@@ -318,7 +339,7 @@ impl Schedule {
     /// words.
     pub fn influence(&self) -> Option<Vec<Vec<bool>>> {
         let p = self.ranks();
-        let slots = self.resolve_slots().ok()?;
+        let slots = self.resolve().ok()?;
         let words = p.div_ceil(64);
         let mut sets = vec![0u64; p * words];
         for r in 0..p {
@@ -394,13 +415,26 @@ impl Schedule {
         })
     }
 
-    /// Range-checks every named peer, in program order, then resolves
-    /// each `Recv` to the send it matches. Messages get *slots*, one per
-    /// `Send`, laid out channel by channel: a stable counting sort of the
-    /// sends (numbered in program order) by destination, which groups
-    /// each destination's sends by source. Under FIFO matching the k-th
-    /// `Recv` on a channel takes the channel's k-th send.
-    fn resolve_slots(&self) -> Result<Slots, ScheduleError> {
+    /// The send-to-receive match: range-checks every named peer, in
+    /// program order, then resolves each `Recv` to the send it matches.
+    /// Messages get *slots*, one per `Send`, laid out channel by channel:
+    /// a stable counting sort of the sends (numbered in program order) by
+    /// destination, which groups each destination's sends by source.
+    /// Under FIFO matching the k-th `Recv` on a channel takes the
+    /// channel's k-th send.
+    ///
+    /// Sizes, deadlocks and unreceived sends are not checked here; run
+    /// [`Schedule::check`] for those.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError::RankOutOfRange`] for the first step, in
+    /// program order, that names a rank outside `0..p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule has `u32::MAX` steps or more.
+    pub fn resolve(&self) -> Result<Slots, ScheduleError> {
         let p = self.ranks();
         let total = self.total_steps();
         // Slot and step indices are u32: a schedule with 2^32 steps would
@@ -498,7 +532,7 @@ impl Schedule {
     /// Abstract eager execution; returns the message depth.
     ///
     /// Every `Recv` is resolved to its slot before the run starts
-    /// ([`Schedule::resolve_slots`]), so the run only asks whether that
+    /// ([`Schedule::resolve`]), so the run only asks whether that
     /// slot was sent.
     ///
     /// Ranks run in rounds, each in ascending rank order and as far as
@@ -512,7 +546,7 @@ impl Schedule {
             step_base,
             step_slot,
             slot_bytes,
-        } = self.resolve_slots()?;
+        } = self.resolve()?;
         let sends = slot_bytes.len();
 
         // The run. `sent_depth[slot]` is the message's depth once sent
@@ -837,6 +871,28 @@ mod tests {
                 in_program: Rank(0),
             })
         );
+    }
+
+    #[test]
+    fn resolve_numbers_slots_by_receiver_then_sender() {
+        let mut s = Schedule::new(OpClass::PointToPoint, 3);
+        for step in [send(2, 10), send(1, 11), send(2, 12)] {
+            s.push(Rank(0), step);
+        }
+        for step in [send(2, 13), recv(0, 11), recv(2, 5)] {
+            s.push(Rank(1), step);
+        }
+        for step in [recv(1, 13), recv(0, 10), recv(0, 12)] {
+            s.push(Rank(2), step);
+        }
+        let slots = s.resolve().expect("peers in range");
+        assert_eq!(slots.step_base(), [0, 3, 6, 9]);
+        // Rank 1 receives slot 0; rank 2 receives rank 0's two sends in
+        // program order (slots 1, 2), then rank 1's (slot 3). Rank 1's
+        // receive from rank 2 matches nothing.
+        let none = Slots::NONE;
+        assert_eq!(slots.step_slot(), [1, 0, 2, 3, 0, none, 3, 1, 2]);
+        assert_eq!(slots.slot_bytes(), [11, 10, 12, 13]);
     }
 
     #[test]

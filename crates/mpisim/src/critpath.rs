@@ -179,23 +179,22 @@ pub fn analyze(out: &ExecOutcome, observed: &Observed) -> CritPath {
         start_ns,
         end.as_nanos(),
     );
-    let remote: Vec<Transfer> = out
+    let remote = out
         .trace
         .iter()
         .zip(&transfers)
-        .filter(|(m, _)| m.src != m.dst)
-        .map(|(_, t)| *t)
-        .collect();
+        .filter(|(m, _)| is_remote(m))
+        .map(|(_, t)| t);
     CritPath {
         decomposition,
-        census: Census::of(&remote),
+        census: Census::of(remote),
         end_rank,
         chain_depth: observed.provenance.as_ref().map(|p| p.chain_depth()),
     }
 }
 
-/// Convenience predicate for tests and tooling: true when `m` is a
-/// remote transfer counted by the census.
+/// True when `m` is a remote transfer, the kind the contention census
+/// counts.
 pub fn is_remote(m: &MessageTrace) -> bool {
     m.src != m.dst
 }

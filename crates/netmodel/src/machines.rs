@@ -205,6 +205,23 @@ mod tests {
     }
 
     #[test]
+    fn every_calibrated_class_charges_a_send_overhead() {
+        // `ordercheck` has no happens-before pruning because of this: a
+        // send's `ScheduleStep` fires `o_send` after the step is issued,
+        // and every step ordered after it is issued at that instant or
+        // later, so no `ScheduleStep` it orders shares the instant.
+        for id in MachineId::ALL {
+            let spec = id.spec();
+            for class in OpClass::ALL {
+                assert!(
+                    spec.send_overhead(class) > desim::SimDuration::ZERO,
+                    "{id} {class}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn paper_link_bandwidths() {
         assert!((sp2().link_bandwidth_mb_s() - 40.0).abs() < 0.5);
         assert!((t3d().link_bandwidth_mb_s() - 300.0).abs() < 0.5);

@@ -245,11 +245,13 @@ pub struct Census {
 
 impl Census {
     /// Tallies every remote transfer in `transfers`.
-    pub fn of(transfers: &[Transfer]) -> Census {
-        Census {
-            transfers: transfers.len() as u64,
-            uncontended: transfers.iter().filter(|t| t.uncontended()).count() as u64,
+    pub fn of<'a>(transfers: impl IntoIterator<Item = &'a Transfer>) -> Census {
+        let mut census = Census::default();
+        for t in transfers {
+            census.transfers += 1;
+            census.uncontended += u64::from(t.uncontended());
         }
+        census
     }
 
     /// Fraction of transfers that were uncontended (0 when none ran).

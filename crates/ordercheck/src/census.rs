@@ -62,8 +62,6 @@ pub struct PointCensus {
     pub tie_pairs: u64,
     /// Pairs pruned by provenance (parent → child, not co-enabled).
     pub pruned_causal: u64,
-    /// Pairs pruned by the schedule happens-before graph.
-    pub pruned_hb: u64,
     /// Co-enabled candidates surviving pruning.
     pub candidates: u64,
     /// Candidates with disjoint widened footprints.
@@ -115,7 +113,6 @@ impl PointCensus {
             ("events", Json::UInt(self.events)),
             ("tie_pairs", Json::UInt(self.tie_pairs)),
             ("pruned_causal", Json::UInt(self.pruned_causal)),
-            ("pruned_hb", Json::UInt(self.pruned_hb)),
             ("candidates", Json::UInt(self.candidates)),
             ("independent", Json::UInt(self.independent)),
             ("dependent", Json::UInt(self.dependent)),

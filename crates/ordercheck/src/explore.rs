@@ -1,6 +1,6 @@
-//! DPOR-style exploration: enumerate same-instant pairs, prune ordered
-//! ones, re-execute with a targeted inversion, and judge commutation
-//! with the canonical-order oracle.
+//! DPOR-style exploration: enumerate same-instant pairs, prune the ones
+//! provenance orders, re-execute with a targeted inversion, and judge
+//! commutation with the canonical-order oracle.
 //!
 //! The explorer is bounded, not exhaustive: candidates are grouped by
 //! unordered event-class pair (e.g. `message_ready+rank_resume`) and a
@@ -108,15 +108,13 @@ pub struct Enumeration {
     pub tie_pairs: u64,
     /// Pairs pruned because provenance orders them (parent → child).
     pub pruned_causal: u64,
-    /// Pairs pruned because the schedule's happens-before orders them.
-    pub pruned_hb: u64,
 }
 
 /// Walks the baseline log's adjacent same-instant pairs and prunes the
 /// ones already ordered by causality: a provenance parent → child edge
-/// means the pair was never co-enabled (the swap could not engage), and
-/// a happens-before edge between two `ScheduleStep`s means the order is
-/// the program's, not the tie-breaker's.
+/// means the pair was never co-enabled (the swap could not engage).
+/// Every other pair is a candidate; the schedule's happens-before order
+/// never relates two events of one instant ([`crate::model`]).
 pub fn enumerate(model: &StaticModel, log: &EventLog, prov: Option<&Provenance>) -> Enumeration {
     let mut e = Enumeration {
         events: log.len() as u64,
@@ -130,10 +128,6 @@ pub fn enumerate(model: &StaticModel, log: &EventLog, prov: Option<&Provenance>)
         e.tie_pairs += 1;
         if prov.and_then(|p| p.parent_of(second.seq)) == Some(first.seq) {
             e.pruned_causal += 1;
-            continue;
-        }
-        if model.hb_ordered(&first, &second) {
-            e.pruned_hb += 1;
             continue;
         }
         e.candidates.push(Candidate {
@@ -269,7 +263,6 @@ pub fn analyze_point(spec: &PointSpec, opts: &ExploreOptions) -> PointCensus {
         events: e.events,
         tie_pairs: e.tie_pairs,
         pruned_causal: e.pruned_causal,
-        pruned_hb: e.pruned_hb,
         candidates: e.candidates.len() as u64,
         independent: e.candidates.iter().filter(|c| c.independent).count() as u64,
         ..PointCensus::default()

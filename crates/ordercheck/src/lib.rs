@@ -20,8 +20,7 @@
 //! 2. **Dynamic layer** ([`explore`]) — a DPOR-style explorer over a
 //!    recorded [`desim::EventLog`]: enumerate same-instant adjacent
 //!    pairs, prune pairs already ordered by provenance (parent → child
-//!    is not co-enabled) or by the schedule's happens-before graph
-//!    ([`schedcheck::HbGraph`]), then re-execute the run with a
+//!    is not co-enabled), then re-execute the run with a
 //!    targeted [`mpisim::TieBreakPolicy::InvertPair`] swap and compare
 //!    the two runs under the canonical-order oracle
 //!    ([`obs::RunRecord::canonicalized`]). A pair whose inversion

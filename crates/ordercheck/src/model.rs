@@ -1,5 +1,4 @@
-//! Static independence: schedule-widened footprints and happens-before
-//! pruning.
+//! Static independence: schedule-widened footprints.
 //!
 //! [`desim::TypedEvent::footprint`] describes what an event's *handler*
 //! touches. That is not enough for commutation: dispatching a
@@ -22,11 +21,18 @@
 //! propagate. Two events are **independent** iff their widened
 //! footprints are disjoint: swapping such a same-instant pair cannot
 //! change the run.
+//!
+//! The schedule's happens-before order prunes no same-instant pair: it
+//! never orders two events of one instant. A send's `ScheduleStep`
+//! fires `o_send` (at least 2 µs on every calibrated machine) after the
+//! send is issued, and every step the send happens-before is issued at
+//! that instant or later. On a custom machine with a zero `o_send` such
+//! a pair's swap cannot engage, because the later event is not queued
+//! yet, so the explorer counts it `missed`, never `unexplained`.
 
-use collectives::{Rank, Schedule, Step};
-use desim::eventlog::{EventKind, LoggedEvent};
+use collectives::{Schedule, Step};
+use desim::eventlog::LoggedEvent;
 use desim::{Footprint, Resource, TypedEvent};
-use schedcheck::HbGraph;
 
 /// Per-schedule static independence model.
 #[derive(Debug)]
@@ -35,22 +41,16 @@ pub struct StaticModel {
     net_coupled: Vec<bool>,
     /// Rank's program contains a `HwBarrier` (barrier-coupled).
     barrier_coupled: Vec<bool>,
-    /// Program length per rank, for tape-position validation.
-    steps: Vec<usize>,
-    /// The schedule's happens-before graph (PR 5's schedcheck layer).
-    hb: HbGraph,
 }
 
 impl StaticModel {
     /// Builds the model: one pass over the schedule for the closure
-    /// flags, plus the happens-before graph.
+    /// flags.
     pub fn build(s: &Schedule) -> StaticModel {
         let p = s.ranks();
         let mut net_coupled = vec![false; p];
         let mut barrier_coupled = vec![false; p];
-        let mut steps = vec![0usize; p];
         for (rank, prog) in s.iter() {
-            steps[rank.0] = prog.len();
             for st in prog {
                 match st {
                     Step::Send { .. } => net_coupled[rank.0] = true,
@@ -62,8 +62,6 @@ impl StaticModel {
         StaticModel {
             net_coupled,
             barrier_coupled,
-            steps,
-            hb: HbGraph::build(s),
         }
     }
 
@@ -107,35 +105,13 @@ impl StaticModel {
     pub fn independent(&self, x: &LoggedEvent, y: &LoggedEvent) -> bool {
         self.footprint(x).disjoint(&self.footprint(y))
     }
-
-    /// Whether the happens-before graph orders two `ScheduleStep`
-    /// events (either direction). Tape position `b` maps to program
-    /// step `b - 1` (position 0 is the segment-entry marker); positions
-    /// outside the single-segment program conservatively report
-    /// unordered. Non-`ScheduleStep` events have no schedule node.
-    pub fn hb_ordered(&self, x: &LoggedEvent, y: &LoggedEvent) -> bool {
-        let Some((nx, ny)) = self.hb_node(x).zip(self.hb_node(y)) else {
-            return false;
-        };
-        self.hb.reaches(nx, ny) || self.hb.reaches(ny, nx)
-    }
-
-    fn hb_node(&self, ev: &LoggedEvent) -> Option<usize> {
-        if ev.kind != EventKind::ScheduleStep {
-            return None;
-        }
-        let (rank, pos) = (ev.a as usize, ev.b as usize);
-        let n = *self.steps.get(rank)?;
-        if pos == 0 || pos > n {
-            return None; // entry marker / segment-end: no program step
-        }
-        Some(self.hb.event(Rank(rank), pos - 1))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collectives::Rank;
+    use desim::eventlog::EventKind;
     use desim::SimTime;
     use mpisim::{Machine, OpClass};
 
@@ -185,25 +161,6 @@ mod tests {
         // But a leaf resume never commutes with its own delivery.
         let d = logged(EventKind::MessageReady, 0, leaves[0] as u64);
         assert!(!m.independent(&x, &d));
-    }
-
-    #[test]
-    fn hb_orders_dependent_schedule_steps_only() {
-        let s = schedule(OpClass::Scan, 8);
-        let m = StaticModel::build(&s);
-        // Two tape positions of the same rank are program-ordered.
-        if s.steps_of(Rank(1)) >= 2 {
-            let x = logged(EventKind::ScheduleStep, 1, 1);
-            let y = logged(EventKind::ScheduleStep, 1, 2);
-            assert!(m.hb_ordered(&x, &y));
-        }
-        // Entry markers and out-of-range positions are unordered.
-        let e = logged(EventKind::ScheduleStep, 1, 0);
-        let z = logged(EventKind::ScheduleStep, 1, 999);
-        assert!(!m.hb_ordered(&e, &z));
-        // Non-ScheduleStep events have no schedule node.
-        let r = logged(EventKind::RankResume, 1, 0);
-        assert!(!m.hb_ordered(&r, &r));
     }
 
     #[test]

@@ -17,37 +17,60 @@
 //! and a swap is semantically harmless.
 
 use crate::graph::HbGraph;
-use collectives::ScheduleError;
+use collectives::{Rank, ScheduleError};
 
 /// Scans every channel for concurrently-in-flight messages of different
-/// sizes. Call only after `Schedule::check` has passed (the graph's FIFO
-/// matching is meaningless on a broken schedule).
-pub fn find_ambiguities(g: &HbGraph) -> Vec<ScheduleError> {
-    let mut findings = Vec::new();
-    for ch in g.channels() {
-        let n = ch.sends.len().min(ch.recvs.len());
-        for i in 0..n {
-            let (recv_i, _) = ch.recvs[i];
-            let (_, bytes_i) = ch.sends[i];
-            for &(send_j, bytes_j) in &ch.sends[i + 1..n] {
-                if bytes_i != bytes_j && !g.reaches(recv_i, send_j) {
-                    findings.push(ScheduleError::AmbiguousMatch {
-                        from: ch.from,
-                        to: ch.to,
-                        earlier: bytes_i,
-                        later: bytes_j,
-                    });
+/// sizes, reported by `(from, to)` channel, then by the earlier and the
+/// later message's FIFO position.
+///
+/// A channel's messages are a run of consecutive slots, in the sender's
+/// program order, and slot `k` of the run is matched to the channel's
+/// `k`-th receive. One search from each earlier receive answers every
+/// later send of its run.
+pub(crate) fn find_ambiguities(g: &HbGraph) -> Vec<ScheduleError> {
+    let bytes = g.slots().slot_bytes();
+    let channel = |k: usize| {
+        let (send, recv) = g.ends(k);
+        (g.rank_of(send), g.rank_of(recv))
+    };
+    let mut found = Vec::new();
+    let mut start = 0;
+    while start < bytes.len() {
+        let ch = channel(start);
+        let end = (start + 1..bytes.len())
+            .find(|&k| channel(k) != ch)
+            .unwrap_or(bytes.len());
+        for i in start..end {
+            let mut reached = None;
+            for j in i + 1..end {
+                if bytes[i] != bytes[j]
+                    && !reached.get_or_insert_with(|| g.descendants(g.ends(i).1))[g.ends(j).0]
+                {
+                    found.push((ch, bytes[i], bytes[j]));
                 }
             }
         }
+        start = end;
     }
-    findings
+    // Slots are laid out by receiver; report by sender first.
+    found.sort_by_key(|&((from, to), ..)| (from, to));
+    found
+        .into_iter()
+        .map(
+            |((from, to), earlier, later)| ScheduleError::AmbiguousMatch {
+                from: Rank(from),
+                to: Rank(to),
+                earlier,
+                later,
+            },
+        )
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collectives::{Rank, Schedule, Step};
+    use collectives::{Schedule, Step};
     use netmodel::OpClass;
 
     fn send(to: usize, bytes: u32) -> Step {
@@ -64,8 +87,7 @@ mod tests {
     }
 
     fn scan(s: &Schedule) -> Vec<ScheduleError> {
-        assert!(s.check().is_ok(), "fixture must pass the dynamic check");
-        find_ambiguities(&HbGraph::build(s))
+        find_ambiguities(&HbGraph::build(s).expect("fixture must pass the dynamic check"))
     }
 
     #[test]
@@ -154,7 +176,7 @@ mod tests {
         )
         .expect("pipelined bcast builds");
         assert!(s.check().is_ok(), "dynamic check is blind to the race");
-        let found = find_ambiguities(&HbGraph::build(&s));
+        let found = scan(&s);
         assert!(
             found
                 .iter()

@@ -1,176 +1,131 @@
-//! Happens-before graph construction.
+//! Happens-before graph over a schedule's resolved messages.
 //!
-//! Events are the individual [`Step`]s of a schedule, numbered densely:
-//! rank `r`'s step `i` gets id `offset[r] + i`. Three edge families make
-//! up the happens-before relation of the executor's semantics:
+//! Events are the individual [`Step`]s of a schedule, numbered flat as
+//! [`Schedule::resolve`] numbers them: rank `r`'s step `i` is step
+//! `step_base[r] + i`. Three edge families make up the happens-before
+//! relation of the executor's semantics:
 //!
 //! 1. **Program order** — each rank's steps are totally ordered.
-//! 2. **Message edges** — sends are eager and receives block, with FIFO
-//!    matching per (sender, receiver) channel; the `k`-th send on a
-//!    channel therefore matches the `k`-th receive, which is statically
-//!    computable without running the schedule.
+//! 2. **Message edges** — each `Send` happens-before the `Recv` that
+//!    [`Schedule::resolve`] matches to its slot (the `k`-th send on a
+//!    channel matches the `k`-th receive), the same match
+//!    [`Schedule::check`] runs on.
 //! 3. **Barrier rounds** — the `k`-th [`Step::HwBarrier`] of every rank
 //!    forms one synchronization round: no rank leaves the round until
 //!    every rank has entered it, so each entry happens-before every other
 //!    rank's first post-round step.
 //!
-//! The graph is a DAG whenever [`Schedule::check`] passes; callers are
-//! expected to check first (the analyses in this crate do).
+//! Program-order and message edges are not stored: a search derives a
+//! step's successors from its rank and its slot. The graph is built only
+//! for a schedule that passes [`Schedule::check`], so it is a DAG and
+//! every slot has its receive.
 
-use collectives::{Rank, Schedule, Step};
-use std::collections::{HashMap, VecDeque};
-
-/// All messages of one (sender, receiver) pair, in FIFO order.
-#[derive(Debug, Clone)]
-pub struct Channel {
-    /// Sending rank.
-    pub from: Rank,
-    /// Receiving rank.
-    pub to: Rank,
-    /// Send events in posting order: `(event id, bytes)`.
-    pub sends: Vec<(usize, u32)>,
-    /// Recv events in posting order: `(event id, bytes)`.
-    pub recvs: Vec<(usize, u32)>,
-}
+use collectives::{Rank, Schedule, ScheduleError, Slots, Step};
 
 /// The happens-before DAG of a schedule.
-#[derive(Debug, Clone)]
-pub struct HbGraph {
-    /// `offsets[r]` is the event id of rank `r`'s first step;
-    /// `offsets[p]` is the total event count.
-    offsets: Vec<usize>,
-    succ: Vec<Vec<usize>>,
-    channels: Vec<Channel>,
+#[derive(Debug)]
+pub(crate) struct HbGraph<'s> {
+    s: &'s Schedule,
+    slots: Slots,
+    /// Slot `k`'s `(send, recv)` step ids.
+    ends: Vec<(u32, u32)>,
+    /// `rounds[k]` holds the (step, rank) of each rank's k-th barrier,
+    /// in step order.
+    rounds: Vec<Vec<(usize, usize)>>,
 }
 
-impl HbGraph {
-    /// Builds the graph from per-rank programs. Rank fields must be in
-    /// range (guaranteed after [`Schedule::check`]).
-    pub fn build(s: &Schedule) -> Self {
-        let p = s.ranks();
-        let mut offsets = Vec::with_capacity(p + 1);
-        let mut total = 0usize;
-        for (_, prog) in s.iter() {
-            offsets.push(total);
-            total += prog.len();
-        }
-        offsets.push(total);
-
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); total];
-        // Program order.
-        for (r, prog) in s.iter() {
-            let base = offsets[r.0];
-            for i in 1..prog.len() {
-                succ[base + i - 1].push(base + i);
-            }
-        }
-        // Channel collection (FIFO per pair) and barrier rounds.
-        // Per channel: (send events, recv events), each `(event, bytes)`.
-        type Endpoints = (Vec<(usize, u32)>, Vec<(usize, u32)>);
-        let mut chan: HashMap<(usize, usize), Endpoints> = HashMap::new();
-        // `rounds[k]` holds the (event, rank) of each rank's k-th barrier.
+impl<'s> HbGraph<'s> {
+    /// Builds the graph on the schedule's resolved slots.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ScheduleError`] of [`Schedule::check`].
+    pub(crate) fn build(s: &'s Schedule) -> Result<Self, ScheduleError> {
+        s.check()?;
+        let slots = s.resolve()?;
+        let mut ends = vec![(0, 0); slots.slot_bytes().len()];
         let mut rounds: Vec<Vec<(usize, usize)>> = Vec::new();
         for (r, prog) in s.iter() {
-            let base = offsets[r.0];
+            let base = slots.step_base()[r.0];
             let mut entered = 0usize;
             for (i, step) in prog.iter().enumerate() {
-                match *step {
-                    Step::Send { to, bytes } => {
-                        chan.entry((r.0, to.0))
-                            .or_default()
-                            .0
-                            .push((base + i, bytes));
-                    }
-                    Step::Recv { from, bytes } => {
-                        chan.entry((from.0, r.0))
-                            .or_default()
-                            .1
-                            .push((base + i, bytes));
-                    }
+                let id = base + i;
+                let slot = slots.step_slot()[id] as usize;
+                match step {
+                    Step::Send { .. } => ends[slot].0 = id as u32,
+                    Step::Recv { .. } => ends[slot].1 = id as u32,
                     Step::HwBarrier => {
                         if rounds.len() <= entered {
                             rounds.resize(entered + 1, Vec::new());
                         }
-                        rounds[entered].push((base + i, r.0));
+                        rounds[entered].push((id, r.0));
                         entered += 1;
                     }
                     Step::Compute { .. } => {}
                 }
             }
         }
-        // Message edges: k-th send matches k-th recv on each channel.
-        let mut keys: Vec<(usize, usize)> = chan.keys().copied().collect();
-        keys.sort_unstable();
-        let mut channels = Vec::with_capacity(keys.len());
-        for key in keys {
-            let (sends, recvs) = chan.remove(&key).unwrap_or_default();
-            for (&(se, _), &(re, _)) in sends.iter().zip(recvs.iter()) {
-                succ[se].push(re);
-            }
-            channels.push(Channel {
-                from: Rank(key.0),
-                to: Rank(key.1),
-                sends,
-                recvs,
-            });
-        }
-        // Barrier edges: entering round k happens-before every other
-        // rank's step *after* its own round-k entry.
-        for round in &rounds {
-            for &(e, _) in round {
-                for &(f, fr) in round {
-                    if e != f && f + 1 < offsets[fr + 1] {
-                        succ[e].push(f + 1);
-                    }
-                }
-            }
-        }
-        HbGraph {
-            offsets,
-            succ,
-            channels,
-        }
+        Ok(HbGraph {
+            s,
+            slots,
+            ends,
+            rounds,
+        })
     }
 
-    /// Total number of events.
-    pub fn events(&self) -> usize {
-        *self.offsets.last().unwrap_or(&0)
+    /// The resolved slots the graph is built on.
+    pub(crate) fn slots(&self) -> &Slots {
+        &self.slots
     }
 
-    /// The event id of `rank`'s step `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is out of range.
-    pub fn event(&self, rank: Rank, i: usize) -> usize {
-        self.offsets[rank.0] + i
+    /// Slot `k`'s `(send, recv)` step ids.
+    pub(crate) fn ends(&self, k: usize) -> (usize, usize) {
+        let (send, recv) = self.ends[k];
+        (send as usize, recv as usize)
     }
 
-    /// All channels, sorted by `(from, to)`.
-    pub fn channels(&self) -> &[Channel] {
-        &self.channels
+    /// The rank whose program holds step `id`.
+    pub(crate) fn rank_of(&self, id: usize) -> usize {
+        self.slots.step_base().partition_point(|&b| b <= id) - 1
     }
 
-    /// Whether `from` happens-before (or is) `to`: BFS over the DAG.
-    pub fn reaches(&self, from: usize, to: usize) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut seen = vec![false; self.events()];
-        let mut queue = VecDeque::from([from]);
+    /// Every step that `from` happens-before, `from` included, marked by
+    /// step id.
+    pub(crate) fn descendants(&self, from: usize) -> Vec<bool> {
+        let base = self.slots.step_base();
+        let mut seen = vec![false; self.slots.step_slot().len()];
         seen[from] = true;
-        while let Some(e) = queue.pop_front() {
-            for &n in &self.succ[e] {
-                if n == to {
-                    return true;
-                }
+        // Each entry carries its step's rank.
+        let mut stack = vec![(from, self.rank_of(from))];
+        while let Some((e, r)) = stack.pop() {
+            let mut visit = |n: usize, rank: usize| {
                 if !seen[n] {
                     seen[n] = true;
-                    queue.push_back(n);
+                    stack.push((n, rank));
                 }
+            };
+            if e + 1 < base[r + 1] {
+                visit(e + 1, r);
+            }
+            match self.s.program(Rank(r))[e - base[r]] {
+                Step::Send { to, .. } => {
+                    visit(self.ends(self.slots.step_slot()[e] as usize).1, to.0);
+                }
+                Step::HwBarrier => {
+                    let round = self
+                        .rounds
+                        .iter()
+                        .find(|k| k.binary_search(&(e, r)).is_ok());
+                    for &(f, fr) in round.into_iter().flatten() {
+                        if f + 1 < base[fr + 1] {
+                            visit(f + 1, fr);
+                        }
+                    }
+                }
+                Step::Recv { .. } | Step::Compute { .. } => {}
             }
         }
-        false
+        seen
     }
 }
 
@@ -178,6 +133,18 @@ impl HbGraph {
 mod tests {
     use super::*;
     use netmodel::OpClass;
+
+    impl HbGraph<'_> {
+        /// Whether `from` happens-before (or is) `to`.
+        pub(crate) fn reaches(&self, from: usize, to: usize) -> bool {
+            self.descendants(from)[to]
+        }
+
+        /// The step id of `rank`'s step `i`.
+        fn event(&self, rank: Rank, i: usize) -> usize {
+            self.slots.step_base()[rank.0] + i
+        }
+    }
 
     fn send(to: usize, bytes: u32) -> Step {
         Step::Send {
@@ -197,7 +164,7 @@ mod tests {
         let mut s = Schedule::new(OpClass::PointToPoint, 2);
         s.push(Rank(0), send(1, 8));
         s.push(Rank(1), recv(0, 8));
-        let g = HbGraph::build(&s);
+        let g = HbGraph::build(&s).unwrap();
         assert!(g.reaches(g.event(Rank(0), 0), g.event(Rank(1), 0)));
         assert!(!g.reaches(g.event(Rank(1), 0), g.event(Rank(0), 0)));
     }
@@ -211,7 +178,7 @@ mod tests {
         s.push(Rank(1), recv(0, 8));
         s.push(Rank(1), recv(0, 8));
         s.push(Rank(1), recv(0, 8));
-        let g = HbGraph::build(&s);
+        let g = HbGraph::build(&s).unwrap();
         assert!(g.reaches(g.event(Rank(0), 0), g.event(Rank(1), 2)));
     }
 
@@ -223,7 +190,7 @@ mod tests {
         s.push(Rank(1), send(2, 8));
         s.push(Rank(2), recv(0, 8));
         s.push(Rank(2), recv(1, 8));
-        let g = HbGraph::build(&s);
+        let g = HbGraph::build(&s).unwrap();
         assert!(!g.reaches(g.event(Rank(0), 0), g.event(Rank(1), 0)));
         assert!(!g.reaches(g.event(Rank(1), 0), g.event(Rank(0), 0)));
     }
@@ -235,7 +202,7 @@ mod tests {
             s.push(Rank(r), Step::HwBarrier);
             s.push(Rank(r), Step::Compute { bytes: 4 });
         }
-        let g = HbGraph::build(&s);
+        let g = HbGraph::build(&s).unwrap();
         // Rank 0's barrier entry orders every rank's post-barrier step.
         for r in 0..3 {
             assert!(
@@ -248,18 +215,19 @@ mod tests {
     }
 
     #[test]
-    fn channels_report_fifo_pairs() {
+    fn kth_send_edges_to_the_kth_recv() {
         let mut s = Schedule::new(OpClass::PointToPoint, 2);
         s.push(Rank(0), send(1, 8));
         s.push(Rank(0), send(1, 16));
         s.push(Rank(1), recv(0, 8));
         s.push(Rank(1), recv(0, 16));
-        let g = HbGraph::build(&s);
-        assert_eq!(g.channels().len(), 1);
-        let ch = &g.channels()[0];
-        assert_eq!((ch.from, ch.to), (Rank(0), Rank(1)));
-        assert_eq!(ch.sends.len(), 2);
-        assert_eq!(ch.sends[1].1, 16);
-        assert_eq!(ch.recvs[0].1, 8);
+        let g = HbGraph::build(&s).unwrap();
+        let (sends, recvs) = (g.event(Rank(0), 0), g.event(Rank(1), 0));
+        assert_eq!(g.ends(0), (sends, recvs));
+        assert_eq!(g.ends(1), (sends + 1, recvs + 1));
+        assert_eq!(g.slots().slot_bytes(), [8, 16]);
+        // The second send does not precede the first receive.
+        assert!(!g.reaches(sends + 1, recvs));
+        assert!(g.reaches(sends, recvs));
     }
 }

@@ -4,12 +4,15 @@
 //! executing it*, proving the structural claims the paper's measurements
 //! rest on (§3, Table 3):
 //!
-//! 1. **Happens-before graph** ([`graph`]) — program order, statically
-//!    matched FIFO message edges, and barrier synchronization rounds;
-//!    deadlocks are reported as the exact wait-for cycle.
-//! 2. **Match-ambiguity races** ([`ambiguity`]) — sends that could match
-//!    a different `Recv` under another interleaving, a hazard the
-//!    single-interleaving dynamic check cannot see.
+//! 1. **Happens-before graph** — program order, the FIFO message edges
+//!    of [`Schedule::resolve`](collectives::Schedule::resolve) (the
+//!    send-to-receive match `Schedule::check` runs on, so there is one
+//!    matching rule), and barrier synchronization rounds; deadlocks are
+//!    reported as the exact wait-for cycle.
+//! 2. **Match-ambiguity races** — sends that could match a different
+//!    `Recv` under another interleaving, a hazard the
+//!    single-interleaving dynamic check cannot see. Reported through
+//!    [`verify`] as [`ScheduleError::AmbiguousMatch`](collectives::ScheduleError::AmbiguousMatch).
 //! 3. **Conservation lints** ([`conservation`]) — total bytes against
 //!    each algorithm family's prediction (never below the paper's
 //!    `f(m, p)` floor) and data-flow coverage of every required
@@ -47,13 +50,14 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod ambiguity;
+mod ambiguity;
 pub mod conservation;
 pub mod critpath;
-pub mod graph;
+mod graph;
+#[cfg(test)]
+mod reference;
 pub mod report;
 
 pub use conservation::{coverage_gaps, expected_volume, VolumeBound};
 pub use critpath::{analyze, depth_bound, CritPath};
-pub use graph::HbGraph;
 pub use report::{verify, verify_expected, Expectations, Finding, Report, Stats};

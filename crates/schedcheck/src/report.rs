@@ -121,19 +121,18 @@ pub struct Expectations {
 /// checks (rank ranges, FIFO matching, sizes, deadlock — now with exact
 /// wait-for cycles) to [`Schedule::check`], then layers the
 /// interleaving-*independent* match-ambiguity analysis on the
-/// happens-before graph. Sharing `check` with the dynamic executor is
-/// what keeps the static and runtime passes from drifting.
+/// happens-before graph, which is built on `check`'s own
+/// send-to-receive match ([`Schedule::resolve`]). Sharing `check` with
+/// the dynamic executor is what keeps the static and runtime passes
+/// from drifting.
 pub fn verify(s: &Schedule) -> Report {
     let mut findings = Vec::new();
-    match s.check() {
-        Ok(()) => {
-            let g = HbGraph::build(s);
-            findings.extend(
-                ambiguity::find_ambiguities(&g)
-                    .into_iter()
-                    .map(Finding::Invalid),
-            );
-        }
+    match HbGraph::build(s) {
+        Ok(g) => findings.extend(
+            ambiguity::find_ambiguities(&g)
+                .into_iter()
+                .map(Finding::Invalid),
+        ),
         Err(e) => findings.push(Finding::Invalid(e)),
     }
     Report {

@@ -123,7 +123,7 @@ fn census_table(points: &[PointCensus]) -> Table {
             c.machine.clone(),
             c.op.clone(),
             c.tie_pairs.to_string(),
-            (c.pruned_causal + c.pruned_hb).to_string(),
+            c.pruned_causal.to_string(),
             c.candidates.to_string(),
             c.independent.to_string(),
             c.explored.to_string(),

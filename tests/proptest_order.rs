@@ -50,8 +50,14 @@ fn statically_independent_pairs_always_commute() {
             "{label}: {:?}",
             census.sensitive_examples
         );
-        // Accounting closes: every selected candidate is explored or
-        // missed, and every explored one is commuting or sensitive.
+        // Accounting closes: every tie pair is pruned by provenance or a
+        // candidate, every selected candidate is explored or missed, and
+        // every explored one is commuting or sensitive.
+        assert_eq!(
+            census.tie_pairs,
+            census.pruned_causal + census.candidates,
+            "{label}"
+        );
         assert_eq!(
             census.explored,
             census.commuting + census.sensitive,
