@@ -9,8 +9,9 @@
 //! With `--out DIR` it writes Table 3, Figs. 1–5, the headline numbers
 //! and the calibration grid (`*.txt`), `dataset.csv`, `report.md` and
 //! Fig. 1's gnuplot panels into `DIR`; without it, it prints the
-//! markdown report. `--threads N` spreads the sweep over `N` workers
-//! (0 = one per core); every output is byte-identical at any `N`.
+//! markdown report. The sweep runs one worker per core unless
+//! `--threads N` says otherwise (`--threads 1` is serial, 0 is one per
+//! core); every output is byte-identical at any `N`.
 
 use bench::{artifacts, machines, timed, Cli, Flag};
 use harness::SweepBuilder;
@@ -35,7 +36,7 @@ fn main() {
             .machines(machines())
             .ops(OpClass::COLLECTIVES)
             .protocol(protocol.clone())
-            .threads(cli.threads)
+            .threads(cli.threads.unwrap_or(0))
             .run()
             .expect("sweep")
     });

@@ -144,7 +144,7 @@ fn main() {
     let machines = [Machine::sp2(), Machine::paragon(), Machine::t3d()];
     let all = harness::map_indexed(
         machines.len(),
-        cli.threads,
+        cli.threads.unwrap_or(1),
         |i| analyze(&machines[i]),
         &|_, _| {},
     );

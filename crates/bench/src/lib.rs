@@ -9,7 +9,7 @@
 //!
 //! | Binary | Flags | Shows |
 //! |---|---|---|
-//! | `full_report` | `--quick`, `--threads N`, `--out DIR` | every paper artifact (without `--out`, `report.md` on stdout) |
+//! | `full_report` | `--quick`, `--threads N` (default: one per core), `--out DIR` | every paper artifact (without `--out`, `report.md` on stdout) |
 //! | `table12` | | Tables 1 & 2 — operations and metric definitions |
 //! | `ablations` | `--quick` | design-choice ablations (wire model, contention, vendor algorithms, offload engines, placement, interconnect abstraction) |
 //! | `hotspots` | `--threads N`, `--json` | link-load distributions per topology |
@@ -70,9 +70,11 @@ pub struct Cli {
     pub out: Option<String>,
     /// Emit machine-readable JSON instead of the text rendering.
     pub json: bool,
-    /// Worker threads for parallelizable stages (`--threads`; 1 =
-    /// serial, 0 = auto-detect). Output is byte-identical at any value.
-    pub threads: usize,
+    /// Worker threads for parallelizable stages (`--threads N`; 1 =
+    /// serial, 0 = one per core), `None` without the flag, where each
+    /// binary picks its own default. Output is byte-identical at any
+    /// value.
+    pub threads: Option<usize>,
 }
 
 /// The usage line for the `accepted` flags.
@@ -101,10 +103,7 @@ impl Cli {
     /// flag, or a flag without its value, prints usage listing only the
     /// accepted flags and exits with status 2.
     pub fn parse(accepted: &[Flag]) -> Self {
-        let mut cli = Cli {
-            threads: 1,
-            ..Cli::default()
-        };
+        let mut cli = Cli::default();
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             if a == "--help" || a == "-h" {
@@ -125,12 +124,12 @@ impl Cli {
                 Flag::Out => cli.out = Some(value()),
                 Flag::Json => cli.json = true,
                 Flag::Threads => {
-                    cli.threads = value().parse().unwrap_or_else(|_| {
+                    cli.threads = Some(value().parse().unwrap_or_else(|_| {
                         usage_error(
                             accepted,
-                            "--threads needs a non-negative integer (0 = auto)",
+                            "--threads needs a non-negative integer (0 = one per core)",
                         )
-                    });
+                    }));
                 }
             }
         }

@@ -47,5 +47,5 @@ pub mod scatter;
 pub mod schedule;
 pub mod select;
 
-pub use schedule::{Rank, Schedule, ScheduleError, Slots, Step};
+pub use schedule::{Checked, Rank, Schedule, ScheduleError, Slots, Step};
 pub use select::{build, generic_algorithm, vendor_algorithm, vendor_schedule, Algorithm};

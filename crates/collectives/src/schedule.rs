@@ -165,7 +165,7 @@ impl std::error::Error for ScheduleError {}
 /// `step_base()[r] + i`. Slots are numbered by receiver, then sender,
 /// then the sender's program order, so each (sender, receiver)
 /// channel's messages are a run of consecutive slots in FIFO order.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Slots {
     step_base: Vec<usize>,
     step_slot: Vec<u32>,
@@ -192,6 +192,17 @@ impl Slots {
     pub fn slot_bytes(&self) -> &[u32] {
         &self.slot_bytes
     }
+}
+
+/// What [`Schedule::check`] computed on the way to accepting a schedule:
+/// its resolved slots and its message depth, so that an analysis built
+/// on top of the check resolves and runs the schedule only once.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Checked {
+    /// The send-to-receive match ([`Schedule::resolve`]).
+    pub slots: Slots,
+    /// The message-dependency depth ([`Schedule::message_depth`]).
+    pub depth: usize,
 }
 
 impl Schedule {
@@ -286,7 +297,7 @@ impl Schedule {
     /// unit-cost messages. A schedule that fails [`Schedule::check`]
     /// has depth 0.
     pub fn message_depth(&self) -> usize {
-        self.abstract_run().unwrap_or(0)
+        self.check().map_or(0, |c| c.depth)
     }
 
     /// Validates the schedule by abstract execution: checks rank ranges,
@@ -308,11 +319,14 @@ impl Schedule {
     /// the abstract execution, a scan of the 64-rank bitset words between
     /// the lowest and the highest runnable rank.
     ///
+    /// A valid schedule's resolved slots and message depth come back in
+    /// the [`Checked`] result.
+    ///
     /// # Errors
     ///
     /// Returns the first [`ScheduleError`] encountered.
-    pub fn check(&self) -> Result<(), ScheduleError> {
-        self.abstract_run().map(|_| ())
+    pub fn check(&self) -> Result<Checked, ScheduleError> {
+        self.abstract_run()
     }
 
     /// Data-influence closure: `influence()[r]` is the set of ranks whose
@@ -529,7 +543,8 @@ impl Schedule {
         })
     }
 
-    /// Abstract eager execution; returns the message depth.
+    /// Abstract eager execution; returns the resolved slots and the
+    /// message depth.
     ///
     /// Every `Recv` is resolved to its slot before the run starts
     /// ([`Schedule::resolve`]), so the run only asks whether that
@@ -540,13 +555,14 @@ impl Schedule {
     /// over all ranks would find. Only runnable ranks are visited: a send
     /// that fills the slot its receiver waits on wakes the receiver later
     /// in the same round when its rank is higher, else in the next round.
-    fn abstract_run(&self) -> Result<usize, ScheduleError> {
+    fn abstract_run(&self) -> Result<Checked, ScheduleError> {
         let p = self.ranks();
+        let slots = self.resolve()?;
         let Slots {
             step_base,
             step_slot,
             slot_bytes,
-        } = self.resolve()?;
+        } = &slots;
         let sends = slot_bytes.len();
 
         // The run. `sent_depth[slot]` is the message's depth once sent
@@ -635,7 +651,10 @@ impl Schedule {
                         count: sends - received,
                     });
                 }
-                return Ok(max_depth as usize);
+                return Ok(Checked {
+                    depth: max_depth as usize,
+                    slots,
+                });
             }
             if !progressed {
                 if let Some(cycle) = self.wait_cycle(&pc) {

@@ -312,7 +312,7 @@ fn flat_check_and_depth_match_the_reference() {
         1_500,
         |g| {
             let s = drawn_schedule(g);
-            assert_eq!(s.check(), reference_check(&s), "check of {s:?}");
+            assert_eq!(s.check().map(|_| ()), reference_check(&s), "check of {s:?}");
             match reference_depth(&s) {
                 Some(depth) => assert_eq!(s.message_depth(), depth, "depth of {s:?}"),
                 // The reference panics here; the flat check rejects it.
@@ -365,6 +365,6 @@ fn influence_rows_past_one_word_match_the_reference() {
 #[test]
 fn binomial_bcast_over_2_pow_17_ranks_checks() {
     let s = bcast::binomial(1 << 17, Rank(0), 4);
-    assert_eq!(s.check(), Ok(()));
+    assert!(s.check().is_ok());
     assert_eq!(s.message_depth(), 17);
 }

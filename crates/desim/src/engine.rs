@@ -217,8 +217,12 @@ impl<W> Engine<W> {
     /// compact parent edge (the seq of the event firing when it was
     /// scheduled). Recording never perturbs the simulation —
     /// timing, ordering, and [`EventStats`] are identical on and off.
-    pub fn with_provenance(mut self) -> Self {
-        self.scheduler.prov = Some(Box::default());
+    ///
+    /// `capacity` records are allocated up front; a caller that knows an
+    /// upper bound on the events the run schedules passes it, so the log
+    /// never regrows. More records still fit, at the cost of a regrowth.
+    pub fn with_provenance(mut self, capacity: usize) -> Self {
+        self.scheduler.prov = Some(Box::new(Provenance::with_capacity(capacity)));
         self
     }
 
@@ -233,9 +237,10 @@ impl<W> Engine<W> {
     /// Enables canonical event logging: every *fired* event is recorded
     /// as a compact `(seq, at, kind, a, b)` tuple in firing order — the
     /// stream `obs::diff` aligns when comparing two runs. Like
-    /// provenance, recording never perturbs the simulation.
-    pub fn with_event_log(mut self) -> Self {
-        self.elog = Some(Box::default());
+    /// provenance, recording never perturbs the simulation, and
+    /// `capacity` entries are allocated up front.
+    pub fn with_event_log(mut self, capacity: usize) -> Self {
+        self.elog = Some(Box::new(EventLog::with_capacity(capacity)));
         self
     }
 

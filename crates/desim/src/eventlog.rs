@@ -25,7 +25,7 @@
 //!     fn dispatch(&mut self, _s: &mut Scheduler<Self>, _ev: TypedEvent) {}
 //! }
 //!
-//! let mut e = Engine::new().with_event_log();
+//! let mut e = Engine::new().with_event_log(1);
 //! e.post_at(SimTime::from_nanos(5), TypedEvent::Timer { id: 42 });
 //! e.run(&mut World);
 //! let log = e.take_event_log().expect("log enabled");
@@ -143,6 +143,13 @@ pub struct EventLog {
 }
 
 impl EventLog {
+    /// An empty log with room for `capacity` events.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        EventLog {
+            events: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Number of fired events recorded.
     pub fn len(&self) -> usize {
         self.events.len()

@@ -30,7 +30,7 @@
 //!     }
 //! }
 //!
-//! let mut engine = Engine::new().with_provenance();
+//! let mut engine = Engine::new().with_provenance(3);
 //! engine.post_in(SimDuration::from_nanos(5), TypedEvent::Timer { id: 0 });
 //! engine.run(&mut World);
 //! let prov = engine.take_provenance().expect("collected");
@@ -68,14 +68,19 @@ pub struct Provenance {
 
 impl Default for Provenance {
     fn default() -> Self {
-        Provenance {
-            records: Vec::new(),
-            last_fired: ROOT,
-        }
+        Provenance::with_capacity(0)
     }
 }
 
 impl Provenance {
+    /// An empty log with room for `capacity` records.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Provenance {
+            records: Vec::with_capacity(capacity),
+            last_fired: ROOT,
+        }
+    }
+
     /// Number of events recorded (equals the engine's scheduled total).
     pub fn len(&self) -> usize {
         self.records.len()
@@ -169,7 +174,7 @@ mod tests {
 
     #[test]
     fn records_parent_edges_and_chains() {
-        let mut e = Engine::new().with_provenance();
+        let mut e = Engine::new().with_provenance(0);
         let mut w = Cascade::default();
         e.post_at(SimTime::from_nanos(1), TypedEvent::Timer { id: 2 });
         e.run(&mut w);
@@ -206,7 +211,7 @@ mod tests {
     fn provenance_does_not_perturb_or_allocate_events() {
         let run = |prov: bool| {
             let mut e = if prov {
-                Engine::new().with_provenance()
+                Engine::new().with_provenance(0)
             } else {
                 Engine::new()
             };

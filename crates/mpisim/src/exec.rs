@@ -402,43 +402,33 @@ pub(crate) fn execute(
         .cpu_noise
         .map(|n| (n.amplitude, SplitMix64::new(n.seed)));
 
-    // Build per-rank tapes: entry marker + steps per segment, then the
-    // segment-end timestamp marker. The schedule's stepping hook
-    // (`Schedule::steps_of`) sizes each tape up front so the build loop
-    // never reallocates.
-    let tape_cap: Vec<usize> = (0..p)
-        .map(|r| {
-            segments
-                .iter()
-                .map(|seg| seg.steps_of(collectives::Rank(r)) + 2)
-                .sum()
-        })
-        .collect();
-    let mut ranks: Vec<RankState> = (0..p)
-        .map(|r| RankState {
-            tape: Vec::with_capacity(tape_cap[r]),
+    let tapes = tapes(segments, p);
+    // Every log this run keeps is allocated once, at its bound.
+    let tracing = opts.record_trace || observe;
+    let trace_cap = opts.trace_limit.unwrap_or(DEFAULT_TRACE_LIMIT);
+    let bounds = if tracing || opts.provenance || opts.event_log {
+        LogBounds::of(&tapes)
+    } else {
+        LogBounds::default()
+    };
+    let ranks: Vec<RankState> = tapes
+        .into_iter()
+        .zip(nodes)
+        .map(|(tape, &node)| RankState {
+            tape,
             pc: 0,
             blocked_on: None,
             slowdown: match &mut noise_rng {
                 Some((amp, rng)) => 1.0 + *amp * rng.next_f64(),
                 None => 1.0,
             },
-            node: nodes[r],
+            node,
             sw: SimDuration::ZERO,
             blocked: SimDuration::ZERO,
             wait_since: None,
             wake_cause: None,
         })
         .collect();
-    for (si, seg) in segments.iter().enumerate() {
-        for (rank, prog) in seg.iter() {
-            let tape = &mut ranks[rank.0].tape;
-            tape.push(Tape::Entry(seg.class()));
-            tape.extend(prog.iter().map(|&st| Tape::Op(st, seg.class())));
-            tape.push(Tape::SegEnd(si));
-        }
-    }
-
     let spec = machine.spec();
     let mut world = World {
         spec: spec.clone(),
@@ -447,10 +437,10 @@ pub(crate) fn execute(
         arrivals: vec![0; p * p],
         barrier: HwBarrierState::default(),
         finish: vec![vec![SimTime::ZERO; p]; segments.len()],
-        trace: (opts.record_trace || observe).then(Vec::new),
-        trace_cap: opts.trace_limit.unwrap_or(DEFAULT_TRACE_LIMIT),
+        trace: tracing.then(|| Vec::with_capacity(bounds.messages.min(trace_cap))),
+        trace_cap,
         dropped: 0,
-        spans: observe.then(Vec::new),
+        spans: observe.then(|| Vec::with_capacity(bounds.spans)),
         invert_ties: opts.tie_break == TieBreakPolicy::InvertAll,
     };
     if observe {
@@ -458,10 +448,10 @@ pub(crate) fn execute(
     }
     let mut engine: Engine<World> = Engine::new();
     if opts.provenance {
-        engine = engine.with_provenance();
+        engine = engine.with_provenance(bounds.events);
     }
     if opts.event_log {
-        engine = engine.with_event_log();
+        engine = engine.with_event_log(bounds.events);
     }
     if let TieBreakPolicy::InvertPair {
         at_ns,
@@ -531,6 +521,75 @@ pub(crate) fn execute(
         },
         observed,
     ))
+}
+
+/// The per-rank tapes of `segments`: per segment, an entry marker, the
+/// rank's steps, then the segment-end timestamp marker. The schedule's
+/// stepping hook (`Schedule::steps_of`) sizes each tape up front so the
+/// build loop never reallocates.
+fn tapes(segments: &[&Schedule], p: usize) -> Vec<Vec<Tape>> {
+    let mut tapes: Vec<Vec<Tape>> = (0..p)
+        .map(|r| {
+            let len = segments
+                .iter()
+                .map(|seg| seg.steps_of(collectives::Rank(r)) + 2)
+                .sum();
+            Vec::with_capacity(len)
+        })
+        .collect();
+    for (si, seg) in segments.iter().enumerate() {
+        for (rank, prog) in seg.iter() {
+            let tape = &mut tapes[rank.0];
+            tape.push(Tape::Entry(seg.class()));
+            tape.extend(prog.iter().map(|&st| Tape::Op(st, seg.class())));
+            tape.push(Tape::SegEnd(si));
+        }
+    }
+    tapes
+}
+
+/// Upper bounds, counted from the rank tapes before the run, on what an
+/// execution logs. Each tape item posts at most this many events and
+/// emits at most this many spans (the handlers below are the rules):
+///
+/// | item | events | spans |
+/// |---|---|---|
+/// | start of the run | 1 resume | 0 |
+/// | `Entry` | 1 resume | 1 entry |
+/// | `Send` | the deferred step, its delivery and the CPU release | send overhead and copy |
+/// | `Recv` | 1 resume | wait and receive overhead |
+/// | `Compute` | 1 resume | 1 compute |
+/// | `HwBarrier` | 1 release resume | 1 wait |
+///
+/// Every posted event fires in a run that completes, so `events` bounds
+/// both the fired-event log and the provenance log (one record per
+/// post); `messages` bounds the trace.
+#[derive(Debug, Clone, Copy, Default)]
+struct LogBounds {
+    events: usize,
+    spans: usize,
+    messages: usize,
+}
+
+impl LogBounds {
+    fn of(tapes: &[Vec<Tape>]) -> Self {
+        let mut b = LogBounds {
+            events: tapes.len(),
+            ..LogBounds::default()
+        };
+        for item in tapes.iter().flatten() {
+            let (events, spans, messages) = match item {
+                Tape::Op(Step::Send { .. }, _) => (3, 2, 1),
+                Tape::Op(Step::Recv { .. }, _) => (1, 2, 0),
+                Tape::Entry(_) | Tape::Op(Step::Compute { .. } | Step::HwBarrier, _) => (1, 1, 0),
+                Tape::SegEnd(_) => (0, 0, 0),
+            };
+            b.events += events;
+            b.spans += spans;
+            b.messages += messages;
+        }
+        b
+    }
 }
 
 /// The typed wakeup event for rank `r` ([`TypedEvent::RankResume`]).
@@ -1076,6 +1135,68 @@ mod tests {
         let on = observe(true);
         assert!(off.provenance.is_none());
         assert_eq!(off.event_stats, on.event_stats);
+    }
+
+    #[test]
+    fn logs_stay_within_their_bounds_and_observing_changes_nothing() {
+        let machines = [Machine::sp2(), Machine::t3d(), Machine::paragon()];
+        desim::check::forall("exec_log_bounds", 64, |g| {
+            let machine = g.pick(&machines);
+            let op = *g.pick(&OpClass::COLLECTIVES);
+            let p = *g.pick(&[2, 3, 17, 64]);
+            let m = g.u32(0, 70_000);
+            let comm = machine.communicator(p).expect("size in range");
+            let s = comm.schedule(op, Rank(0), m).expect("schedule");
+            let b = barrier::dissemination(p);
+            let segments: Vec<&Schedule> = match g.usize(0, 2) {
+                0 => vec![&s],
+                1 => vec![&b, &s],
+                _ => vec![&s, &b, &s],
+            };
+            let start_times = g.bool().then(|| {
+                (0..p)
+                    .map(|_| SimTime::from_nanos(g.u64(0, 5_000)))
+                    .collect()
+            });
+            let plain = comm
+                .run_with(
+                    &segments,
+                    RunOptions {
+                        start_times: start_times.clone(),
+                        ..RunOptions::default()
+                    },
+                )
+                .expect("plain run");
+            let options = RunOptions {
+                start_times,
+                record_trace: true,
+                provenance: true,
+                event_log: true,
+                ..RunOptions::default()
+            };
+            let (out, obs) = comm.run_observed(&segments, options).expect("observed run");
+            let bound = LogBounds::of(&tapes(&segments, p));
+            let what = format!("{} {op:?} p={p} m={m}", machine.name());
+            let log = obs.event_log.expect("event log");
+            let prov = obs.provenance.expect("provenance");
+            assert!(log.len() <= bound.events, "{what}: events");
+            assert!(prov.len() <= bound.events, "{what}: provenance");
+            assert!(obs.spans.len() <= bound.spans, "{what}: spans");
+            assert!(out.trace.len() <= bound.messages, "{what}: trace");
+            assert_eq!(out.start, plain.start, "{what}");
+            assert_eq!(out.finish, plain.finish, "{what}");
+            assert_eq!(out.phases, plain.phases, "{what}");
+            assert_eq!(
+                (out.events, out.messages, out.bytes, out.dropped_messages),
+                (
+                    plain.events,
+                    plain.messages,
+                    plain.bytes,
+                    plain.dropped_messages
+                ),
+                "{what}"
+            );
+        });
     }
 
     #[test]

@@ -134,12 +134,18 @@ pub fn export_metrics(out: &ExecOutcome, observed: &Observed, reg: &mut MetricsR
             format!("exec.rank.{r}.elapsed_us"),
             out.rank_elapsed(r).as_micros_f64(),
         );
-        reg.observe("exec.rank.sw_ns", ph.sw.as_nanos());
-        reg.observe("exec.rank.blocked_ns", ph.blocked.as_nanos());
         sw_total += sw;
         blocked_total += blocked;
         blocked_max = blocked_max.max(blocked);
     }
+    reg.observe_all(
+        "exec.rank.sw_ns",
+        out.phases.iter().map(|ph| ph.sw.as_nanos()),
+    );
+    reg.observe_all(
+        "exec.rank.blocked_ns",
+        out.phases.iter().map(|ph| ph.blocked.as_nanos()),
+    );
     reg.gauge("exec.sw.total_us", sw_total);
     reg.gauge("exec.blocked.total_us", blocked_total);
     reg.gauge("exec.blocked.max_us", blocked_max);

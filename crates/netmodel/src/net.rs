@@ -137,9 +137,10 @@ impl NetInstr {
                 reg.counter(format!("net.class.{}.bytes", op.key()), self.class_bytes[i]);
             }
         }
-        for &b in self.link_bytes.iter().filter(|&&b| b > 0) {
-            reg.observe("net.link.bytes", b);
-        }
+        reg.observe_all(
+            "net.link.bytes",
+            self.link_bytes.iter().copied().filter(|&b| b > 0),
+        );
     }
 }
 

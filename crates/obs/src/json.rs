@@ -158,10 +158,12 @@ pub(crate) fn into_string(out: Vec<u8>) -> String {
 }
 
 /// `"00" "01" … "99"`: two decimal digits per table entry, so
-/// [`write_u64`] divides by 100 instead of 10. Core's integer `Display`
+/// [`put_u64`] divides by 100 instead of 10. Core's integer `Display`
 /// does the same, but reaching it through `write!` costs a formatter
-/// call per integer: about 8% of `observed_suite` wall time
-/// (EXPERIMENTS.md, "Streaming run records").
+/// call per integer, and integers are most of a run record's bytes.
+/// Ordering and writing the canonical JSON (the `obs.json` layer) is
+/// about 41% of `observed_suite`'s traced wall (EXPERIMENTS.md,
+/// "Observed records in linear passes").
 const DIGIT_PAIRS: [u8; 200] = {
     let mut t = [0u8; 200];
     let mut i = 0;
@@ -173,27 +175,40 @@ const DIGIT_PAIRS: [u8; 200] = {
     t
 };
 
-/// Appends the decimal digits of `v`. The scalar helpers below are the
-/// one formatting rule shared by [`Json`], the Chrome trace and the
-/// streaming run-record writer, so the outputs cannot drift.
-pub(crate) fn write_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
+/// Writes the decimal digits of `v` to the front of `dst` and returns
+/// how many it wrote. This is the one integer formatting rule: [`Json`],
+/// the Chrome trace and the run-record writer all reach it, through
+/// [`write_u64`] or, for a row formatted in place, directly, so the
+/// outputs cannot drift.
+///
+/// # Panics
+///
+/// Panics if `dst` is shorter than the digits (at most 20).
+pub(crate) fn put_u64(dst: &mut [u8], mut v: u64) -> usize {
+    let len = v.checked_ilog10().map_or(1, |l| l as usize + 1);
+    let digits = &mut dst[..len];
+    let mut i = len;
     while v >= 100 {
         let d = (v % 100) as usize * 2;
         v /= 100;
         i -= 2;
-        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
     }
+    // One or two digits remain, and `i` is their count.
     if v >= 10 {
         let d = v as usize * 2;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+        digits[..2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
     } else {
-        i -= 1;
-        buf[i] = b'0' + v as u8;
+        digits[0] = b'0' + v as u8;
     }
-    out.extend_from_slice(&buf[i..]);
+    len
+}
+
+/// Appends the decimal digits of `v` (see [`put_u64`]).
+pub(crate) fn write_u64(out: &mut Vec<u8>, v: u64) {
+    let mut buf = [0u8; 20];
+    let n = put_u64(&mut buf, v);
+    out.extend_from_slice(&buf[..n]);
 }
 
 /// Appends the decimal digits of `v`, with a leading `-` when negative.
@@ -513,10 +528,21 @@ mod tests {
 
     #[test]
     fn scalar_helpers_match_std_formatting() {
-        for v in [0, 7, 10, 99, 100, 12345, u64::from(u32::MAX) + 1, u64::MAX] {
+        let mut pow = 1u64;
+        let mut edges = vec![0, u64::MAX];
+        while let Some(next) = pow.checked_mul(10) {
+            edges.extend([pow - 1, pow, pow + 1]);
+            pow = next;
+        }
+        edges.extend([pow - 1, pow, 12345, u64::from(u32::MAX) + 1]);
+        for v in edges {
             let mut out = Vec::new();
             write_u64(&mut out, v);
             assert_eq!(into_string(out), v.to_string());
+            let mut buf = [b'x'; 21];
+            let n = put_u64(&mut buf, v);
+            assert_eq!(&buf[..n], v.to_string().as_bytes());
+            assert_eq!(buf[n], b'x', "writes only its digits");
         }
         for v in [i64::MIN, -100, -1, 0, 42, i64::MAX] {
             assert_eq!(Json::Int(v).to_string_compact(), v.to_string());

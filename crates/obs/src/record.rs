@@ -16,10 +16,9 @@
 //! records is a meaningful verdict, not an accident of formatting.
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use crate::json::{into_string, validate, write_f64, write_str, write_u64, Json};
+use crate::json::{into_string, put_u64, validate, write_f64, write_str, write_u64, Json};
 
 /// Bump when the record layout changes incompatibly. Readers refuse
 /// records from a different schema rather than mis-parse them.
@@ -187,35 +186,47 @@ impl RunRecord {
     ///   delivered_ns, bytes)`,
     /// * spans by `(rank, start_ns, end_ns, kind)`.
     ///
-    /// Each order is a comparison sort of row indices, so its cost
-    /// depends on the row count alone and never on a field's value (a
-    /// loaded file may name rank `u32::MAX`).
+    /// Each table's labels are coded first: its distinct kind or class
+    /// strings, sorted, number the rows, so the orders compare integers
+    /// only. A table goes into order by its first key with a stable LSD
+    /// radix pass over the key's bytes, skipped when the rows already
+    /// run in that order (a run logs events and transfers in time
+    /// order) and skipping every byte on which all rows agree; then each
+    /// run of equal first key that is not already in order is sorted by
+    /// the rest of the key. The cost is linear in the rows and never
+    /// depends on a field's value: a loaded file that names rank
+    /// `u32::MAX` needs no rank-sized table.
     pub fn canonicalized(&self) -> CanonicalRecord<'_> {
-        let events = order_by(
-            &self.events,
-            |e| e.at_ns,
-            |x, y| (&x.kind, x.a, x.b).cmp(&(&y.kind, y.a, y.b)),
-        );
-        let transfers = order_by(
-            &self.transfers,
-            |t| t.posted_ns,
-            |x, y| {
-                (x.src, x.dst, x.wire_start_ns, x.delivered_ns, x.bytes).cmp(&(
-                    y.src,
-                    y.dst,
-                    y.wire_start_ns,
-                    y.delivered_ns,
-                    y.bytes,
-                ))
+        let labels = Labels::of(self);
+        let kind = &labels.events.codes;
+        let mut events = radix_order(self.events.len(), |i| self.events[i].at_ns);
+        sort_runs(
+            &mut events,
+            |i| self.events[i].at_ns,
+            |i| {
+                let e = &self.events[i];
+                (kind[i], e.a, e.b)
             },
         );
-        let spans = order_by(
-            &self.spans,
-            |s| u64::from(s.rank),
-            |x, y| (x.start_ns, x.end_ns, &x.kind).cmp(&(y.start_ns, y.end_ns, &y.kind)),
+        let mut transfers = radix_order(self.transfers.len(), |i| self.transfers[i].posted_ns);
+        sort_runs(
+            &mut transfers,
+            |i| self.transfers[i].posted_ns,
+            |i| {
+                let t = &self.transfers[i];
+                (t.src, t.dst, t.wire_start_ns, t.delivered_ns, t.bytes)
+            },
         );
+        let kind = &labels.spans.codes;
+        let rank = |i: usize| u64::from(self.spans[i].rank);
+        let mut spans = radix_order(self.spans.len(), rank);
+        sort_runs(&mut spans, rank, |i| {
+            let s = &self.spans[i];
+            (s.start_ns, s.end_ns, kind[i])
+        });
         CanonicalRecord {
             rec: self,
+            labels,
             order: RowOrder {
                 events,
                 transfers,
@@ -227,7 +238,7 @@ impl RunRecord {
     /// Canonical compact serialization: byte equality of two outputs is
     /// the `ByteIdentical` verdict.
     pub fn to_json_string(&self) -> String {
-        self.write_json(None)
+        self.write_json(&Labels::of(self), None)
     }
 
     /// The one record writer, for the raw form (`order` is `None`: rows
@@ -237,9 +248,11 @@ impl RunRecord {
     ///
     /// Streams into one pre-sized buffer: members in sorted key order
     /// (the order a [`Json`] object uses), rows as compact arrays, and
-    /// every scalar through the shared `obs::json` helpers, so the bytes
-    /// are exactly what the equivalent [`Json`] tree serializes to.
-    fn write_json(&self, order: Option<&RowOrder>) -> String {
+    /// every scalar by the shared `obs::json` rules, so the bytes are
+    /// exactly what the equivalent [`Json`] tree serializes to. Each
+    /// event, transfer and span row is formatted in one reused buffer,
+    /// its label copied from `labels`, and appended whole.
+    fn write_json(&self, labels: &Labels, order: Option<&RowOrder>) -> String {
         let raw = order.is_none();
         let mut out = Vec::with_capacity(self.json_size_hint());
         out.extend_from_slice(b"{\"blame_ns\":");
@@ -259,31 +272,34 @@ impl RunRecord {
         write_rows(
             &mut out,
             &self.events,
+            &labels.events,
             order.map(|o| &o.events[..]),
-            |out, e| {
-                write_u64(out, if raw { e.seq } else { 0 });
-                out.push(b',');
-                write_u64(out, e.at_ns);
-                out.push(b',');
-                write_str(out, &e.kind);
-                out.push(b',');
-                write_u64(out, e.a);
-                out.push(b',');
-                write_u64(out, e.b);
-                out.push(b',');
-                write_opt(out, e.parent.filter(|_| raw));
+            |row, e, kind| {
+                row.u64(if raw { e.seq } else { 0 });
+                row.byte(b',');
+                row.u64(e.at_ns);
+                row.byte(b',');
+                row.label(kind);
+                row.byte(b',');
+                row.u64(e.a);
+                row.byte(b',');
+                row.u64(e.b);
+                row.byte(b',');
+                row.opt(e.parent.filter(|_| raw));
             },
         );
-        out.extend_from_slice(b",\"finish_ns\":");
-        write_rows(&mut out, &self.finish_ns, None, |out, seg| {
+        out.extend_from_slice(b",\"finish_ns\":[");
+        for (s, seg) in self.finish_ns.iter().enumerate() {
+            out.extend_from_slice(if s > 0 { b",[" } else { b"[" });
             for (i, &t) in seg.iter().enumerate() {
                 if i > 0 {
                     out.push(b',');
                 }
-                write_u64(out, t);
+                write_u64(&mut out, t);
             }
-        });
-        out.extend_from_slice(b",\"meta\":");
+            out.push(b']');
+        }
+        out.extend_from_slice(b"],\"meta\":");
         if raw {
             write_object(&mut out, &self.meta, |out, v| write_str(out, v));
         } else {
@@ -301,30 +317,32 @@ impl RunRecord {
         write_rows(
             &mut out,
             &self.spans,
+            &labels.spans,
             order.map(|o| &o.spans[..]),
-            |out, s| {
-                write_u64(out, u64::from(s.rank));
-                out.push(b',');
-                write_str(out, &s.kind);
-                out.push(b',');
-                write_u64(out, s.start_ns);
-                out.push(b',');
-                write_u64(out, s.end_ns);
-                out.push(b',');
-                write_opt(out, s.woke_by.map(u64::from));
+            |row, s, kind| {
+                row.u64(u64::from(s.rank));
+                row.byte(b',');
+                row.label(kind);
+                row.byte(b',');
+                row.u64(s.start_ns);
+                row.byte(b',');
+                row.u64(s.end_ns);
+                row.byte(b',');
+                row.opt(s.woke_by.map(u64::from));
             },
         );
         out.extend_from_slice(b",\"transfers\":");
         write_rows(
             &mut out,
             &self.transfers,
+            &labels.transfers,
             order.map(|o| &o.transfers[..]),
-            |out, t| {
+            |row, t, class| {
                 for v in [u64::from(t.src), u64::from(t.dst), t.bytes] {
-                    write_u64(out, v);
-                    out.push(b',');
+                    row.u64(v);
+                    row.byte(b',');
                 }
-                write_str(out, &t.class);
+                row.label(class);
                 for v in [
                     t.posted_ns,
                     t.wire_start_ns,
@@ -332,8 +350,8 @@ impl RunRecord {
                     t.inject_wait_ns,
                     t.link_wait_ns,
                 ] {
-                    out.push(b',');
-                    write_u64(out, v);
+                    row.byte(b',');
+                    row.u64(v);
                 }
             },
         );
@@ -492,11 +510,12 @@ fn as_u64(j: &Json) -> Option<u64> {
 }
 
 /// The canonical form of a [`RunRecord`] (see
-/// [`RunRecord::canonicalized`]): the record itself, borrowed, plus the
-/// order its rows serialize in.
+/// [`RunRecord::canonicalized`]): the record itself, borrowed, its label
+/// tables, and the order its rows serialize in.
 #[derive(Debug, Clone)]
 pub struct CanonicalRecord<'a> {
     rec: &'a RunRecord,
+    labels: Labels,
     order: RowOrder,
 }
 
@@ -504,7 +523,7 @@ impl CanonicalRecord<'_> {
     /// The canonical compact serialization: rows in canonical order,
     /// seqs as 0, parent edges as `null`, `meta` and `metrics` empty.
     pub fn to_json_string(&self) -> String {
-        self.rec.write_json(Some(&self.order))
+        self.rec.write_json(&self.labels, Some(&self.order))
     }
 }
 
@@ -516,26 +535,161 @@ struct RowOrder {
     spans: Vec<u32>,
 }
 
-/// The indices of `rows` in stable order by `primary`, then `rest`.
-///
-/// Stable-sorting by `primary` and then stable-sorting each group of
-/// equal `primary` by `rest` is the same permutation as one stable sort
-/// by the pair. The first sort compares integers only, and it finds
-/// input that already runs in `primary` order (events and transfers
-/// arrive in time order) as one run in a single pass.
-fn order_by<T>(
-    rows: &[T],
-    primary: impl Fn(&T) -> u64,
-    rest: impl Fn(&T, &T) -> Ordering,
-) -> Vec<u32> {
-    let n = u32::try_from(rows.len()).expect("a record holds fewer than 2^32 rows per table");
-    let mut order: Vec<u32> = (0..n).collect();
-    let key = |i: &u32| primary(&rows[*i as usize]);
-    order.sort_by_key(key);
-    for group in order.chunk_by_mut(|x, y| key(x) == key(y)) {
-        group.sort_by(|&x, &y| rest(&rows[x as usize], &rows[y as usize]));
+/// The label table of each of a record's row tables: event kinds,
+/// transfer classes, span kinds.
+#[derive(Debug, Clone)]
+struct Labels {
+    events: LabelTable,
+    transfers: LabelTable,
+    spans: LabelTable,
+}
+
+impl Labels {
+    fn of(rec: &RunRecord) -> Self {
+        Labels {
+            events: LabelTable::new(rec.events.iter().map(|e| &*e.kind)),
+            transfers: LabelTable::new(rec.transfers.iter().map(|t| &*t.class)),
+            spans: LabelTable::new(rec.spans.iter().map(|s| &*s.kind)),
+        }
+    }
+}
+
+/// One table's labels: its distinct strings in sorted order, each as
+/// the quoted and escaped bytes it serializes to, and every row's
+/// *code*, the position of its label in that order. Codes compare as
+/// the strings do.
+#[derive(Debug, Clone, Default)]
+struct LabelTable {
+    /// Per row, its label's code.
+    codes: Vec<u32>,
+    /// The serialized labels back to back: label `c` is
+    /// `text[ends[c - 1]..ends[c]]` (from 0 for `c = 0`).
+    text: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+/// Distinct labels a table finds by scanning its list; past this many
+/// it switches to a hash map, so a loaded file with a distinct label
+/// per row still costs time linear in the rows.
+const LABEL_SCAN: usize = 16;
+
+impl LabelTable {
+    fn new<'r>(labels: impl ExactSizeIterator<Item = &'r str>) -> Self {
+        // Codes in order of first appearance first. A run's labels are
+        // the executor's static strings, so the address usually decides,
+        // and neighbouring rows often share one.
+        let mut distinct: Vec<&str> = Vec::new();
+        let mut index: HashMap<&str, u32> = HashMap::new();
+        let mut codes = Vec::with_capacity(labels.len());
+        let mut last: Option<(&str, u32)> = None;
+        for label in labels {
+            if let Some((_, code)) = last.filter(|&(l, _)| std::ptr::eq(l, label)) {
+                codes.push(code);
+                continue;
+            }
+            let found = if distinct.len() <= LABEL_SCAN {
+                distinct
+                    .iter()
+                    .position(|&d| std::ptr::eq(d, label))
+                    .or_else(|| distinct.iter().position(|&d| d == label))
+                    .map(|c| c as u32)
+            } else {
+                index.get(label).copied()
+            };
+            let code = found.unwrap_or_else(|| {
+                distinct.push(label);
+                let code = (distinct.len() - 1) as u32;
+                if distinct.len() > LABEL_SCAN {
+                    if index.is_empty() {
+                        index.extend(distinct.iter().zip(0..).map(|(&d, c)| (d, c)));
+                    } else {
+                        index.insert(label, code);
+                    }
+                }
+                code
+            });
+            last = Some((label, code));
+            codes.push(code);
+        }
+        // Renumber by sorted position.
+        let mut sorted: Vec<u32> = (0..distinct.len() as u32).collect();
+        sorted.sort_unstable_by_key(|&c| distinct[c as usize]);
+        let mut position = vec![0u32; distinct.len()];
+        for (pos, &c) in sorted.iter().enumerate() {
+            position[c as usize] = pos as u32;
+        }
+        for code in &mut codes {
+            *code = position[*code as usize];
+        }
+        let mut text = Vec::new();
+        let mut ends = Vec::with_capacity(sorted.len());
+        for &c in &sorted {
+            write_str(&mut text, distinct[c as usize]);
+            ends.push(text.len());
+        }
+        LabelTable { codes, text, ends }
+    }
+
+    /// The serialized label of row `i`.
+    fn of_row(&self, i: usize) -> &[u8] {
+        let c = self.codes[i] as usize;
+        let start = if c == 0 { 0 } else { self.ends[c - 1] };
+        &self.text[start..self.ends[c]]
+    }
+}
+
+/// The indices `0..n` in stable order by `key`: a least-significant-
+/// digit radix sort over the key's bytes, one counting pass per byte on
+/// which the keys differ, skipped whole when the keys already ascend.
+fn radix_order(n: usize, key: impl Fn(usize) -> u64) -> Vec<u32> {
+    let n32 = u32::try_from(n).expect("a record holds fewer than 2^32 rows per table");
+    let mut order: Vec<u32> = (0..n32).collect();
+    if order.is_sorted_by_key(|&i| key(i as usize)) {
+        return order;
+    }
+    let first = key(0);
+    let differ = (1..n).fold(0, |acc, i| acc | (key(i) ^ first));
+    let mut next = vec![0u32; n];
+    for shift in (0..64).step_by(8).filter(|s| (differ >> s) & 0xff != 0) {
+        let digit = |i: u32| (key(i as usize) >> shift) as u8 as usize;
+        let mut at = [0u32; 256];
+        for &i in &order {
+            at[digit(i)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut at {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for &i in &order {
+            let slot = &mut at[digit(i)];
+            next[*slot as usize] = i;
+            *slot += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
     }
     order
+}
+
+/// Stable-sorts by `rest` each run of `order` whose `first` keys are
+/// equal, leaving a run that is already in order as it is. With `order`
+/// stable by `first`, each run's indices ascend, so sorting the run's
+/// `(rest, index)` pairs is the stable sort by `rest`, and the result
+/// is stable by `(first, rest)`.
+fn sort_runs<K: Ord>(order: &mut [u32], first: impl Fn(usize) -> u64, rest: impl Fn(usize) -> K) {
+    let mut keyed: Vec<(K, u32)> = Vec::new();
+    for run in order.chunk_by_mut(|&x, &y| first(x as usize) == first(y as usize)) {
+        if run.len() < 2 {
+            continue;
+        }
+        keyed.clear();
+        keyed.extend(run.iter().map(|&i| (rest(i as usize), i)));
+        if !keyed.is_sorted() {
+            keyed.sort_unstable();
+            for (slot, (_, i)) in run.iter_mut().zip(keyed.drain(..)) {
+                *slot = i;
+            }
+        }
+    }
 }
 
 /// A rank field: an integer that fits `u32`. A wider value is an error
@@ -545,24 +699,89 @@ fn as_u32(j: &Json, field: impl Fn() -> String) -> Result<u32, String> {
     u32::try_from(v).map_err(|_| format!("{}: {v} does not fit u32", field()))
 }
 
+/// The most bytes a row holds besides its label: nine integers of up
+/// to 20 digits, their separators, the brackets and the leading comma.
+const ROW_NUMBERS: usize = 192;
+
+/// One row being formatted in a stack buffer, appended to `out` whole
+/// by [`Row::finish`]: digits are written in place by [`put_u64`] and
+/// the label is copied in. A label too long to share the buffer with
+/// the rest of its row goes straight to `out` instead, after the bytes
+/// before it.
+struct Row<'o> {
+    out: &'o mut Vec<u8>,
+    buf: [u8; 512],
+    len: usize,
+}
+
+impl Row<'_> {
+    fn u64(&mut self, v: u64) {
+        self.len += put_u64(&mut self.buf[self.len..], v);
+    }
+
+    fn byte(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    fn bytes(&mut self, s: &[u8]) {
+        self.buf[self.len..self.len + s.len()].copy_from_slice(s);
+        self.len += s.len();
+    }
+
+    fn opt(&mut self, v: Option<u64>) {
+        match v {
+            Some(v) => self.u64(v),
+            None => self.bytes(b"null"),
+        }
+    }
+
+    /// Writes a serialized label. At most [`ROW_NUMBERS`] bytes follow
+    /// it in its row, and at most that many precede it.
+    fn label(&mut self, s: &[u8]) {
+        if self.len + s.len() + ROW_NUMBERS > self.buf.len() {
+            self.out.extend_from_slice(&self.buf[..self.len]);
+            self.out.extend_from_slice(s);
+            self.len = 0;
+        } else {
+            self.bytes(s);
+        }
+    }
+
+    /// Appends the row and starts the next one.
+    fn finish(&mut self) {
+        self.out.extend_from_slice(&self.buf[..self.len]);
+        self.len = 0;
+    }
+}
+
 /// Writes `[row,row,…]`, each row a compact array whose inner elements
-/// `row` writes, in `order` (row indices) or else in slice order.
+/// `fields` writes, given the row and its serialized label, in `order`
+/// (row indices) or else in slice order.
 fn write_rows<T>(
     out: &mut Vec<u8>,
     rows: &[T],
+    labels: &LabelTable,
     order: Option<&[u32]>,
-    row: impl Fn(&mut Vec<u8>, &T),
+    fields: impl Fn(&mut Row<'_>, &T, &[u8]),
 ) {
     out.push(b'[');
-    for i in 0..rows.len() {
-        if i > 0 {
-            out.push(b',');
+    let mut row = Row {
+        out,
+        buf: [0; 512],
+        len: 0,
+    };
+    for k in 0..rows.len() {
+        let i = order.map_or(k, |o| o[k] as usize);
+        if k > 0 {
+            row.byte(b',');
         }
-        out.push(b'[');
-        row(out, &rows[order.map_or(i, |o| o[i] as usize)]);
-        out.push(b']');
+        row.byte(b'[');
+        fields(&mut row, &rows[i], labels.of_row(i));
+        row.byte(b']');
+        row.finish();
     }
-    out.push(b']');
+    row.out.push(b']');
 }
 
 /// Writes a sorted-key object whose values `value` writes.
@@ -577,13 +796,6 @@ fn write_object<V>(out: &mut Vec<u8>, map: &BTreeMap<String, V>, value: impl Fn(
         value(out, v);
     }
     out.push(b'}');
-}
-
-fn write_opt(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => write_u64(out, v),
-        None => out.extend_from_slice(b"null"),
-    }
 }
 
 fn field_u64(doc: &Json, name: &str) -> Result<u64, String> {

@@ -150,15 +150,15 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `n` to the counter `name` (creating it at zero).
-    pub fn counter(&mut self, name: impl Into<String>, n: u64) {
-        match self
-            .metrics
-            .entry(name.into())
-            .or_insert(Metric::Counter(0))
-        {
-            Metric::Counter(c) => *c = c.saturating_add(n),
-            other => *other = Metric::Counter(n),
+    /// Adds `n` to the counter `name` (creating it at zero). The name
+    /// is copied only when the metric is new.
+    pub fn counter(&mut self, name: impl AsRef<str> + Into<String>, n: u64) {
+        match self.metrics.get_mut(name.as_ref()) {
+            Some(Metric::Counter(c)) => *c = c.saturating_add(n),
+            Some(other) => *other = Metric::Counter(n),
+            None => {
+                self.metrics.insert(name.into(), Metric::Counter(n));
+            }
         }
     }
 
@@ -168,18 +168,31 @@ impl MetricsRegistry {
     }
 
     /// Records `value` into the histogram `name` (creating it empty).
-    pub fn observe(&mut self, name: impl Into<String>, value: u64) {
-        match self
-            .metrics
-            .entry(name.into())
-            .or_insert_with(|| Metric::Histogram(Box::new(Pow2Histogram::new())))
-        {
-            Metric::Histogram(h) => h.record(value),
-            other => {
-                let mut h = Box::new(Pow2Histogram::new());
-                h.record(value);
-                *other = Metric::Histogram(h);
-            }
+    /// The name is copied only when the metric is new.
+    pub fn observe(&mut self, name: impl AsRef<str> + Into<String>, value: u64) {
+        if let Some(Metric::Histogram(h)) = self.metrics.get_mut(name.as_ref()) {
+            h.record(value);
+            return;
+        }
+        let mut h = Box::new(Pow2Histogram::new());
+        h.record(value);
+        self.metrics.insert(name.into(), Metric::Histogram(h));
+    }
+
+    /// Records every one of `values` into the histogram `name`, as many
+    /// [`MetricsRegistry::observe`] calls would, with one lookup.
+    pub fn observe_all(
+        &mut self,
+        name: impl AsRef<str> + Into<String>,
+        values: impl IntoIterator<Item = u64>,
+    ) {
+        let mut values = values.into_iter();
+        let Some(first) = values.next() else {
+            return;
+        };
+        self.observe(name.as_ref(), first);
+        if let Some(Metric::Histogram(h)) = self.metrics.get_mut(name.as_ref()) {
+            values.for_each(|v| h.record(v));
         }
     }
 
@@ -290,6 +303,39 @@ mod tests {
         r.counter("a.b", 3);
         r.counter("a.b", 4);
         assert_eq!(r.get("a.b"), Some(&Metric::Counter(7)));
+    }
+
+    #[test]
+    fn a_metric_changes_kind_on_the_other_kinds_write() {
+        let mut r = MetricsRegistry::new();
+        r.gauge("m", 2.5);
+        r.counter("m", 3);
+        r.counter(String::from("m"), 4);
+        assert_eq!(r.get("m"), Some(&Metric::Counter(7)));
+        r.observe("m", 8);
+        r.observe(String::from("m"), 8);
+        match r.get("m") {
+            Some(Metric::Histogram(h)) => assert_eq!((h.count(), h.sum()), (2, 16)),
+            other => panic!("expected a histogram, got {other:?}"),
+        }
+        r.counter("m", 1);
+        assert_eq!(r.get("m"), Some(&Metric::Counter(1)));
+    }
+
+    #[test]
+    fn observe_all_equals_one_observe_per_value() {
+        let mut one = MetricsRegistry::new();
+        let mut all = MetricsRegistry::new();
+        for r in [&mut one, &mut all] {
+            r.gauge("h", 1.0);
+        }
+        for v in [0, 5, 1 << 40] {
+            one.observe("h", v);
+        }
+        all.observe_all("h", [0, 5, 1 << 40]);
+        all.observe_all("empty", []);
+        assert_eq!(one, all);
+        assert!(all.get("empty").is_none(), "no samples, no metric");
     }
 
     #[test]

@@ -26,6 +26,12 @@ pub struct CritPath {
 
 /// Computes depth and fan-in/fan-out extremes.
 pub fn analyze(s: &Schedule) -> CritPath {
+    with_depth(s, s.message_depth())
+}
+
+/// The fan-in/fan-out extremes of `s`, with its message depth already
+/// known.
+pub(crate) fn with_depth(s: &Schedule, depth: usize) -> CritPath {
     let mut max_send_fanout = 0;
     let mut max_recv_fanin = 0;
     for (_, prog) in s.iter() {
@@ -41,7 +47,7 @@ pub fn analyze(s: &Schedule) -> CritPath {
         max_recv_fanin = max_recv_fanin.max(recvs);
     }
     CritPath {
-        depth: s.message_depth(),
+        depth,
         max_send_fanout,
         max_recv_fanin,
     }

@@ -20,13 +20,15 @@
 //! for a schedule that passes [`Schedule::check`], so it is a DAG and
 //! every slot has its receive.
 
-use collectives::{Rank, Schedule, ScheduleError, Slots, Step};
+use collectives::{Checked, Rank, Schedule, ScheduleError, Slots, Step};
 
 /// The happens-before DAG of a schedule.
 #[derive(Debug)]
 pub(crate) struct HbGraph<'s> {
     s: &'s Schedule,
     slots: Slots,
+    /// The message depth [`Schedule::check`] found.
+    depth: usize,
     /// Slot `k`'s `(send, recv)` step ids.
     ends: Vec<(u32, u32)>,
     /// `rounds[k]` holds the (step, rank) of each rank's k-th barrier,
@@ -35,14 +37,14 @@ pub(crate) struct HbGraph<'s> {
 }
 
 impl<'s> HbGraph<'s> {
-    /// Builds the graph on the schedule's resolved slots.
+    /// Builds the graph on the resolved slots that [`Schedule::check`]
+    /// hands back.
     ///
     /// # Errors
     ///
     /// Returns the [`ScheduleError`] of [`Schedule::check`].
     pub(crate) fn build(s: &'s Schedule) -> Result<Self, ScheduleError> {
-        s.check()?;
-        let slots = s.resolve()?;
+        let Checked { slots, depth } = s.check()?;
         let mut ends = vec![(0, 0); slots.slot_bytes().len()];
         let mut rounds: Vec<Vec<(usize, usize)>> = Vec::new();
         for (r, prog) in s.iter() {
@@ -68,9 +70,15 @@ impl<'s> HbGraph<'s> {
         Ok(HbGraph {
             s,
             slots,
+            depth,
             ends,
             rounds,
         })
+    }
+
+    /// The schedule's message depth ([`Schedule::message_depth`]).
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
     }
 
     /// The resolved slots the graph is built on.

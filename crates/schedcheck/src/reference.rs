@@ -159,7 +159,7 @@ impl RefGraph {
 /// its order, and, for schedules of at most 40 steps, that both graphs
 /// order every pair of steps alike. Returns the number of findings.
 fn agrees_with_reference(s: &Schedule) -> usize {
-    assert_eq!(s.check(), Ok(()), "inputs must pass the dynamic check");
+    assert!(s.check().is_ok(), "inputs must pass the dynamic check");
     let reference = RefGraph::build(s);
     let want: Vec<Finding> = reference
         .find_ambiguities()

@@ -125,22 +125,27 @@ pub struct Expectations {
 /// send-to-receive match ([`Schedule::resolve`]). Sharing `check` with
 /// the dynamic executor is what keeps the static and runtime passes
 /// from drifting.
+///
+/// The schedule is resolved and abstractly run once: the graph and the
+/// message depth come from `check`'s own result.
 pub fn verify(s: &Schedule) -> Report {
-    let mut findings = Vec::new();
-    match HbGraph::build(s) {
-        Ok(g) => findings.extend(
+    let (findings, depth) = match HbGraph::build(s) {
+        Ok(g) => (
             ambiguity::find_ambiguities(&g)
                 .into_iter()
-                .map(Finding::Invalid),
+                .map(Finding::Invalid)
+                .collect(),
+            g.depth(),
         ),
-        Err(e) => findings.push(Finding::Invalid(e)),
-    }
+        // A schedule that fails `check` has depth 0.
+        Err(e) => (vec![Finding::Invalid(e)], 0),
+    };
     Report {
         stats: Stats {
             ranks: s.ranks(),
             messages: s.total_messages(),
             total_bytes: s.total_bytes(),
-            crit: critpath::analyze(s),
+            crit: critpath::with_depth(s, depth),
         },
         findings,
     }

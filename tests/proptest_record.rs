@@ -8,6 +8,14 @@
 //! * `from_json` round-trips,
 //! * `canonicalized()` serializes exactly like clone + clear + stable
 //!   sort, the definition it replaced.
+//!
+//! Half the records are shuffled, as a hand-edited file may be; the
+//! other half are laid out the way an execution logs them (events in
+//! firing order with same-instant groups of up to 64, transfers by
+//! post instant, spans interleaved over up to 64 ranks), which is the
+//! input the canonical order's already-in-order shortcuts serve. Rank
+//! ranges straddle byte boundaries and reach `u32::MAX`, so a radix
+//! pass that skipped a byte would misorder them.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -145,7 +153,12 @@ const NASTY: &[char] = &[
 ];
 
 fn text(g: &mut Gen) -> String {
-    let n = g.usize(0, 6);
+    // Now and then a label longer than the writer's row buffer.
+    let n = if g.usize(0, 40) == 0 {
+        g.usize(200, 700)
+    } else {
+        g.usize(0, 6)
+    };
     (0..n).map(|_| *g.pick(NASTY)).collect()
 }
 
@@ -207,10 +220,14 @@ fn tied(g: &mut Gen, hi: u64) -> u64 {
     }
 }
 
+const EVENTS: &[&str] = &["rank_resume", "message_ready", "timer"];
+const CLASSES: &[&str] = &["bcast", "alltoall", "scan"];
+const SPANS: &[&str] = &["send_sw", "recv_wait", "copy"];
+
 fn random_record(g: &mut Gen) -> RunRecord {
-    const EVENTS: &[&str] = &["rank_resume", "message_ready", "timer"];
-    const CLASSES: &[&str] = &["bcast", "alltoall", "scan"];
-    const SPANS: &[&str] = &["send_sw", "recv_wait", "copy"];
+    if g.bool() {
+        return executor_record(g);
+    }
     let mut events: Vec<RecEvent> = (0..g.usize(0, 120))
         .map(|_| RecEvent {
             seq: int(g),
@@ -247,12 +264,88 @@ fn random_record(g: &mut Gen) -> RunRecord {
             woke_by: g.bool().then(|| g.u32(0, u32::MAX)),
         })
         .collect();
-    // Runs log events and transfers in time order; half the records
-    // arrive that way, the rest shuffled as a hand-edited file may be.
+    // Some shuffled records are still in time order.
     if g.bool() {
         events.sort_by_key(|e| e.at_ns);
         transfers.sort_by_key(|t| t.posted_ns);
     }
+    with_tables(g, events, transfers, spans)
+}
+
+/// A record laid out as an execution logs one: events in firing order,
+/// each instant a group of up to 64 (in random order, or already in
+/// canonical order), transfers by post instant with ties, and spans in
+/// emission order, interleaved over up to 64 ranks. The ranks are
+/// `base..base + ranks` for a base that puts them across a byte
+/// boundary or up to `u32::MAX`.
+fn executor_record(g: &mut Gen) -> RunRecord {
+    let ranks = g.u32(1, 64);
+    let base = *g.pick(&[0, 256 - 32, (1 << 16) - 32, (1 << 24) - 32, u32::MAX - 63]);
+    let base = base.min(u32::MAX - (ranks - 1));
+    let rank = |g: &mut Gen| base + g.u32(0, ranks - 1);
+    let mut events = Vec::new();
+    let mut at = int(g) % 1_000;
+    for _ in 0..g.usize(0, 6) {
+        let mut group: Vec<RecEvent> = (0..g.usize(1, 64))
+            .map(|_| RecEvent {
+                seq: int(g),
+                at_ns: at,
+                kind: kind(g, EVENTS),
+                a: u64::from(rank(g)),
+                b: g.u64(0, 3),
+                parent: g.bool().then(|| int(g)),
+            })
+            .collect();
+        if g.bool() {
+            group.sort_by(|x, y| (&x.kind, x.a, x.b).cmp(&(&y.kind, y.a, y.b)));
+        }
+        events.extend(group);
+        at += g.u64(1, 1_000);
+    }
+    let mut posted = 0;
+    let transfers = (0..g.usize(0, 80))
+        .map(|_| {
+            posted += g.u64(0, 1);
+            RecTransfer {
+                src: rank(g),
+                dst: rank(g),
+                bytes: g.u64(0, 1),
+                class: kind(g, CLASSES),
+                posted_ns: posted,
+                wire_start_ns: posted + g.u64(0, 1),
+                delivered_ns: posted + g.u64(1, 2),
+                inject_wait_ns: int(g),
+                link_wait_ns: int(g),
+            }
+        })
+        .collect();
+    // Each rank's spans start in time order; the ranks take turns.
+    let mut clock = vec![0u64; ranks as usize];
+    let spans = (0..g.usize(0, 150))
+        .map(|_| {
+            let r = g.u32(0, ranks - 1);
+            let start = clock[r as usize] + g.u64(0, 1);
+            let end = start + g.u64(0, 2);
+            clock[r as usize] = if g.bool() { end } else { start };
+            RecSpan {
+                rank: base + r,
+                kind: kind(g, SPANS),
+                start_ns: start,
+                end_ns: end,
+                woke_by: g.bool().then(|| rank(g)),
+            }
+        })
+        .collect();
+    with_tables(g, events, transfers, spans)
+}
+
+/// A record of the given rows with random scalars and maps.
+fn with_tables(
+    g: &mut Gen,
+    events: Vec<RecEvent>,
+    transfers: Vec<RecTransfer>,
+    spans: Vec<RecSpan>,
+) -> RunRecord {
     let finish_ns = (0..g.usize(0, 3))
         .map(|_| (0..g.usize(0, 5)).map(|_| int(g)).collect())
         .collect();
@@ -298,7 +391,7 @@ fn from_json_round_trips() {
 
 #[test]
 fn canonicalized_equals_clone_and_stable_sort() {
-    forall("record_canonical_equals_reference", 256, |g| {
+    forall("record_canonical_equals_reference", 512, |g| {
         let rec = random_record(g);
         assert_eq!(
             rec.canonicalized().to_json_string(),
