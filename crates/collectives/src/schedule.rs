@@ -251,9 +251,10 @@ impl Schedule {
             .map(|(i, p)| (Rank(i), p.as_slice()))
     }
 
-    /// Number of steps in `rank`'s program — the executor's stepping
-    /// hook for pre-sizing its per-rank event tape (each step becomes
-    /// one tape entry addressed by `TypedEvent::ScheduleStep`).
+    /// Number of steps in `rank`'s program. The executor counts each
+    /// rank's run positions from it (a segment spans the rank's steps
+    /// plus its entry and end), the positions `TypedEvent::ScheduleStep`
+    /// addresses.
     ///
     /// # Panics
     ///

@@ -44,7 +44,7 @@ use crate::engine::Scheduler;
 /// A plain-data event payload, dispatched by the world via
 /// [`EventWorld::dispatch`]. Variants cover every event the simulator posts;
 /// their fields are opaque small integers whose meaning the world
-/// assigns (ranks, tape positions, timer cookies).
+/// assigns (ranks, step positions, timer cookies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypedEvent {
     /// Resume a parked actor (a simulated rank un-blocking, an overhead
@@ -60,12 +60,13 @@ pub enum TypedEvent {
         /// Receiving actor.
         dst: u32,
     },
-    /// Execute the schedule step at tape position `step` on `rank` (the
-    /// world owns the step tape; the event carries only the position).
+    /// Execute the schedule step at position `step` of `rank`'s run (the
+    /// world owns the programs and maps the position back to a step;
+    /// the event carries only the position).
     ScheduleStep {
         /// The acting rank.
         rank: u32,
-        /// Tape index of the step to execute.
+        /// Position of the step to execute in the rank's run.
         step: u32,
     },
     /// An opaque timer.

@@ -42,7 +42,7 @@ use crate::event::TypedEvent;
 /// write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Resource {
-    /// Everything private to one rank: its tape position, mailbox,
+    /// Everything private to one rank: its program position, mailbox,
     /// blocked/wait state, and per-rank accounting.
     Rank(u32),
     /// The in-flight payload stream from `src` to `dst` (FIFO channel
@@ -139,10 +139,10 @@ impl TypedEvent {
     /// handler (see the [module docs](self) for the refinement
     /// contract).
     ///
-    /// * `RankResume { rank }` — resumes one rank's tape: rank state.
+    /// * `RankResume { rank }` — resumes one rank's program: rank state.
     /// * `MessageReady { src, dst }` — delivers on channel `src→dst`
     ///   into `dst`'s mailbox and may advance `dst` inline.
-    /// * `ScheduleStep { rank, .. }` — re-reads the rank's tape and
+    /// * `ScheduleStep { rank, .. }` — re-reads the rank's step and
     ///   injects into the network, acquiring shared link/FIFO state.
     /// * `Timer` — opaque payload: global.
     pub fn footprint(&self) -> Footprint {

@@ -239,8 +239,9 @@ impl Communicator {
     ///
     /// Returns [`SimMpiError::EmptySequence`] for no segments,
     /// [`SimMpiError::SizeMismatch`] when a segment's rank count is not
-    /// this communicator's size, and propagates validation failures
-    /// from the executor.
+    /// this communicator's size, [`SimMpiError::SequenceTooLong`] when a
+    /// rank would step through more than 2³² positions, and propagates
+    /// validation failures from the executor.
     pub fn run_with(
         &self,
         segments: &[&Schedule],

@@ -43,17 +43,31 @@ pub enum SimMpiError {
     },
     /// A run was given no segments.
     EmptySequence,
-    /// A rank's tape did not run to completion even though validation
+    /// A rank did not run through every segment even though validation
     /// passed (or was skipped via
     /// [`crate::RunOptions::skip_validation`]): the executor stalled
     /// waiting on a message that never arrived.
+    ///
+    /// Positions count over the whole sequence: each segment gives a
+    /// rank one position for its entry, one per step of the rank's
+    /// program, and one for its end, so a segment whose program for the
+    /// rank has `n` steps spans `n + 2` positions.
     RankStalled {
         /// The stalled rank.
         rank: usize,
-        /// Tape position reached.
+        /// Position reached.
         step: usize,
-        /// Tape length.
+        /// The rank's positions in the whole sequence.
         of: usize,
+    },
+    /// A rank would step through more than 2³² positions (counted as in
+    /// [`SimMpiError::RankStalled`]), more than the executor's `u32`
+    /// step events can address. Refused before the run starts.
+    SequenceTooLong {
+        /// The first rank over the limit.
+        rank: usize,
+        /// Its positions in the whole sequence.
+        positions: u64,
     },
 }
 
@@ -84,6 +98,10 @@ impl fmt::Display for SimMpiError {
             SimMpiError::RankStalled { rank, step, of } => {
                 write!(f, "rank {rank} stalled at tape position {step}/{of}")
             }
+            SimMpiError::SequenceTooLong { rank, positions } => write!(
+                f,
+                "rank {rank} would step through {positions} positions, more than 2^32"
+            ),
         }
     }
 }

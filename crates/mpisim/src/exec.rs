@@ -2,17 +2,21 @@
 //!
 //! Runs a sequence of collective [`Schedule`]s on the discrete-event
 //! engine over a machine's [`NetState`]. Every rank is a small state
-//! machine: it walks its concatenated step tape, charging software
-//! overheads from the machine's cost table and wire time from the
-//! network model. Ranks flow from one segment into the next without any
-//! implicit synchronization — exactly like the paper's measurement loop,
+//! machine: it walks each segment's program for that rank in place
+//! ([`Schedule::program`]), charging software overheads from the
+//! machine's cost table and wire time from the network model. Ranks
+//! flow from one segment into the next without any implicit
+//! synchronization — exactly like the paper's measurement loop,
 //! where a barrier "only synchronizes the processes logically" (§2).
 //!
 //! All executor events ride the engine's typed path
 //! ([`desim::TypedEvent`]): rank wakeups are `RankResume`, payload
 //! arrivals are `MessageReady`, and deferred sends are `ScheduleStep`
-//! carrying the tape position to re-read — no per-event allocation
-//! anywhere in the hot loop.
+//! carrying the rank's run position to re-read — no per-event
+//! allocation anywhere in the hot loop, and no per-run copy of the
+//! programs: apart from one finish time per rank and segment, an
+//! execution holds O(p² + schedule) memory however many segments it
+//! runs.
 //!
 //! Per-rank completion timestamps are recorded at every segment boundary,
 //! which is what the measurement harness needs to reconstruct the
@@ -26,7 +30,7 @@
 use crate::comm::RunOptions;
 use crate::error::SimMpiError;
 use crate::machine::Machine;
-use collectives::{Schedule, Step};
+use collectives::{Rank, Schedule, Step};
 use desim::{Engine, EventWorld, Scheduler, SimDuration, SimTime, SplitMix64, TypedEvent};
 use netmodel::{MachineSpec, NetInstr, NetState, OpClass};
 use topo::NodeId;
@@ -273,20 +277,18 @@ impl ExecOutcome {
     }
 }
 
-/// One item of a rank's execution tape.
-#[derive(Debug, Clone, Copy)]
-enum Tape {
-    /// Charge the collective-entry overhead for `class`.
-    Entry(OpClass),
-    /// Execute a schedule step under `class` costs.
-    Op(Step, OpClass),
-    /// Record the finish timestamp of segment `idx`.
-    SegEnd(usize),
-}
-
-struct RankState {
-    tape: Vec<Tape>,
-    pc: usize,
+/// One rank's place in the run: segment `seg` (`segments.len()` once
+/// done), whose program for this rank and class are cached in `prog`
+/// and `class`. Position `k` inside the segment is its entry (0), its
+/// steps (`1..=prog.len()`) or its end (`prog.len() + 1`), and `base +
+/// k` counts positions over all segments: what
+/// [`TypedEvent::ScheduleStep`] and [`SimMpiError::RankStalled`] carry.
+struct RankState<'a> {
+    prog: &'a [Step],
+    class: OpClass,
+    seg: usize,
+    k: usize,
+    base: usize,
     blocked_on: Option<usize>,
     /// CPU slowdown factor (1.0 = quiet node).
     slowdown: f64,
@@ -310,10 +312,11 @@ struct HwBarrierState {
     waiting: Vec<usize>,
 }
 
-struct World {
+struct World<'a> {
     spec: MachineSpec,
     net: NetState,
-    ranks: Vec<RankState>,
+    segments: &'a [&'a Schedule],
+    ranks: Vec<RankState<'a>>,
     /// Arrived-but-unconsumed messages per channel, indexed
     /// `dst * p + src`. A count suffices: an arrival is delivered by an
     /// event that fired no later than the receive consuming it (the
@@ -331,7 +334,7 @@ struct World {
     invert_ties: bool,
 }
 
-impl EventWorld for World {
+impl EventWorld for World<'_> {
     /// The executor's entire event vocabulary, dispatched by `match` —
     /// this is the per-event hot path of every simulation.
     fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: TypedEvent) {
@@ -360,9 +363,10 @@ impl EventWorld for World {
 ///
 /// # Errors
 ///
-/// Returns [`SimMpiError`] if a schedule fails validation, the
-/// start-time vector has the wrong length, or a rank stalls with
-/// validation skipped.
+/// Returns [`SimMpiError`] if a rank has more run positions than a
+/// [`TypedEvent::ScheduleStep`] can address, a schedule fails
+/// validation, the start-time vector has the wrong length, or a rank
+/// stalls with validation skipped.
 ///
 /// # Panics
 ///
@@ -377,15 +381,17 @@ pub(crate) fn execute(
     observe: bool,
 ) -> Result<(ExecOutcome, Option<Observed>), SimMpiError> {
     let p = nodes.len();
-    // Validate each *distinct* schedule once: measurement sequences repeat
-    // the same collective 20+ times, and re-walking its steps per segment
-    // would dominate small runs.
-    let mut checked: Vec<*const Schedule> = Vec::new();
-    for seg in segments {
-        let key: *const Schedule = *seg;
-        if !opts.skip_validation && !checked.contains(&key) {
+    // Measurement sequences repeat the same collective 20+ times, so
+    // each *distinct* schedule is counted and validated once: re-walking
+    // its steps per segment would dominate small runs.
+    let distinct = distinct(segments);
+    if let Some(rank) = (0..p).find(|&r| positions(&distinct, r) > MAX_POSITIONS) {
+        let positions = positions(&distinct, rank);
+        return Err(SimMpiError::SequenceTooLong { rank, positions });
+    }
+    if !opts.skip_validation {
+        for &(seg, _) in &distinct {
             seg.check()?;
-            checked.push(key);
         }
     }
     let start = match opts.start_times {
@@ -402,21 +408,23 @@ pub(crate) fn execute(
         .cpu_noise
         .map(|n| (n.amplitude, SplitMix64::new(n.seed)));
 
-    let tapes = tapes(segments, p);
     // Every log this run keeps is allocated once, at its bound.
     let tracing = opts.record_trace || observe;
     let trace_cap = opts.trace_limit.unwrap_or(DEFAULT_TRACE_LIMIT);
     let bounds = if tracing || opts.provenance || opts.event_log {
-        LogBounds::of(&tapes)
+        LogBounds::of(&distinct, p)
     } else {
         LogBounds::default()
     };
-    let ranks: Vec<RankState> = tapes
-        .into_iter()
-        .zip(nodes)
-        .map(|(tape, &node)| RankState {
-            tape,
-            pc: 0,
+    let ranks: Vec<RankState> = nodes
+        .iter()
+        .enumerate()
+        .map(|(r, &node)| RankState {
+            prog: segments[0].program(Rank(r)),
+            class: segments[0].class(),
+            seg: 0,
+            k: 0,
+            base: 0,
             blocked_on: None,
             slowdown: match &mut noise_rng {
                 Some((amp, rng)) => 1.0 + *amp * rng.next_f64(),
@@ -433,6 +441,7 @@ pub(crate) fn execute(
     let mut world = World {
         spec: spec.clone(),
         net: NetState::with_config(spec, machine_nodes, machine.wire_config()),
+        segments,
         ranks,
         arrivals: vec![0; p * p],
         barrier: HwBarrierState::default(),
@@ -466,16 +475,16 @@ pub(crate) fn execute(
     }
     engine.run(&mut world);
 
-    // Every rank must have drained its tape; anything else is a deadlock
-    // that validation would have caught (reachable only via
+    // Every rank must have run through every segment; anything else is
+    // a deadlock that validation would have caught (reachable only via
     // `skip_validation`, so it is a typed error, not a panic — the
     // schedcheck property tests rely on observing it).
     for (r, rs) in world.ranks.iter().enumerate() {
-        if rs.pc != rs.tape.len() {
+        if rs.seg < segments.len() {
             return Err(SimMpiError::RankStalled {
                 rank: r,
-                step: rs.pc,
-                of: rs.tape.len(),
+                step: rs.base + rs.k,
+                of: positions(&distinct, r) as usize,
             });
         }
     }
@@ -523,48 +532,51 @@ pub(crate) fn execute(
     ))
 }
 
-/// The per-rank tapes of `segments`: per segment, an entry marker, the
-/// rank's steps, then the segment-end timestamp marker. The schedule's
-/// stepping hook (`Schedule::steps_of`) sizes each tape up front so the
-/// build loop never reallocates.
-fn tapes(segments: &[&Schedule], p: usize) -> Vec<Vec<Tape>> {
-    let mut tapes: Vec<Vec<Tape>> = (0..p)
-        .map(|r| {
-            let len = segments
-                .iter()
-                .map(|seg| seg.steps_of(collectives::Rank(r)) + 2)
-                .sum();
-            Vec::with_capacity(len)
-        })
-        .collect();
-    for (si, seg) in segments.iter().enumerate() {
-        for (rank, prog) in seg.iter() {
-            let tape = &mut tapes[rank.0];
-            tape.push(Tape::Entry(seg.class()));
-            tape.extend(prog.iter().map(|&st| Tape::Op(st, seg.class())));
-            tape.push(Tape::SegEnd(si));
+/// Most run positions one rank may have: a [`TypedEvent::ScheduleStep`]
+/// addresses a step by its `u32` position, and the last position is the
+/// run's end.
+const MAX_POSITIONS: u64 = 1 << 32;
+
+/// The distinct schedules of `segments`, by address and in first-use
+/// order, each with the number of segments that run it.
+fn distinct<'a>(segments: &[&'a Schedule]) -> Vec<(&'a Schedule, usize)> {
+    let mut distinct: Vec<(&Schedule, usize)> = Vec::new();
+    for &seg in segments {
+        match distinct.iter_mut().find(|(s, _)| std::ptr::eq(*s, seg)) {
+            Some((_, repeats)) => *repeats += 1,
+            None => distinct.push((seg, 1)),
         }
     }
-    tapes
+    distinct
 }
 
-/// Upper bounds, counted from the rank tapes before the run, on what an
-/// execution logs. Each tape item posts at most this many events and
+/// Rank `r`'s run positions over the sequence `distinct` describes: each
+/// segment's entry, the rank's steps in it, and its end.
+fn positions(distinct: &[(&Schedule, usize)], r: usize) -> u64 {
+    distinct
+        .iter()
+        .map(|&(seg, repeats)| (seg.steps_of(Rank(r)) as u64 + 2).saturating_mul(repeats as u64))
+        .fold(0, u64::saturating_add)
+}
+
+/// Upper bounds, counted from the schedules before the run, on what an
+/// execution logs. Each run position posts at most this many events and
 /// emits at most this many spans (the handlers below are the rules):
 ///
-/// | item | events | spans |
+/// | position | events | spans |
 /// |---|---|---|
 /// | start of the run | 1 resume | 0 |
-/// | `Entry` | 1 resume | 1 entry |
+/// | segment entry | 1 resume | 1 entry |
 /// | `Send` | the deferred step, its delivery and the CPU release | send overhead and copy |
 /// | `Recv` | 1 resume | wait and receive overhead |
 /// | `Compute` | 1 resume | 1 compute |
 /// | `HwBarrier` | 1 release resume | 1 wait |
+/// | segment end | 0 | 0 |
 ///
 /// Every posted event fires in a run that completes, so `events` bounds
 /// both the fired-event log and the provenance log (one record per
 /// post); `messages` bounds the trace.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct LogBounds {
     events: usize,
     spans: usize,
@@ -572,21 +584,27 @@ struct LogBounds {
 }
 
 impl LogBounds {
-    fn of(tapes: &[Vec<Tape>]) -> Self {
+    /// The bounds of a `p`-rank run of `distinct`'s schedules, each
+    /// counted once and scaled by its repeats.
+    fn of(distinct: &[(&Schedule, usize)], p: usize) -> Self {
         let mut b = LogBounds {
-            events: tapes.len(),
+            events: p,
             ..LogBounds::default()
         };
-        for item in tapes.iter().flatten() {
-            let (events, spans, messages) = match item {
-                Tape::Op(Step::Send { .. }, _) => (3, 2, 1),
-                Tape::Op(Step::Recv { .. }, _) => (1, 2, 0),
-                Tape::Entry(_) | Tape::Op(Step::Compute { .. } | Step::HwBarrier, _) => (1, 1, 0),
-                Tape::SegEnd(_) => (0, 0, 0),
-            };
-            b.events += events;
-            b.spans += spans;
-            b.messages += messages;
+        for &(seg, repeats) in distinct {
+            // One entry per rank, then the steps.
+            b.events += p * repeats;
+            b.spans += p * repeats;
+            for step in seg.iter().flat_map(|(_, prog)| prog) {
+                let (events, spans, messages) = match step {
+                    Step::Send { .. } => (3, 2, 1),
+                    Step::Recv { .. } => (1, 2, 0),
+                    Step::Compute { .. } | Step::HwBarrier => (1, 1, 0),
+                };
+                b.events += events * repeats;
+                b.spans += spans * repeats;
+                b.messages += messages * repeats;
+            }
         }
         b
     }
@@ -634,8 +652,8 @@ fn cpu_charge(w: &World, r: usize, d: SimDuration) -> SimDuration {
     }
 }
 
-/// Advances rank `r`'s tape at the current instant until it blocks,
-/// schedules a continuation, or finishes.
+/// Advances rank `r` through its programs at the current instant until
+/// it blocks, schedules a continuation, or finishes the last segment.
 fn advance(s: &mut Scheduler<World>, w: &mut World, r: usize) {
     let now = s.now();
     // If the rank was parked (recv wait / barrier wait), the wakeup that
@@ -646,104 +664,113 @@ fn advance(s: &mut Scheduler<World>, w: &mut World, r: usize) {
         push_span_woke(w, r, kind, t0, now, woke);
     }
     loop {
-        let Some(&item) = w.ranks[r].tape.get(w.ranks[r].pc) else {
-            return; // tape complete
-        };
-        match item {
-            Tape::SegEnd(idx) => {
-                w.finish[idx][r] = now;
-                w.ranks[r].pc += 1;
+        let RankState { prog, class, k, .. } = w.ranks[r];
+        if k == 0 {
+            w.ranks[r].k = 1;
+            let d = cpu_charge(w, r, w.spec.entry_overhead(class));
+            if !d.is_zero() {
+                w.ranks[r].sw += d;
+                push_span(w, r, PhaseKind::Entry, now, now + d);
+                s.post_in(d, resume(r));
+                return;
             }
-            Tape::Entry(class) => {
-                w.ranks[r].pc += 1;
-                let d = cpu_charge(w, r, w.spec.entry_overhead(class));
+            continue;
+        }
+        let Some(&step) = prog.get(k - 1) else {
+            // The segment's end: record it and enter the next segment.
+            let rs = &mut w.ranks[r];
+            w.finish[rs.seg][r] = now;
+            rs.base += prog.len() + 2;
+            rs.k = 0;
+            rs.seg += 1;
+            let Some(next) = w.segments.get(rs.seg) else {
+                return; // every segment run
+            };
+            rs.prog = next.program(Rank(r));
+            rs.class = next.class();
+            continue;
+        };
+        match step {
+            Step::Send { .. } => {
+                let position = w.ranks[r].base + k;
+                w.ranks[r].k += 1;
+                let o = cpu_charge(w, r, w.spec.send_overhead(class));
+                w.ranks[r].sw += o;
+                push_span(w, r, PhaseKind::SendOverhead, now, now + o);
+                // Perform the network send at exactly now + o so that
+                // link resources are acquired in true time order. The
+                // event carries only the run position; `post_send`
+                // re-reads the step — the rank is parked until its
+                // CPU-release event, so neither its segment nor `base`
+                // can move underneath the deferred event.
+                s.post_in(
+                    o,
+                    TypedEvent::ScheduleStep {
+                        rank: r as u32,
+                        step: u32::try_from(position).expect("execute bounds run positions"),
+                    },
+                );
+                return;
+            }
+            Step::Recv { from, bytes } => {
+                let channel = r * w.ranks.len() + from.0;
+                if w.arrivals[channel] > 0 {
+                    w.arrivals[channel] -= 1;
+                    w.ranks[r].k += 1;
+                    let o = cpu_charge(w, r, w.spec.recv_overhead(class, bytes));
+                    w.ranks[r].sw += o;
+                    push_span(w, r, PhaseKind::RecvOverhead, now, now + o);
+                    s.post_at(now + o, resume(r));
+                } else {
+                    w.ranks[r].blocked_on = Some(from.0);
+                    w.ranks[r].wait_since = Some((now, PhaseKind::RecvWait));
+                }
+                return;
+            }
+            Step::Compute { bytes } => {
+                w.ranks[r].k += 1;
+                let d = cpu_charge(w, r, w.spec.compute_cost(bytes));
                 if !d.is_zero() {
                     w.ranks[r].sw += d;
-                    push_span(w, r, PhaseKind::Entry, now, now + d);
+                    push_span(w, r, PhaseKind::Compute, now, now + d);
                     s.post_in(d, resume(r));
                     return;
                 }
             }
-            Tape::Op(step, class) => match step {
-                Step::Send { .. } => {
-                    let pc = w.ranks[r].pc;
-                    w.ranks[r].pc += 1;
-                    let o = cpu_charge(w, r, w.spec.send_overhead(class));
-                    w.ranks[r].sw += o;
-                    push_span(w, r, PhaseKind::SendOverhead, now, now + o);
-                    // Perform the network send at exactly now + o so that
-                    // link resources are acquired in true time order. The
-                    // event carries only the tape position; `post_send`
-                    // re-reads the step — the rank is parked until its
-                    // CPU-release event, so the tape entry cannot change
-                    // underneath the deferred event.
-                    s.post_in(
-                        o,
-                        TypedEvent::ScheduleStep {
-                            rank: r as u32,
-                            step: u32::try_from(pc).expect("tape index fits u32"),
-                        },
-                    );
-                    return;
-                }
-                Step::Recv { from, bytes } => {
-                    let channel = r * w.ranks.len() + from.0;
-                    if w.arrivals[channel] > 0 {
-                        w.arrivals[channel] -= 1;
-                        w.ranks[r].pc += 1;
-                        let o = cpu_charge(w, r, w.spec.recv_overhead(class, bytes));
-                        w.ranks[r].sw += o;
-                        push_span(w, r, PhaseKind::RecvOverhead, now, now + o);
-                        s.post_at(now + o, resume(r));
-                    } else {
-                        w.ranks[r].blocked_on = Some(from.0);
-                        w.ranks[r].wait_since = Some((now, PhaseKind::RecvWait));
-                    }
-                    return;
-                }
-                Step::Compute { bytes } => {
-                    w.ranks[r].pc += 1;
-                    let d = cpu_charge(w, r, w.spec.compute_cost(bytes));
-                    if !d.is_zero() {
-                        w.ranks[r].sw += d;
-                        push_span(w, r, PhaseKind::Compute, now, now + d);
-                        s.post_in(d, resume(r));
-                        return;
+            Step::HwBarrier => {
+                w.ranks[r].k += 1;
+                w.ranks[r].wait_since = Some((now, PhaseKind::BarrierWait));
+                w.barrier.waiting.push(r);
+                if w.barrier.waiting.len() == w.ranks.len() {
+                    let latency = w
+                        .spec
+                        .hw_barrier
+                        .map(|hb| SimDuration::from_micros_f64(hb.latency_us(w.ranks.len())))
+                        .unwrap_or(SimDuration::ZERO);
+                    let release = now + latency;
+                    for waiter in std::mem::take(&mut w.barrier.waiting) {
+                        // The last arrival (this rank) triggers the
+                        // release: it is the causal wake source for
+                        // every waiter, including itself.
+                        w.ranks[waiter].wake_cause = Some(r as u32);
+                        s.post_at(release, resume(waiter));
                     }
                 }
-                Step::HwBarrier => {
-                    w.ranks[r].pc += 1;
-                    w.ranks[r].wait_since = Some((now, PhaseKind::BarrierWait));
-                    w.barrier.waiting.push(r);
-                    if w.barrier.waiting.len() == w.ranks.len() {
-                        let latency = w
-                            .spec
-                            .hw_barrier
-                            .map(|hb| SimDuration::from_micros_f64(hb.latency_us(w.ranks.len())))
-                            .unwrap_or(SimDuration::ZERO);
-                        let release = now + latency;
-                        for waiter in std::mem::take(&mut w.barrier.waiting) {
-                            // The last arrival (this rank) triggers the
-                            // release: it is the causal wake source for
-                            // every waiter, including itself.
-                            w.ranks[waiter].wake_cause = Some(r as u32);
-                            s.post_at(release, resume(waiter));
-                        }
-                    }
-                    return;
-                }
-            },
+                return;
+            }
         }
     }
 }
 
-/// Executes the deferred network send at tape position `step` on rank
+/// Executes the deferred network send at run position `step` on rank
 /// `r` — the [`TypedEvent::ScheduleStep`] handler, firing exactly
 /// `o_send` after the rank charged its send overhead.
 fn post_send(s: &mut Scheduler<World>, w: &mut World, r: usize, step: usize) {
-    let Some(&Tape::Op(Step::Send { to, bytes }, class)) = w.ranks[r].tape.get(step) else {
-        unreachable!("ScheduleStep must point at a Send tape entry");
+    let RankState { prog, base, .. } = w.ranks[r];
+    let Some(&Step::Send { to, bytes }) = prog.get(step - base - 1) else {
+        unreachable!("ScheduleStep must point at a Send step");
     };
+    let class = w.ranks[r].class;
     let posted = s.now();
     let src_node = w.ranks[r].node;
     let dst_node = w.ranks[to.0].node;
@@ -1137,6 +1164,107 @@ mod tests {
         assert_eq!(off.event_stats, on.event_stats);
     }
 
+    /// One item of the reference tape: rank `r`'s tape concatenates,
+    /// per segment, an entry, the rank's steps under the segment's class
+    /// and the segment's end, so item `i` is run position `i`. The
+    /// executor walks the programs in place; this decoder is what its
+    /// positions must mean.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Tape {
+        Entry(OpClass),
+        Op(Step, OpClass),
+        SegEnd(usize),
+    }
+
+    /// The reference tapes of `segments`, one per rank.
+    fn tapes(segments: &[&Schedule], p: usize) -> Vec<Vec<Tape>> {
+        let mut tapes = vec![Vec::new(); p];
+        for (si, seg) in segments.iter().enumerate() {
+            for (rank, prog) in seg.iter() {
+                let tape = &mut tapes[rank.0];
+                tape.push(Tape::Entry(seg.class()));
+                tape.extend(prog.iter().map(|&st| Tape::Op(st, seg.class())));
+                tape.push(Tape::SegEnd(si));
+            }
+        }
+        tapes
+    }
+
+    /// [`LogBounds`] counted item by item over the reference tapes.
+    fn tape_bounds(tapes: &[Vec<Tape>]) -> LogBounds {
+        let mut b = LogBounds {
+            events: tapes.len(),
+            ..LogBounds::default()
+        };
+        for item in tapes.iter().flatten() {
+            let (events, spans, messages) = match item {
+                Tape::Op(Step::Send { .. }, _) => (3, 2, 1),
+                Tape::Op(Step::Recv { .. }, _) => (1, 2, 0),
+                Tape::Entry(_) | Tape::Op(Step::Compute { .. } | Step::HwBarrier, _) => (1, 1, 0),
+                Tape::SegEnd(_) => (0, 0, 0),
+            };
+            b.events += events;
+            b.spans += spans;
+            b.messages += messages;
+        }
+        b
+    }
+
+    /// Runs `segments` plain and observed with every log on, checks that
+    /// the logs stay within [`LogBounds`] (which must equal the
+    /// reference tapes' item-by-item count) and that observing changes
+    /// nothing, and returns the observed run.
+    fn observe_within_bounds(
+        comm: &crate::Communicator,
+        segments: &[&Schedule],
+        start_times: Option<Vec<SimTime>>,
+        cpu_noise: Option<CpuNoise>,
+        what: &str,
+    ) -> (ExecOutcome, Observed) {
+        let p = comm.size();
+        let plain = comm
+            .run_with(
+                segments,
+                RunOptions {
+                    start_times: start_times.clone(),
+                    cpu_noise,
+                    ..RunOptions::default()
+                },
+            )
+            .expect("plain run");
+        let options = RunOptions {
+            start_times,
+            cpu_noise,
+            record_trace: true,
+            provenance: true,
+            event_log: true,
+            ..RunOptions::default()
+        };
+        let (out, obs) = comm.run_observed(segments, options).expect("observed run");
+        let bound = LogBounds::of(&distinct(segments), p);
+        assert_eq!(bound, tape_bounds(&tapes(segments, p)), "{what}: bounds");
+        let log = obs.event_log.as_ref().expect("event log");
+        let prov = obs.provenance.as_ref().expect("provenance");
+        assert!(log.len() <= bound.events, "{what}: events");
+        assert!(prov.len() <= bound.events, "{what}: provenance");
+        assert!(obs.spans.len() <= bound.spans, "{what}: spans");
+        assert!(out.trace.len() <= bound.messages, "{what}: trace");
+        assert_eq!(out.start, plain.start, "{what}");
+        assert_eq!(out.finish, plain.finish, "{what}");
+        assert_eq!(out.phases, plain.phases, "{what}");
+        assert_eq!(
+            (out.events, out.messages, out.bytes, out.dropped_messages),
+            (
+                plain.events,
+                plain.messages,
+                plain.bytes,
+                plain.dropped_messages
+            ),
+            "{what}"
+        );
+        (out, obs)
+    }
+
     #[test]
     fn logs_stay_within_their_bounds_and_observing_changes_nothing() {
         let machines = [Machine::sp2(), Machine::t3d(), Machine::paragon()];
@@ -1158,45 +1286,171 @@ mod tests {
                     .map(|_| SimTime::from_nanos(g.u64(0, 5_000)))
                     .collect()
             });
-            let plain = comm
+            let what = format!("{} {op:?} p={p} m={m}", machine.name());
+            observe_within_bounds(&comm, &segments, start_times, None, &what);
+        });
+    }
+
+    #[test]
+    fn in_place_walk_matches_the_reference_tape() {
+        let machines = [Machine::sp2(), Machine::t3d(), Machine::paragon()];
+        desim::check::forall("exec_reference_tape", 48, |g| {
+            let machine = g.pick(&machines);
+            let p = *g.pick(&[2, 3, 5, 8]);
+            let comm = machine.communicator(p).expect("size in range");
+            // Two collectives of different classes, whose programs differ
+            // in length from rank to rank, and a point-to-point schedule
+            // in which every rank but two has an empty program.
+            let a = *g.pick(&OpClass::COLLECTIVES);
+            let b = loop {
+                let b = *g.pick(&OpClass::COLLECTIVES);
+                if b != a {
+                    break b;
+                }
+            };
+            let root = Rank(g.usize(0, p - 1));
+            let mut sparse = Schedule::new(OpClass::PointToPoint, p);
+            let (from, to) = (Rank(g.usize(0, p - 1)), Rank(g.usize(0, p - 1)));
+            if from != to {
+                let bytes = g.u32(0, 9_000);
+                sparse.push(from, Step::Send { to, bytes });
+                sparse.push(to, Step::Recv { from, bytes });
+            }
+            let pool = [
+                comm.schedule(a, root, g.u32(0, 20_000)).expect("schedule"),
+                comm.schedule(b, root, g.u32(0, 20_000)).expect("schedule"),
+                sparse,
+            ];
+            let kinds = g.usize(2, 3);
+            let mut segments: Vec<&Schedule> = (0..kinds).map(|i| &pool[i]).collect();
+            for _ in 0..g.usize(1, 4) {
+                let at = g.usize(0, segments.len());
+                segments.insert(at, &pool[g.usize(0, kinds - 1)]);
+            }
+            let start_times = g.bool().then(|| {
+                (0..p)
+                    .map(|_| SimTime::from_nanos(g.u64(0, 5_000)))
+                    .collect()
+            });
+            let cpu_noise = g.bool().then(|| CpuNoise {
+                amplitude: 0.2,
+                seed: g.u64(0, 1 << 20),
+            });
+            let what = format!(
+                "{} {a:?} {b:?} p={p} {} segments",
+                machine.name(),
+                segments.len()
+            );
+            let (out, obs) = observe_within_bounds(&comm, &segments, start_times, cpu_noise, &what);
+
+            // The k-th deferred send decodes through the reference tape
+            // to the k-th traced message.
+            let reference = tapes(&segments, p);
+            let log = obs.event_log.expect("event log");
+            let steps: Vec<(usize, usize)> = log
+                .iter()
+                .filter(|e| e.kind == desim::EventKind::ScheduleStep)
+                .map(|e| (e.a as usize, e.b as usize))
+                .collect();
+            assert_eq!(steps.len(), out.trace.len(), "{what}: one step per message");
+            for (k, (&(rank, step), row)) in steps.iter().zip(&out.trace).enumerate() {
+                let Tape::Op(Step::Send { to, bytes }, class) = reference[rank][step] else {
+                    panic!(
+                        "{what}: step {k} at {rank}:{step} is {:?}",
+                        reference[rank][step]
+                    );
+                };
+                assert_eq!(
+                    (row.src, row.dst, row.bytes, row.class),
+                    (rank, to.0, bytes, class),
+                    "{what}: message {k}"
+                );
+            }
+
+            // A deadlock in a later segment stalls rank 0 at its receive
+            // there, at the reference tape's position.
+            let mut deadlock = Schedule::new(OpClass::PointToPoint, p);
+            deadlock.push(
+                Rank(0),
+                Step::Recv {
+                    from: Rank(1),
+                    bytes: 8,
+                },
+            );
+            deadlock.push(
+                Rank(1),
+                Step::Recv {
+                    from: Rank(0),
+                    bytes: 8,
+                },
+            );
+            let at = g.usize(1, segments.len());
+            segments.insert(at, &deadlock);
+            let e = comm
                 .run_with(
                     &segments,
                     RunOptions {
-                        start_times: start_times.clone(),
+                        skip_validation: true,
                         ..RunOptions::default()
                     },
                 )
-                .expect("plain run");
-            let options = RunOptions {
-                start_times,
-                record_trace: true,
-                provenance: true,
-                event_log: true,
-                ..RunOptions::default()
-            };
-            let (out, obs) = comm.run_observed(&segments, options).expect("observed run");
-            let bound = LogBounds::of(&tapes(&segments, p));
-            let what = format!("{} {op:?} p={p} m={m}", machine.name());
-            let log = obs.event_log.expect("event log");
-            let prov = obs.provenance.expect("provenance");
-            assert!(log.len() <= bound.events, "{what}: events");
-            assert!(prov.len() <= bound.events, "{what}: provenance");
-            assert!(obs.spans.len() <= bound.spans, "{what}: spans");
-            assert!(out.trace.len() <= bound.messages, "{what}: trace");
-            assert_eq!(out.start, plain.start, "{what}");
-            assert_eq!(out.finish, plain.finish, "{what}");
-            assert_eq!(out.phases, plain.phases, "{what}");
+                .expect_err("deadlock");
+            let tape = &tapes(&segments, p)[0];
+            let entry = tape
+                .iter()
+                .enumerate()
+                .filter(|(_, item)| matches!(item, Tape::Entry(_)))
+                .nth(at)
+                .map(|(i, _)| i)
+                .expect("the deadlocked segment's entry");
             assert_eq!(
-                (out.events, out.messages, out.bytes, out.dropped_messages),
-                (
-                    plain.events,
-                    plain.messages,
-                    plain.bytes,
-                    plain.dropped_messages
-                ),
-                "{what}"
+                tape[entry + 1],
+                Tape::Op(
+                    Step::Recv {
+                        from: Rank(1),
+                        bytes: 8
+                    },
+                    OpClass::PointToPoint
+                )
             );
+            let want = SimMpiError::RankStalled {
+                rank: 0,
+                step: entry + 1,
+                of: tape.len(),
+            };
+            assert_eq!(e, want, "{what}: deadlock at segment {at}");
         });
+    }
+
+    #[test]
+    fn sequences_past_u32_positions_are_refused_before_running() {
+        // 65,536 steps + entry + end, 65,537 times: 2^32 + 196,610
+        // positions on rank 0. Running it would take hours.
+        let mut long = Schedule::new(OpClass::PointToPoint, 2);
+        for _ in 0..65_536 {
+            long.push(Rank(0), Step::Compute { bytes: 0 });
+        }
+        let segments = vec![&long; 65_537];
+        let comm = Machine::sp2().communicator(2).expect("size in range");
+        let e = comm
+            .run_with(&segments, RunOptions::default())
+            .expect_err("refused");
+        assert_eq!(
+            e,
+            SimMpiError::SequenceTooLong {
+                rank: 0,
+                positions: 65_538 * 65_537,
+            }
+        );
+        assert!(e.to_string().contains("rank 0"));
+        // Exactly 2^32 positions is the most a run may address.
+        let mut fits = Schedule::new(OpClass::PointToPoint, 2);
+        for _ in 0..65_534 {
+            fits.push(Rank(0), Step::Compute { bytes: 0 });
+        }
+        let at_limit = distinct(&vec![&fits; 65_536]);
+        assert_eq!(positions(&at_limit, 0), MAX_POSITIONS);
+        assert_eq!(positions(&at_limit, 1), 2 * 65_536);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! [`desim::TypedEvent::footprint`] describes what an event's *handler*
 //! touches. That is not enough for commutation: dispatching a
-//! `RankResume` advances the rank's whole tape segment at that instant,
-//! and the tape may post sends (network state) or hit a hardware
-//! barrier (global sync line). [`StaticModel`] therefore widens each
+//! `RankResume` advances the rank's program as far as it can at that
+//! instant, and the program may post sends (network state) or hit a
+//! hardware barrier (global sync line). [`StaticModel`] therefore widens each
 //! event's footprint with whole-program *closure flags* computed once
 //! from the [`Schedule`]:
 //!
@@ -76,14 +76,14 @@ impl StaticModel {
     }
 
     /// The event's handler footprint widened by the closure flags of
-    /// every rank whose tape the handler can advance.
+    /// every rank whose program the handler can advance.
     pub fn footprint(&self, ev: &LoggedEvent) -> Footprint {
         let typed = ev.typed();
         let mut fp = typed.footprint();
         let advanced: &[u32] = match typed {
             TypedEvent::RankResume { rank } => &[rank],
             // Delivery can complete the destination's pending recv and
-            // advance its tape.
+            // advance its program.
             TypedEvent::MessageReady { dst, .. } => &[dst],
             // The deferred send touches the network by construction
             // (already in the base footprint) and releases the sender.
