@@ -1,7 +1,7 @@
 //! The typed event vocabulary of the engine.
 //!
 //! Every scheduled event is a [`TypedEvent`]: a plain-data enum stored
-//! *inline* in the engine's binary heap and dispatched with a `match`
+//! *inline* in the engine's pending set and dispatched with a `match`
 //! through the world's [`EventWorld::dispatch`]. The simulator is
 //! dispatch-bound at millions of events per second, so an event costs
 //! no heap allocation and no indirect call.

@@ -5,10 +5,12 @@
 //! (topologies, machine models, the MPI layer) is expressed in terms of:
 //!
 //! * [`time::SimTime`] / [`time::SimDuration`] — integer-nanosecond clock;
-//! * [`engine::Engine`] — a binary-heap event queue over a user world
-//!   type, with deterministic FIFO tie-breaking;
+//! * [`engine::Engine`] — the event engine over a user world type,
+//!   with deterministic FIFO tie-breaking. Its pending events sit in a
+//!   few sorted FIFO lanes, one per constant delay, in front of a binary
+//!   heap that takes the rest (see the [`engine`] module);
 //! * [`event::TypedEvent`] — the plain-data event vocabulary, stored
-//!   inline in the queue and dispatched through the world's
+//!   inline in the pending set and dispatched through the world's
 //!   [`event::EventWorld::dispatch`] match;
 //! * [`resource::FifoResource`] — serializing servers used for links, NIC
 //!   ports and DMA engines;

@@ -1,6 +1,8 @@
-//! Property-based tests of the simulation kernel: event ordering,
-//! resource FIFO invariants. Runs on the
-//! in-repo deterministic harness ([`desim::check`]).
+//! Property-based tests of the simulation kernel: event ordering and
+//! queue high water against a reference that keeps every pending event
+//! in one list, whichever lane or heap the engine holds it in; resource
+//! FIFO invariants. Runs on the in-repo deterministic harness
+//! ([`desim::check`]).
 
 #![allow(clippy::unwrap_used)]
 
@@ -46,34 +48,120 @@ fn run_plan(
     for &(t, id) in roots {
         engine.post_at(SimTime::from_nanos(t), TypedEvent::Timer { id });
     }
+    run_phases(engine, &[], children)
+}
+
+/// Root timers `(instant, id)` posted from outside the engine, in order,
+/// and the deadline the engine then runs until.
+type Phase = (Vec<(u64, u64)>, u64);
+
+/// Runs the plan phase by phase: each phase posts its roots and runs
+/// the engine until its deadline; then the engine runs to completion.
+/// Returns the fired `(instant, id)` sequence.
+fn run_phases(engine: &mut Engine<Plan>, phases: &[Phase], children: &Children) -> Vec<(u64, u64)> {
     let mut plan = Plan {
         children: children.clone(),
         fired: Vec::new(),
     };
+    for (roots, deadline) in phases {
+        for &(t, id) in roots {
+            engine.post_at(SimTime::from_nanos(t), TypedEvent::Timer { id });
+        }
+        engine.run_until(&mut plan, SimTime::from_nanos(*deadline));
+    }
     engine.run(&mut plan);
     plan.fired
 }
 
-/// The firing order of a plan computed without the engine: repeatedly
-/// fire the pending event with the least `(instant, scheduling order)`,
-/// appending its children to the scheduling order as it fires.
-fn reference_order(roots: &[(u64, u64)], children: &Children) -> Vec<(u64, u64)> {
-    let mut pending: Vec<(u64, usize, u64)> = roots
-        .iter()
-        .enumerate()
-        .map(|(order, &(t, id))| (t, order, id))
-        .collect();
-    let mut next_order = pending.len();
-    let mut fired = Vec::new();
-    while let Some(i) = (0..pending.len()).min_by_key(|&i| (pending[i].0, pending[i].1)) {
-        let (t, _, id) = pending.swap_remove(i);
-        fired.push((t, id));
+/// A plan run without the engine: pending events `(instant, seq, id)`
+/// fire least `(instant, seq)` first, a post taking the next seq.
+#[derive(Default)]
+struct Reference {
+    pending: Vec<(u64, u64, u64)>,
+    next_seq: u64,
+    /// Fired `(instant, id)`, in firing order.
+    fired: Vec<(u64, u64)>,
+    /// The seq of each fired event, and how many posts preceded its
+    /// firing: the events pending when it fired have lower seqs.
+    seqs: Vec<u64>,
+    posted: Vec<u64>,
+    /// Most events pending at once, counted after each post from
+    /// outside and after each firing's posts.
+    peak: usize,
+    /// An armed same-instant swap `(instant, first seq, second seq)`,
+    /// and whether it engaged.
+    swap: Option<(u64, u64, u64)>,
+    swapped: bool,
+}
+
+impl Reference {
+    fn post(&mut self, t: u64, id: u64) {
+        self.pending.push((t, self.next_seq, id));
+        self.next_seq += 1;
+    }
+
+    fn least(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    fn fire(&mut self, (t, seq, id): (u64, u64, u64), children: &Children) {
+        self.fired.push((t, id));
+        self.seqs.push(seq);
+        self.posted.push(self.next_seq);
         for &(delay, child) in &children[id as usize] {
-            pending.push((t + delay, next_order, child));
-            next_order += 1;
+            self.post(t + delay, child);
+        }
+        self.peak = self.peak.max(self.pending.len());
+    }
+
+    /// Where the armed swap's second event is pending, when `ev` is its
+    /// first event and the second is next.
+    fn swap_partner(&self, (t, seq, _): (u64, u64, u64)) -> Option<usize> {
+        let (at, first, second) = self.swap.filter(|_| !self.swapped)?;
+        let j = self.least()?;
+        let next = (self.pending[j].0, self.pending[j].1);
+        ((t, seq) == (at, first) && next == (at, second)).then_some(j)
+    }
+
+    /// Fires every event due by `deadline`, the armed swap included.
+    fn fire_until(&mut self, deadline: u64, children: &Children) {
+        while let Some(i) = self.least().filter(|&i| self.pending[i].0 <= deadline) {
+            let ev = self.pending.swap_remove(i);
+            if let Some(j) = self.swap_partner(ev) {
+                self.swapped = true;
+                let partner = self.pending.swap_remove(j);
+                self.fire(partner, children);
+            }
+            self.fire(ev, children);
         }
     }
-    fired
+}
+
+/// The firing order of a phased plan, computed without the engine, with
+/// an optional same-instant swap armed.
+fn reference_order(
+    phases: &[Phase],
+    children: &Children,
+    swap: Option<(u64, u64, u64)>,
+) -> Reference {
+    let mut r = Reference {
+        swap,
+        ..Reference::default()
+    };
+    for (roots, deadline) in phases {
+        for &(t, id) in roots {
+            r.post(t, id);
+            r.peak = r.peak.max(r.pending.len());
+        }
+        r.fire_until(*deadline, children);
+    }
+    r.fire_until(u64::MAX, children);
+    r
+}
+
+/// The firing order of a plan whose roots are all posted up front.
+fn reference_fired(roots: &[(u64, u64)], children: &Children) -> Vec<(u64, u64)> {
+    reference_order(&[(roots.to_vec(), u64::MAX)], children, None).fired
 }
 
 /// A random plan of up to 200 timers: the first few are roots posted up
@@ -91,6 +179,42 @@ fn random_plan(g: &mut Gen) -> (Vec<(u64, u64)>, Children) {
         children[parent].push((g.u64(0, 5), id as u64));
     }
     (plan_roots, children)
+}
+
+/// A random plan of up to 300 timers whose delays mix a few repeated
+/// values with wide random ones. The palette of repeated delays has one
+/// to seven values, so there are sometimes more of them than the engine
+/// has lanes; lanes drain and are re-keyed, and wide delays spill to
+/// the heap. Roots arrive in one to four phases, each posted from
+/// outside the engine at or after the previous phase's deadline.
+fn mixed_plan(g: &mut Gen) -> (Vec<Phase>, Children) {
+    let n = g.usize(1, 300);
+    let roots = g.usize(1, n.min(60));
+    let palette: Vec<u64> = (0..g.usize(1, 7)).map(|_| g.u64(0, 40)).collect();
+    let mut children = vec![Vec::new(); n];
+    for id in roots..n {
+        let parent = g.usize(0, id - 1);
+        let delay = if g.usize(0, 3) == 0 {
+            g.u64(0, 2_000)
+        } else {
+            *g.pick(&palette)
+        };
+        children[parent].push((delay, id as u64));
+    }
+    let mut phases = Vec::new();
+    let (mut id, mut from) = (0, 0);
+    while id < roots as u64 {
+        let last = if phases.len() == 3 {
+            roots as u64
+        } else {
+            g.u64(id + 1, roots as u64)
+        };
+        let batch = (id..last).map(|id| (from + g.u64(0, 300), id)).collect();
+        let deadline = from + g.u64(0, 400);
+        phases.push((batch, deadline));
+        (id, from) = (last, deadline);
+    }
+    (phases, children)
 }
 
 /// Events fire in non-decreasing time order regardless of the
@@ -121,12 +245,12 @@ fn firing_order_is_time_then_scheduling_order() {
         let (roots, children) = random_plan(g);
         let fired = run_plan(&mut Engine::new(), &roots, &children);
         assert_eq!(fired.len(), children.len(), "every event fires once");
-        assert_eq!(fired, reference_order(&roots, &children));
+        assert_eq!(fired, reference_fired(&roots, &children));
 
         // Flat: root `id` is posted `id`-th, so its seq is its id.
         let flat = vec![Vec::new(); roots.len()];
         let base = run_plan(&mut Engine::new(), &roots, &flat);
-        assert_eq!(base, reference_order(&roots, &flat));
+        assert_eq!(base, reference_fired(&roots, &flat));
         let ties: Vec<usize> = (1..base.len())
             .filter(|&i| base[i - 1].0 == base[i].0)
             .collect();
@@ -141,6 +265,43 @@ fn firing_order_is_time_then_scheduling_order() {
         let mut expect = base;
         expect.swap(i - 1, i);
         assert_eq!(swapped, expect);
+    });
+}
+
+/// The pending set against the reference on plans that mix repeated
+/// and wide delays and post roots between `run_until` deadlines: the
+/// firing order and the queue high water match, and a tie swap aimed at
+/// any adjacent same-instant pair, wherever the two events are held,
+/// gives the reference's swapped order.
+#[test]
+fn mixed_delays_fire_in_reference_order() {
+    forall("mixed delays fire in reference order", 96, |g| {
+        let (phases, children) = mixed_plan(g);
+        let mut engine = Engine::new();
+        let fired = run_phases(&mut engine, &phases, &children);
+        let reference = reference_order(&phases, &children, None);
+        assert_eq!(fired.len(), children.len(), "every event fires once");
+        assert_eq!(fired, reference.fired);
+        assert_eq!(engine.queue_high_water(), reference.peak);
+
+        // A swappable pair fires back to back at one instant, the second
+        // already pending when the first fires: not its child, and not
+        // a root posted after the phase that fired the first.
+        let (seqs, posted) = (&reference.seqs, &reference.posted);
+        let ties: Vec<usize> = (1..fired.len())
+            .filter(|&i| fired[i - 1].0 == fired[i].0 && seqs[i] < posted[i - 1])
+            .collect();
+        if ties.is_empty() {
+            return;
+        }
+        let i = *g.pick(&ties);
+        let swap = (fired[i].0, seqs[i - 1], seqs[i]);
+        let mut engine = Engine::new().with_tie_swap(SimTime::from_nanos(swap.0), swap.1, swap.2);
+        let swapped = run_phases(&mut engine, &phases, &children);
+        let expect = reference_order(&phases, &children, Some(swap));
+        assert!(expect.swapped);
+        assert_eq!(engine.tie_swap_applied(), Some(true));
+        assert_eq!(swapped, expect.fired);
     });
 }
 

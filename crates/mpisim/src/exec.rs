@@ -14,8 +14,9 @@
 //! arrivals are `MessageReady`, and deferred sends are `ScheduleStep`
 //! carrying the rank's run position to re-read — no per-event
 //! allocation anywhere in the hot loop, and no per-run copy of the
-//! programs: apart from one finish time per rank and segment, an
-//! execution holds O(p² + schedule) memory however many segments it
+//! programs: apart from its [`FinishTimes`] table (one time per rank
+//! and segment, allocated once), an execution holds O(p² + schedule)
+//! memory and makes the same allocations however many segments it
 //! runs.
 //!
 //! Per-rank completion timestamps are recorded at every segment boundary,
@@ -33,6 +34,7 @@ use crate::machine::Machine;
 use collectives::{Rank, Schedule, Step};
 use desim::{Engine, EventWorld, Scheduler, SimDuration, SimTime, SplitMix64, TypedEvent};
 use netmodel::{MachineSpec, NetInstr, NetState, OpClass};
+use std::ops::{Index, IndexMut};
 use topo::NodeId;
 
 /// Default cap on recorded [`MessageTrace`] entries (~1M): a 128-node
@@ -219,7 +221,7 @@ pub struct ExecOutcome {
     /// Per-rank start instants actually used.
     pub start: Vec<SimTime>,
     /// `finish[segment][rank]`: when each rank completed each segment.
-    pub finish: Vec<Vec<SimTime>>,
+    pub finish: FinishTimes,
     /// Total messages injected into the network.
     pub messages: u64,
     /// Total payload bytes injected.
@@ -277,6 +279,65 @@ impl ExecOutcome {
     }
 }
 
+/// When each rank completed each segment: one row of `p` instants per
+/// segment, stored segment by segment in one buffer. `finish[seg]` is
+/// segment `seg`'s row and `finish[seg][r]` rank `r`'s instant in it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FinishTimes {
+    p: usize,
+    times: Vec<SimTime>,
+}
+
+impl FinishTimes {
+    /// The table whose rows are `times`, `p` instants at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is zero or does not divide `times.len()`.
+    pub fn new(p: usize, times: Vec<SimTime>) -> Self {
+        assert!(
+            p > 0 && times.len().is_multiple_of(p),
+            "{} finish times do not make rows of {p}",
+            times.len()
+        );
+        FinishTimes { p, times }
+    }
+
+    /// Number of segments (rows).
+    pub fn len(&self) -> usize {
+        self.times.len() / self.p
+    }
+
+    /// True when the table has no segments.
+    pub fn is_empty(&self) -> bool {
+        self.times.is_empty()
+    }
+
+    /// The last segment's row.
+    pub fn last(&self) -> Option<&[SimTime]> {
+        self.iter().next_back()
+    }
+
+    /// The rows, first segment first.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, SimTime> {
+        self.times.chunks_exact(self.p)
+    }
+}
+
+impl Index<usize> for FinishTimes {
+    type Output = [SimTime];
+
+    fn index(&self, seg: usize) -> &[SimTime] {
+        &self.times[seg * self.p..(seg + 1) * self.p]
+    }
+}
+
+impl IndexMut<usize> for FinishTimes {
+    fn index_mut(&mut self, seg: usize) -> &mut [SimTime] {
+        &mut self.times[seg * self.p..(seg + 1) * self.p]
+    }
+}
+
 /// One rank's place in the run: segment `seg` (`segments.len()` once
 /// done), whose program for this rank and class are cached in `prog`
 /// and `class`. Position `k` inside the segment is its entry (0), its
@@ -324,7 +385,7 @@ struct World<'a> {
     /// own instant and never reads an arrival time.
     arrivals: Vec<u32>,
     barrier: HwBarrierState,
-    finish: Vec<Vec<SimTime>>,
+    finish: FinishTimes,
     trace: Option<Vec<MessageTrace>>,
     trace_cap: usize,
     dropped: u64,
@@ -445,7 +506,7 @@ pub(crate) fn execute(
         ranks,
         arrivals: vec![0; p * p],
         barrier: HwBarrierState::default(),
-        finish: vec![vec![SimTime::ZERO; p]; segments.len()],
+        finish: FinishTimes::new(p, vec![SimTime::ZERO; p * segments.len()]),
         trace: tracing.then(|| Vec::with_capacity(bounds.messages.min(trace_cap))),
         trace_cap,
         dropped: 0,
@@ -975,6 +1036,26 @@ mod tests {
             assert!(out.finish[1][r] <= out.finish[2][r]);
             assert!(out.rank_segment_time(1, r) > SimDuration::ZERO);
         }
+    }
+
+    #[test]
+    fn finish_times_are_rows_of_p() {
+        let t = SimTime::from_nanos;
+        let mut f = FinishTimes::new(2, vec![t(1), t(2), t(3), t(4), t(5), t(6)]);
+        assert_eq!(f.len(), 3);
+        assert_eq!(f[1], [t(3), t(4)]);
+        f[2][0] = t(9);
+        assert_eq!(f.last(), Some(&[t(9), t(6)][..]));
+        let rows: Vec<&[SimTime]> = f.iter().collect();
+        assert_eq!(rows, [&[t(1), t(2)][..], &[t(3), t(4)], &[t(9), t(6)]]);
+        assert!(!f.is_empty());
+        assert!(FinishTimes::new(3, Vec::new()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "3 finish times do not make rows of 2")]
+    fn finish_times_refuse_a_partial_row() {
+        FinishTimes::new(2, vec![SimTime::ZERO; 3]);
     }
 
     #[test]

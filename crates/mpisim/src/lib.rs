@@ -45,7 +45,8 @@ pub use critpath::{analyze, CritPath};
 pub use datatype::Datatype;
 pub use error::SimMpiError;
 pub use exec::{
-    CpuNoise, ExecOutcome, MessageTrace, Observed, PhaseKind, PhaseSpan, RankPhases, TieBreakPolicy,
+    CpuNoise, ExecOutcome, FinishTimes, MessageTrace, Observed, PhaseKind, PhaseSpan, RankPhases,
+    TieBreakPolicy,
 };
 pub use machine::{AlgorithmPolicy, Machine};
 pub use netmodel::{MachineId, OpClass, WireConfig};

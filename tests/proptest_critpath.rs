@@ -13,7 +13,7 @@ use desim::check::{forall, Gen};
 use desim::{SimDuration, SimTime};
 use mpisim::comm::RunOptions;
 use mpisim::critpath::{analyze, CritPath};
-use mpisim::exec::{ExecOutcome, MessageTrace, Observed, PhaseKind, PhaseSpan};
+use mpisim::exec::{ExecOutcome, FinishTimes, MessageTrace, Observed, PhaseKind, PhaseSpan};
 use mpisim::{Machine, OpClass, Rank};
 use obs::critpath::{walk, Blame, Cause, Census, Decomposition, Span, Transfer};
 
@@ -334,7 +334,7 @@ fn tied_deliveries_match_the_lowest_trace_index() {
     };
     let out = ExecOutcome {
         start: vec![SimTime::ZERO; 2],
-        finish: vec![vec![SimTime::from_nanos(40), SimTime::from_nanos(100)]],
+        finish: FinishTimes::new(2, vec![SimTime::from_nanos(40), SimTime::from_nanos(100)]),
         messages: 2,
         bytes: 16,
         events: 0,
